@@ -48,6 +48,7 @@ from .cf import (
 )
 from .snrs import (
     DegenerateEvidenceError,
+    EmptyTrainingSetError,
     FriendConditionalTable,
     ItemAcceptanceModel,
     RatingDistribution,

@@ -7,6 +7,7 @@ Ratings and relationship strengths share the same 0..5 integer scale.
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 RATING_MIN = 0
@@ -75,6 +76,10 @@ class RelationshipGraph:
     both.  Asymmetric duplicates are representable so that
     ``validate_dataset`` can report them, but every query API assumes a
     graph that validates cleanly.
+
+    The edge map is fixed at construction: ``edges`` is a read-only view.
+    ``friends_of`` reads a per-user adjacency list built lazily, in one pass
+    over the stored edges, on first use; it costs O(degree) per call.
     """
 
     def __init__(self, n_users: int, edges: Mapping[tuple[int, int], int] | None = None):
@@ -82,11 +87,13 @@ class RelationshipGraph:
             raise ValueError("n_users must be >= 0")
         self.n_users = n_users
         self._edges: dict[tuple[int, int], int] = dict(edges) if edges else {}
+        self._adjacency: dict[int, list[tuple[int, int]]] | None = None
 
     @property
-    def edges(self) -> dict[tuple[int, int], int]:
-        """Edge map exactly as stored (orientations not normalized)."""
-        return self._edges
+    def edges(self) -> Mapping[tuple[int, int], int]:
+        """Read-only view of the edge map exactly as stored (orientations
+        not normalized)."""
+        return MappingProxyType(self._edges)
 
     def canonical_edges(self) -> dict[tuple[int, int], int]:
         """Edge map keyed by (low, high) pairs; assumes a valid graph."""
@@ -99,18 +106,25 @@ class RelationshipGraph:
             s = self._edges.get((y, x))
         return s
 
+    def _index(self) -> dict[int, list[tuple[int, int]]]:
+        if self._adjacency is None:
+            adjacency: dict[int, list[tuple[int, int]]] = {}
+            for (x, y), s in self._edges.items():
+                adjacency.setdefault(x, []).append((y, s))
+                if y != x:
+                    adjacency.setdefault(y, []).append((x, s))
+            for neighbors in adjacency.values():
+                neighbors.sort()
+            self._adjacency = adjacency
+        return self._adjacency
+
     def friends_of(self, u: int, min_strength: int = 1) -> list[tuple[int, int]]:
-        """All (neighbor, strength) pairs of u with strength >= min_strength, by index."""
-        out = []
-        for (x, y), s in self._edges.items():
-            if s < min_strength:
-                continue
-            if x == u:
-                out.append((y, s))
-            elif y == u:
-                out.append((x, s))
-        out.sort()
-        return out
+        """All (neighbor, strength) pairs of u with strength >= min_strength, by index.
+
+        A pair stored under both orientations contributes one entry per
+        stored edge.
+        """
+        return [(v, s) for v, s in self._index().get(u, ()) if s >= min_strength]
 
     @property
     def n_edges(self) -> int:

@@ -35,6 +35,10 @@ class DegenerateEvidenceError(SocialRecError):
     """Every rating level was annihilated when combining evidence."""
 
 
+class EmptyTrainingSetError(SocialRecError, ValueError):
+    """The training ratings are empty, so no factor model can be learned."""
+
+
 class RatingDistribution:
     """Probability vector over the six rating levels 0..5.
 
@@ -183,24 +187,24 @@ class FriendConditionalTable:
     def pairs(self):
         return self._tables.keys()
 
-    def prob(self, u: int, v: int, k: int, j: int) -> float:
-        """P(user u rates k | friend v rated j)."""
-        return self._tables[(u, v)][j][k]
-
-    def column(self, u: int, v: int, j: int) -> RatingDistribution:
-        """Distribution of u's level given v rated j."""
-        return RatingDistribution(self._tables[(u, v)][j])
+    def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
+        """P(user u rates k | friend v rated j) for k = 0..5."""
+        return self._tables[(u, v)][j]
 
 
 def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                  ) -> tuple[UserPreferenceModel, ItemAcceptanceModel, FriendConditionalTable]:
     """Count-and-smooth all three factor models from training ratings.
 
-    Raises ValueError when the training set has no ratings at all.
+    Friend tables are counted once per unordered friend pair: one 6x6
+    co-rating count gives both the (u, v) and the (v, u) table.  Equal count
+    columns share one smoothed tuple.
+
+    Raises EmptyTrainingSetError when the training set has no ratings at all.
     """
     ratings, categories, graph = train.ratings, train.categories, train.graph
     if ratings.n_rated == 0:
-        raise ValueError("empty training set: no ratings to learn from")
+        raise EmptyTrainingSetError("empty training set: no ratings to learn from")
     alpha = cfg.laplace_alpha
 
     priors = []
@@ -234,22 +238,32 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                                 for k in RATING_LEVELS))
     acceptance = ItemAcceptanceModel(item_dists)
 
+    columns: dict[tuple[int, ...], tuple[float, ...]] = {}
+
+    def smoothed(counts: list[int]) -> tuple[float, ...]:
+        key = tuple(counts)
+        column = columns.get(key)
+        if column is None:
+            total = sum(counts)
+            column = columns[key] = tuple((n + alpha) / (total + N_LEVELS * alpha)
+                                          for n in counts)
+        return column
+
     tables: dict[tuple[int, int], list[tuple[float, ...]]] = {}
     for u in range(ratings.n_users):
         row_u = ratings.user_ratings(u)
         for v, _strength in graph.friends_of(u, cfg.friend_min_strength):
+            if v < u:
+                continue  # counted at v's turn
             row_v = ratings.user_ratings(v)
-            pair_counts = [[0] * N_LEVELS for _ in RATING_LEVELS]  # [j][k]
-            j_totals = [0] * N_LEVELS
-            for i in row_u.keys() & row_v.keys():
-                k, j = row_u[i], row_v[i]
-                pair_counts[j][k] += 1
-                j_totals[j] += 1
-            tables[(u, v)] = [
-                tuple((pair_counts[j][k] + alpha) / (j_totals[j] + N_LEVELS * alpha)
-                      for k in RATING_LEVELS)
-                for j in RATING_LEVELS
-            ]
+            counts = [0] * (N_LEVELS * N_LEVELS)  # [N_LEVELS * k + j]: u rated k, v rated j
+            for i, k in row_u.items():
+                j = row_v.get(i)
+                if j is not None:
+                    counts[N_LEVELS * k + j] += 1
+            tables[(u, v)] = [smoothed(counts[j::N_LEVELS]) for j in RATING_LEVELS]
+            tables[(v, u)] = [smoothed(counts[N_LEVELS * k:N_LEVELS * (k + 1)])
+                              for k in RATING_LEVELS]
     friends = FriendConditionalTable(tables)
 
     return preference, acceptance, friends
@@ -288,13 +302,14 @@ def friend_inference_prob(u: int, i: int, tables: FriendConditionalTable,
     """
     weights = [1.0] * N_LEVELS
     found = False
+    raters = train.item_ratings(i)
     for v, _strength in graph.friends_of(u, cfg.friend_min_strength):
-        rating_v = train.get(v, i)
+        rating_v = raters.get(v)
         if rating_v is None:
             continue
         found = True
-        for k in RATING_LEVELS:
-            weights[k] *= tables.prob(u, v, k, rating_v)
+        column = tables.column(u, v, rating_v)
+        weights = [w * p for w, p in zip(weights, column)]
     if not found:
         return RatingDistribution.uniform()
     return RatingDistribution.from_weights(weights)

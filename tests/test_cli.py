@@ -246,6 +246,39 @@ class TestCompare:
         assert "ratings.csv:2" in result.output
 
 
+class TestEmptyTrainingSet:
+    """Holding out every rated cell leaves nothing to train on: a clean
+    one-line error, never a traceback."""
+
+    @pytest.fixture
+    def all_held_out(self, tmp_path):
+        d = build_dataset(4, 2, 1, edges={(0, 1): 3, (2, 3): 4},
+                          cells={(u, i): (u + i) % 6 for u in range(4) for i in range(2)},
+                          members={(0, 0)})
+        save_dataset(d, tmp_path / "d")
+        return ["--data", str(tmp_path / "d"), "--test-users", "1-4", "--test-items", "1-2"]
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--method", "snrs"],
+        ["eval", "--method", "cf"],
+        ["compare"],
+    ])
+    def test_split_without_training_ratings(self, runner, all_held_out, command):
+        result = runner.invoke(main, command + all_held_out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+
+    def test_snrs_predict_without_other_ratings(self, runner, tmp_path):
+        save_dataset(build_dataset(1, 1, 1, cells={(0, 0): 3}), tmp_path / "d")
+        result = runner.invoke(main, ["predict", "--data", str(tmp_path / "d"),
+                                      "--method", "snrs", "--user", "U1", "--item", "I1"])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: empty training set: no ratings to learn from"]
+
+
 class TestConfigFile:
     def test_file_overrides_builtin_and_flag_overrides_file(self, runner, tmp_path):
         config = tmp_path / "defaults.cfg"

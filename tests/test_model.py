@@ -109,6 +109,47 @@ class TestRelationshipGraph:
         with pytest.raises(ValueError):
             RelationshipGraph(-1)
 
+    def test_edges_view_rejects_mutation(self):
+        g = RelationshipGraph(3, {(0, 1): 4})
+        assert g.friends_of(0) == [(1, 4)]
+        with pytest.raises(TypeError):
+            g.edges[(1, 2)] = 5
+        with pytest.raises(TypeError):
+            del g.edges[(0, 1)]
+        assert dict(g.edges) == {(0, 1): 4}
+        assert g.friends_of(1) == [(0, 4)]
+
+    def test_constructor_copies_edges(self):
+        source = {(0, 1): 4}
+        g = RelationshipGraph(3, source)
+        assert g.friends_of(0) == [(1, 4)]
+        source[(0, 2)] = 5
+        assert g.friends_of(0) == [(1, 4)]
+
+    def test_both_orientations_listed_per_stored_edge(self):
+        g = RelationshipGraph(3, {(0, 1): 3, (1, 0): 2, (2, 1): 5})
+        assert g.friends_of(1) == [(0, 2), (0, 3), (2, 5)]
+        assert g.friends_of(0, min_strength=3) == [(1, 3)]
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda pair: pair[0] != pair[1]),
+                st.integers(0, 5), max_size=3 * n),
+        )),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_friends_of_matches_edge_scan(self, graph_spec, min_strength):
+        n_users, edges = graph_spec
+        g = RelationshipGraph(n_users, edges)
+        for u in range(n_users):
+            expected = sorted(
+                [(y, s) for (x, y), s in edges.items() if x == u and s >= min_strength]
+                + [(x, s) for (x, y), s in edges.items() if y == u and s >= min_strength])
+            assert g.friends_of(u, min_strength) == expected
+
 
 class TestRatingMatrix:
     def test_set_get(self):
@@ -165,6 +206,19 @@ class TestItemCategoryMatrix:
         assert m.bit(0, 0) == 0
         assert m.categories_of(0) == {1}
         assert m.categories_of(1) == frozenset()
+
+    def test_categories_of_after_add(self):
+        m = ItemCategoryMatrix(3, 4, {(0, 1)})
+        assert m.categories_of(0) == {1}
+        assert m.categories_of(2) == frozenset()
+        m.add(2, 3)
+        m.add(0, 0)
+        m.add(0, 1)
+        assert m.categories_of(0) == {0, 1}
+        assert m.categories_of(1) == frozenset()
+        assert m.categories_of(2) == {3}
+        for i in range(3):
+            assert m.categories_of(i) == {c for c in range(4) if m.bit(i, c)}
 
     def test_mapping_with_zero_bits(self):
         m = ItemCategoryMatrix(2, 2, {(0, 0): 1, (0, 1): 0})

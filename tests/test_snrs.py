@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from socialrec import (
     DegenerateEvidenceError,
+    EmptyTrainingSetError,
     GenConfig,
     RatingDistribution,
     SnrsConfig,
@@ -17,6 +19,7 @@ from socialrec import (
     predict_snrs,
     user_preference_prob,
 )
+from socialrec.evaluate import SplitSpec, split
 from conftest import build_dataset
 
 UNIFORM = (1 / 6,) * 6
@@ -171,8 +174,51 @@ class TestLearnModels:
         assert (0, 2) in tables and (2, 0) in tables
 
     def test_empty_train_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(EmptyTrainingSetError, match="empty") as info:
             learn_models(build_dataset(2, 2, 1))
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.fixture(scope="module")
+def dense_train():
+    """120 users x 16 items on a 0.9-density graph, with a test rectangle held out."""
+    dataset = generate_dataset(GenConfig(n_users=120, n_items=16, edge_density=0.9,
+                                         rng_seed=5))
+    train, _ = split(dataset, SplitSpec(tuple(range(60, 120)), tuple(range(8))))
+    return train
+
+
+def recount_friend_table(train, u, v, alpha):
+    """table[j][k] = (#co-rated items with u at k and v at j + alpha) /
+    (#co-rated items with v at j + 6 alpha), counted from scratch."""
+    row_u, row_v = train.ratings.user_ratings(u), train.ratings.user_ratings(v)
+    common = [i for i in range(train.n_items) if i in row_u and i in row_v]
+    joint = Counter((row_v[i], row_u[i]) for i in common)
+    given = Counter(row_v[i] for i in common)
+    return [tuple((joint[j, k] + alpha) / (given[j] + 6 * alpha) for k in range(6))
+            for j in range(6)]
+
+
+class TestFriendTablesOracle:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("min_strength", [0, 1, 3])
+    def test_tables_equal_recount(self, dense_train, alpha, min_strength):
+        cfg = SnrsConfig(laplace_alpha=alpha, friend_min_strength=min_strength)
+        _, _, tables = learn_models(dense_train, cfg)
+        expected_pairs = set()
+        for (x, y), s in dense_train.graph.edges.items():
+            if s >= min_strength:
+                expected_pairs |= {(x, y), (y, x)}
+        assert set(tables.pairs()) == expected_pairs
+        assert tables.n_pairs == len(expected_pairs)
+        for u, v in expected_pairs:
+            expected = recount_friend_table(dense_train, u, v, alpha)
+            assert [tables.column(u, v, j) for j in range(6)] == expected
+
+    def test_equal_columns_shared(self, dense_train):
+        _, _, tables = learn_models(dense_train)
+        columns = [tables.column(u, v, j) for u, v in tables.pairs() for j in range(6)]
+        assert len({id(c) for c in columns}) == len(set(columns)) < len(columns)
 
 
 def brute_force_user_preference(dataset, u, i, alpha=1.0):
