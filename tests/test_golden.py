@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from socialrec import GenConfig, generate_dataset, save_dataset
 from socialrec.cli import main
+from conftest import build_dataset
 
 DATASET_FILES = ("relationships.csv", "ratings.csv", "categories.csv")
 
@@ -49,6 +50,47 @@ COMPARE_SEED_42_DIGESTS = {
     "summary.csv": "fb07ce9788f119f9a33a4d61e39c5d9eb4b9894e56b0ca080031558959f6b4b1",
 }
 
+# compare --out at the benchmark's dense-graph and many-items shapes, seed 0:
+# (gen flags, compare split flags, {file: digest})
+COMPARE_SHAPE_DIGESTS = {
+    "social": (
+        ["--users", "120", "--items", "16", "--categories", "10", "--edge-density", "0.9"],
+        ["--test-users", "61-120", "--test-items", "I1-I8"],
+        {"detail.csv": "444d4405f8b187554aab68aa795a093e5893954a19fabe804ae03467232f7e33",
+         "summary.csv": "71f434bcc46c18b6780c822fe7694e7d4ac97535195057b6e2959fcdd680482e"},
+    ),
+    "catalog": (
+        ["--users", "80", "--items", "80", "--categories", "4", "--edge-density", "0.05"],
+        ["--test-users", "41-80", "--test-items", "I1-I40"],
+        {"detail.csv": "9e87adb66b5b6b28bc9431ebe4d2c5c9a23450bf27bee1e5225f0068d7800969",
+         "summary.csv": "706fab2396a098f01d7daa51a58f2d2123d6826dd21ddc9ded64ec2dcca2b142"},
+    ),
+}
+
+# predict stdout on PREDICT_DATASET, one line per (method, user, item).
+# U3's only co-raters of I1 correlate negatively with U3 (user-mean
+# fallback); U4's single rating is the held-out cell (global-mean fallback).
+PREDICT_LINES = {
+    ("cf", "U1", "I1"): "cf U1 x I1: 4.0000 (rounded 4)",
+    ("cf", "U3", "I1"): "cf U3 x I1: 4.0000 (rounded 4)  [fallback: user-mean]",
+    ("cf", "U4", "I2"): "cf U4 x I2: 2.6667 (rounded 3)  [fallback: global-mean]",
+    ("cf", "U2", "I3"): "cf U2 x I3: 1.0000 (rounded 1)",
+    ("snrs", "U1", "I1"): "snrs U1 x I1: 1.9060 (rounded 2)",
+    ("snrs", "U3", "I1"): "snrs U3 x I1: 3.7863 (rounded 4)",
+    ("snrs", "U4", "I2"): "snrs U4 x I2: 2.5556 (rounded 3)",
+    ("snrs", "U2", "I3"): "snrs U2 x I3: 2.9681 (rounded 3)",
+}
+
+PREDICT_DATASET = dict(
+    n_users=4, n_items=3, n_categories=2,
+    edges={(0, 1): 4, (1, 2): 2, (2, 3): 5, (0, 2): 1},
+    cells={(0, 0): 5, (0, 1): 3, (0, 2): 1,
+           (1, 0): 4, (1, 1): 2, (1, 2): 0,
+           (2, 0): 1, (2, 1): 3, (2, 2): 5,
+           (3, 1): 4},
+    members={(0, 0), (1, 1), (2, 0)},
+)
+
 
 def dataset_digest(directory) -> str:
     """SHA-256 over the three saved CSV files, each prefixed by its name."""
@@ -84,3 +126,32 @@ def test_compare_reports_seed_42(tmp_path):
     assert result.exit_code == 0, result.output
     for name, expected in COMPARE_SEED_42_DIGESTS.items():
         assert file_digest(reports / name) == expected, name
+
+
+@pytest.mark.parametrize("shape", sorted(COMPARE_SHAPE_DIGESTS))
+def test_compare_reports_benchmark_shapes(shape, tmp_path):
+    gen_flags, split_flags, digests = COMPARE_SHAPE_DIGESTS[shape]
+    runner = CliRunner()
+    data, reports = tmp_path / "data", tmp_path / "reports"
+    result = runner.invoke(main, ["gen", *gen_flags, "--seed", "0", "--out", str(data)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["compare", "--data", str(data), *split_flags,
+                                  "--out", str(reports)])
+    assert result.exit_code == 0, result.output
+    for name, expected in digests.items():
+        assert file_digest(reports / name) == expected, name
+
+
+@pytest.fixture(scope="module")
+def predict_data(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("predict") / "d"
+    save_dataset(build_dataset(**PREDICT_DATASET), directory)
+    return directory
+
+
+@pytest.mark.parametrize("method, user, item", sorted(PREDICT_LINES))
+def test_predict_stdout(method, user, item, predict_data):
+    result = CliRunner().invoke(main, ["predict", "--data", str(predict_data),
+                                       "--method", method, "--user", user, "--item", item])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [PREDICT_LINES[(method, user, item)]]
