@@ -5,6 +5,7 @@ generator and an MAE/accuracy evaluation harness."""
 from .model import (
     Dataset,
     ItemCategoryMatrix,
+    Prediction,
     RatingMatrix,
     RelationshipGraph,
     SocialRecError,
@@ -28,7 +29,6 @@ from .storage import (
 from .datagen import (
     FillEvent,
     GenConfig,
-    friend_weighted_fill,
     friend_weighted_fill_trace,
     generate_categories,
     generate_dataset,
@@ -37,12 +37,10 @@ from .datagen import (
 )
 from .cf import (
     CfConfig,
-    CfPrediction,
     CfPredictor,
     ColdStartError,
     SimilarityCache,
     pearson_correlation,
-    pearson_similarity,
     predict_cf,
     select_neighbors,
 )
@@ -57,9 +55,7 @@ from .snrs import (
     UserPreferenceModel,
     combine,
     friend_inference_prob,
-    item_acceptance_prob,
     learn_models,
-    predict_snrs,
     user_preference_prob,
 )
 from .evaluate import (
@@ -72,6 +68,7 @@ from .evaluate import (
     mae,
     run_comparison,
     split,
+    train_predictor,
     write_detail_csv,
     write_summary_csv,
 )

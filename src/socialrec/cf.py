@@ -18,20 +18,20 @@ from typing import Sequence
 
 from .model import (
     Dataset,
+    Prediction,
     RatingMatrix,
     RelationshipGraph,
     SocialRecError,
     round_rating,
+    user_label,
 )
 
 __all__ = [
     "CfConfig",
     "CfPredictor",
-    "CfPrediction",
     "ColdStartError",
     "SimilarityCache",
     "pearson_correlation",
-    "pearson_similarity",
     "predict_cf",
     "round_rating",
     "select_neighbors",
@@ -84,24 +84,6 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | Non
         return None
     uv = sum(u * v for u, v in zip(us, vs))
     return uv / math.sqrt(uu * vv)
-
-
-def pearson_similarity(u: int, n: int, ratings: RatingMatrix,
-                       co_rate_min: int = 2) -> float | None:
-    """Similarity of users u and n over their co-rated items.
-
-    None (undefined) when they share fewer than co_rate_min items or when
-    either user's ratings on the shared items have zero variance.
-    """
-    if u == n:
-        raise ValueError("similarity of a user with themselves is undefined")
-    row_u = ratings.user_ratings(u)
-    row_n = ratings.user_ratings(n)
-    co_rated = sorted(row_u.keys() & row_n.keys())
-    if len(co_rated) < co_rate_min:
-        return None
-    return pearson_correlation([row_u[i] for i in co_rated],
-                               [row_n[i] for i in co_rated])
 
 
 class SimilarityCache:
@@ -173,15 +155,19 @@ def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
     """Predicted (unclamped, unrounded) rating of item i by user u.
 
     Falls back to the user's mean when no usable neighbor exists; raises
-    ColdStartError when the user has no ratings at all, in which case the
-    caller may substitute a global mean.
+    ColdStartError when the user has no ratings at all.
     """
+    return _predict(u, i, ratings, cache, cfg, graph).value
+
+
+def _predict(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
+             cfg: CfConfig, graph: RelationshipGraph | None) -> Prediction:
     mean_u = ratings.user_mean(u)
     if mean_u is None:
-        raise ColdStartError(f"user index {u} has no ratings")
-    neighbors = select_neighbors(u, i, ratings, cache, cfg, graph)
+        raise ColdStartError(f"cold start: {user_label(u)} has no ratings")
+    neighbors = tuple(select_neighbors(u, i, ratings, cache, cfg, graph))
     if not neighbors:
-        return mean_u
+        return Prediction(mean_u, "user-mean")
     numerator = 0.0
     denominator = 0.0
     for n, sim in neighbors:
@@ -189,14 +175,7 @@ def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
         mean_n = ratings.user_mean(n)
         numerator += sim * (rating - mean_n)
         denominator += sim
-    return mean_u + numerator / denominator
-
-
-@dataclass(frozen=True)
-class CfPrediction:
-    value: float
-    neighbors: tuple[tuple[int, float], ...]
-    fallback: str | None  # None, or "user-mean" when no neighbors were usable
+    return Prediction(mean_u + numerator / denominator, None, neighbors)
 
 
 class CfPredictor:
@@ -208,21 +187,25 @@ class CfPredictor:
         self._ratings = dataset.ratings
         self._graph = dataset.graph
         self._cache = SimilarityCache.build(dataset.ratings, cfg.co_rate_min)
+        self._global_mean = dataset.ratings.global_mean()
 
     @property
     def cache(self) -> SimilarityCache:
         return self._cache
 
-    def similarity(self, u: int, n: int) -> float | None:
-        return self._cache.similarity(u, n)
-
-    def neighbors(self, u: int, i: int) -> list[tuple[int, float]]:
-        return select_neighbors(u, i, self._ratings, self._cache, self.cfg, self._graph)
-
     def predict(self, u: int, i: int) -> float:
-        return predict_cf(u, i, self._ratings, self._cache, self.cfg, self._graph)
+        return self.predict_detailed(u, i).value
 
-    def predict_detailed(self, u: int, i: int) -> CfPrediction:
-        neighbors = tuple(self.neighbors(u, i))
-        value = self.predict(u, i)
-        return CfPrediction(value, neighbors, None if neighbors else "user-mean")
+    def predict_detailed(self, u: int, i: int) -> Prediction:
+        """The prediction for (u, i) with the neighbours it used.
+
+        A user with no ratings gets the training global mean, flagged
+        "global-mean"; ColdStartError is raised only when the training set
+        has no ratings at all.
+        """
+        if not self._ratings.user_ratings(u):
+            if self._global_mean is None:
+                raise ColdStartError(f"cold start: {user_label(u)} has no ratings and "
+                                     f"the dataset has no other ratings to average")
+            return Prediction(self._global_mean, "global-mean")
+        return _predict(u, i, self._ratings, self._cache, self.cfg, self._graph)

@@ -14,13 +14,14 @@ from pathlib import Path
 
 import click
 
-from .cf import CfConfig, CfPredictor, ColdStartError, SCOPE_ALL, SCOPE_FRIENDS
+from .cf import CfConfig, SCOPE_ALL, SCOPE_FRIENDS
 from .datagen import GenConfig, generate_dataset
 from .evaluate import (
     EvaluationReport,
     SplitSpec,
     evaluate_method,
     run_comparison,
+    train_predictor,
     write_detail_csv,
     write_summary_csv,
 )
@@ -33,7 +34,7 @@ from .model import (
     round_rating,
     user_label,
 )
-from .snrs import SnrsConfig, SnrsPredictor
+from .snrs import SnrsConfig
 from .storage import load_dataset, save_dataset
 
 _COMMANDS = ("gen", "predict", "eval", "compare")
@@ -53,7 +54,17 @@ def _read_config_file(path: str) -> dict:
     return defaults
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports any SocialRecError as a one-line error with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SocialRecError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               help="Key=value file supplying flag defaults (flags still win).")
 @click.version_option(package_name="socialrec")
@@ -63,13 +74,6 @@ def main(ctx, config):
     if config:
         defaults = _read_config_file(config)
         ctx.default_map = {command: defaults for command in _COMMANDS}
-
-
-def _load(data_dir: str) -> Dataset:
-    try:
-        return load_dataset(data_dir)
-    except SocialRecError as exc:
-        raise click.ClickException(str(exc)) from exc
 
 
 def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
@@ -208,7 +212,7 @@ def gen(users, items, categories, edge_density, seed_fraction, fill_passes, seed
 def predict(data, method, user_token, item_token, neighbor_k, co_rate_min, scope,
             alpha, min_strength, levels):
     """Predict one cell, training on every other rating in the dataset."""
-    dataset = _load(data)
+    dataset = load_dataset(data)
     u = _resolve_label(dataset, user_token, "U")
     i = _resolve_label(dataset, item_token, "I")
     cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
@@ -222,24 +226,8 @@ def predict(data, method, user_token, item_token, neighbor_k, co_rate_min, scope
         categories=dataset.categories,
     )
 
-    fallback = None
-    if method == "cf":
-        try:
-            detail = CfPredictor(train, cf_cfg).predict_detailed(u, i)
-            value, fallback = detail.value, detail.fallback
-        except ColdStartError:
-            global_mean = train.ratings.global_mean()
-            if global_mean is None:
-                raise click.ClickException(
-                    f"cold start: {user_token} has no ratings and the dataset "
-                    f"has no other ratings to average") from None
-            value, fallback = global_mean, "global-mean"
-    else:
-        try:
-            value = SnrsPredictor(train, snrs_cfg).predict(u, i)
-        except SocialRecError as exc:
-            raise click.ClickException(str(exc)) from exc
-
+    prediction = train_predictor(method, train, cf_cfg, snrs_cfg).predict_detailed(u, i)
+    value, fallback = prediction.value, prediction.fallback
     marker = f"  [fallback: {fallback}]" if fallback else ""
     click.echo(f"{method} {user_label(u)} x {item_label(i)}: "
                f"{value:.4f} (rounded {round_rating(value)}){marker}")
@@ -292,14 +280,11 @@ def _split_spec(dataset: Dataset, test_users: str, test_items: str) -> SplitSpec
 def eval_cmd(data, method, test_users, test_items, out, neighbor_k, co_rate_min,
              scope, alpha, min_strength, levels):
     """Evaluate one method on a train/test split."""
-    dataset = _load(data)
+    dataset = load_dataset(data)
     spec = _split_spec(dataset, test_users, test_items)
     cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
                                        alpha, min_strength, levels)
-    try:
-        report = evaluate_method(dataset, spec, method, cf_cfg, snrs_cfg)
-    except SocialRecError as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = evaluate_method(dataset, spec, method, cf_cfg, snrs_cfg)
     _echo_reports([report])
     _write_reports([report], out)
 
@@ -317,14 +302,11 @@ def eval_cmd(data, method, test_users, test_items, out, neighbor_k, co_rate_min,
 def compare(data, test_users, test_items, out, neighbor_k, co_rate_min, scope,
             alpha, min_strength, levels):
     """Run both methods on the same split and print the two-row summary."""
-    dataset = _load(data)
+    dataset = load_dataset(data)
     spec = _split_spec(dataset, test_users, test_items)
     cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
                                        alpha, min_strength, levels)
-    try:
-        cf_report, snrs_report = run_comparison(dataset, spec, cf_cfg, snrs_cfg)
-    except SocialRecError as exc:
-        raise click.ClickException(str(exc)) from exc
+    cf_report, snrs_report = run_comparison(dataset, spec, cf_cfg, snrs_cfg)
     _echo_reports([cf_report, snrs_report])
     _write_reports([cf_report, snrs_report], out)
 

@@ -63,7 +63,7 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class FillEvent:
-    """Record of one cell filled by :func:`friend_weighted_fill`.
+    """Record of one cell filled by :func:`friend_weighted_fill_trace`.
 
     ``contributors`` holds (friend, strength, friend_rating) triples exactly
     as used when the cell was computed; for random fills it is empty and
@@ -116,8 +116,9 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     return matrix
 
 
-def friend_weighted_fill(graph: RelationshipGraph, seeded: RatingMatrix,
-                         cfg: GenConfig) -> RatingMatrix:
+def friend_weighted_fill_trace(
+    graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
+) -> tuple[RatingMatrix, list[FillEvent]]:
     """Complete a seeded rating matrix into a fully dense one.
 
     Sweeping users then items in index order, each empty cell whose user has
@@ -126,16 +127,10 @@ def friend_weighted_fill(graph: RelationshipGraph, seeded: RatingMatrix,
     from zero.  Cells filled earlier are visible to later cells, and the
     sweep repeats cfg.fill_passes times so ratings spread outward from the
     seeds.  Cells still empty afterwards get uniform random values.
+
+    Returns the filled matrix and one FillEvent per filled cell, recording
+    the exact inputs each value was computed from.
     """
-    matrix, _ = friend_weighted_fill_trace(graph, seeded, cfg)
-    return matrix
-
-
-def friend_weighted_fill_trace(
-    graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
-) -> tuple[RatingMatrix, list[FillEvent]]:
-    """Like :func:`friend_weighted_fill` but also returns one FillEvent per
-    filled cell, recording the exact inputs each value was computed from."""
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
                          f"{seeded.n_users}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cf import CfConfig, CfPredictor, ColdStartError
+from .cf import CfConfig, CfPredictor
 from .model import Dataset, RatingMatrix, SocialRecError, item_label, round_rating, user_label
 from .snrs import SnrsConfig, SnrsPredictor
 
@@ -156,36 +156,32 @@ class EvaluationReport:
                 f"fallbacks={self.n_fallback}")
 
 
+def train_predictor(method: str, train: Dataset, cf_cfg: CfConfig = CfConfig(),
+                    snrs_cfg: SnrsConfig = SnrsConfig()) -> CfPredictor | SnrsPredictor:
+    """Train the engine named ``method`` ("cf" or "snrs") on ``train``."""
+    engines = {METHOD_CF: (CfPredictor, cf_cfg), METHOD_SNRS: (SnrsPredictor, snrs_cfg)}
+    if method not in engines:
+        raise ValueError(f"unknown method {method!r}")
+    engine, cfg = engines[method]
+    return engine(train, cfg)
+
+
 def evaluate_method(dataset: Dataset, spec: SplitSpec, method: str,
                     cf_cfg: CfConfig = CfConfig(),
                     snrs_cfg: SnrsConfig = SnrsConfig()) -> EvaluationReport:
     """Train one engine on the split's training data and score every test cell.
 
-    Collaborative filtering cold starts (a test user with no training
-    ratings) fall back to the training global mean and are flagged in the
-    record rather than silently blended in.
+    Each record carries the engine's fallback flag, so collaborative
+    filtering cold starts (scored with the training global mean) are
+    flagged rather than silently blended in.
     """
     train, test = split(dataset, spec)
+    predictor = train_predictor(method, train, cf_cfg, snrs_cfg)
     records = []
-    if method == METHOD_CF:
-        predictor = CfPredictor(train, cf_cfg)
-        global_mean = train.ratings.global_mean()
-        for u, i, actual in test:
-            try:
-                detail = predictor.predict_detailed(u, i)
-                value, fallback = detail.value, detail.fallback
-            except ColdStartError:
-                if global_mean is None:
-                    raise
-                value, fallback = global_mean, "global-mean"
-            records.append(CellRecord(u, i, actual, value, round_rating(value), fallback))
-    elif method == METHOD_SNRS:
-        predictor = SnrsPredictor(train, snrs_cfg)
-        for u, i, actual in test:
-            value = predictor.predict(u, i)
-            records.append(CellRecord(u, i, actual, value, round_rating(value)))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for u, i, actual in test:
+        prediction = predictor.predict_detailed(u, i)
+        records.append(CellRecord(u, i, actual, prediction.value,
+                                  round_rating(prediction.value), prediction.fallback))
     return EvaluationReport.from_records(method, records)
 
 

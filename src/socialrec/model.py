@@ -72,10 +72,9 @@ class RelationshipGraph:
     Edges are keyed by user pair and carry an integer strength 0..5
     (0 is "extreme dislike", 5 "best friends").  An absent pair means the
     two users do not know each other, which is distinct from strength 0.
-    Edges may be supplied under either orientation; ``strength`` looks up
-    both.  Asymmetric duplicates are representable so that
-    ``validate_dataset`` can report them, but every query API assumes a
-    graph that validates cleanly.
+    Edges may be supplied under either orientation and are stored under
+    their (low, high) key; a pair supplied twice with different strengths
+    raises ValueError.
 
     The edge map is fixed at construction: ``edges`` is a read-only view.
     ``friends_of`` reads a per-user adjacency list built lazily, in one pass
@@ -86,25 +85,22 @@ class RelationshipGraph:
         if n_users < 0:
             raise ValueError("n_users must be >= 0")
         self.n_users = n_users
-        self._edges: dict[tuple[int, int], int] = dict(edges) if edges else {}
+        self._edges: dict[tuple[int, int], int] = {}
+        for (x, y), s in (edges or {}).items():
+            key = (x, y) if x <= y else (y, x)
+            if self._edges.setdefault(key, s) != s:
+                raise ValueError(f"conflicting strengths for pair {user_label(key[0])}/"
+                                 f"{user_label(key[1])}: {self._edges[key]} and {s}")
         self._adjacency: dict[int, list[tuple[int, int]]] | None = None
 
     @property
     def edges(self) -> Mapping[tuple[int, int], int]:
-        """Read-only view of the edge map exactly as stored (orientations
-        not normalized)."""
+        """Read-only view of the edge map, keyed by (low, high) pairs."""
         return MappingProxyType(self._edges)
-
-    def canonical_edges(self) -> dict[tuple[int, int], int]:
-        """Edge map keyed by (low, high) pairs; assumes a valid graph."""
-        return {(min(x, y), max(x, y)): s for (x, y), s in self._edges.items()}
 
     def strength(self, x: int, y: int) -> int | None:
         """Strength of the bond between x and y, or None if they are strangers."""
-        s = self._edges.get((x, y))
-        if s is None:
-            s = self._edges.get((y, x))
-        return s
+        return self._edges.get((x, y) if x <= y else (y, x))
 
     def _index(self) -> dict[int, list[tuple[int, int]]]:
         if self._adjacency is None:
@@ -119,22 +115,18 @@ class RelationshipGraph:
         return self._adjacency
 
     def friends_of(self, u: int, min_strength: int = 1) -> list[tuple[int, int]]:
-        """All (neighbor, strength) pairs of u with strength >= min_strength, by index.
-
-        A pair stored under both orientations contributes one entry per
-        stored edge.
-        """
+        """All (neighbor, strength) pairs of u with strength >= min_strength, by index."""
         return [(v, s) for v, s in self._index().get(u, ()) if s >= min_strength]
 
     @property
     def n_edges(self) -> int:
-        return len(self.canonical_edges())
+        return len(self._edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelationshipGraph):
             return NotImplemented
         return (self.n_users == other.n_users
-                and self.canonical_edges() == other.canonical_edges())
+                and self._edges == other._edges)
 
     def __repr__(self) -> str:
         return f"RelationshipGraph(n_users={self.n_users}, n_edges={self.n_edges})"
@@ -310,12 +302,23 @@ class Dataset:
         return self.categories.n_categories
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """One engine's answer for one cell: the unrounded value, the fallback
+    rule used for missing evidence ("user-mean", "global-mean" or None) and
+    the (user, similarity) neighbours a cf prediction used."""
+
+    value: float
+    fallback: str | None
+    neighbors: tuple[tuple[int, float], ...] = ()
+
+
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Check every structural invariant; returns a list of violation messages.
 
     An empty list means the dataset is valid.  Violations are findings,
-    not exceptions: symmetry breaks, out-of-range values, out-of-bounds
-    indices and dimension mismatches are all collected in one pass.
+    not exceptions: self-edges, out-of-range values, out-of-bounds indices
+    and dimension mismatches are all collected in one pass.
     """
     problems: list[str] = []
     graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
@@ -327,7 +330,6 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         problems.append(f"rating matrix has {ratings.n_items} items but category "
                         f"matrix has {categories.n_items}")
 
-    seen: dict[tuple[int, int], int] = {}
     for (x, y), s in graph.edges.items():
         pair = (user_label(x), user_label(y))
         if x == y:
@@ -339,10 +341,6 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if not (isinstance(s, int) and RATING_MIN <= s <= RATING_MAX):
             problems.append(f"edge {pair} strength {s!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
-        key = (min(x, y), max(x, y))
-        if key in seen and seen[key] != s:
-            problems.append(f"asymmetric edge {pair}: strengths {seen[key]} and {s}")
-        seen[key] = s
 
     for u, i, r in ratings.cells():
         where = f"({user_label(u)}, {item_label(i)})"

@@ -12,15 +12,20 @@ per-level product of three independently learned factors:
     the friends who rated the item.
 
 All counts are Laplace-smoothed, so every learned probability is strictly
-positive and the product can never annihilate a rating level.  The final
-prediction is the expectation of the combined distribution.
+positive.  A product over many categories or friends would still underflow,
+so its six level weights are rescaled by a power of two whenever the
+largest falls below 2**-500; the rescale is exact and leaves every
+normalized result unchanged.  The final prediction is the expectation of
+the combined distribution.
 """
 
+import math
 from dataclasses import dataclass
 
 from .model import (
     Dataset,
     ItemCategoryMatrix,
+    Prediction,
     RatingMatrix,
     RelationshipGraph,
     SocialRecError,
@@ -29,9 +34,10 @@ from .model import (
 )
 
 _SUM_TOLERANCE = 1e-9
+_RESCALE_BELOW = 2.0 ** -500
 
 
-class DegenerateEvidenceError(SocialRecError):
+class DegenerateEvidenceError(SocialRecError, ValueError):
     """Every rating level was annihilated when combining evidence."""
 
 
@@ -63,11 +69,12 @@ class RatingDistribution:
 
     @classmethod
     def from_weights(cls, weights) -> "RatingDistribution":
-        """Normalize a vector of non-negative weights into a distribution."""
+        """Normalize non-negative weights; DegenerateEvidenceError if all are 0."""
         weights = [float(w) for w in weights]
         total = sum(weights)
         if total <= 0:
-            raise ValueError(f"cannot normalize weights with total {total}")
+            raise DegenerateEvidenceError(f"evidence vanished at every level "
+                                          f"(weights sum to {total})")
         return cls(w / total for w in weights)
 
     @classmethod
@@ -137,14 +144,6 @@ class UserPreferenceModel:
         self._priors = priors
         self._conditionals = conditionals  # [user][category][level] -> P(bit=1)
 
-    @property
-    def n_users(self) -> int:
-        return len(self._priors)
-
-    @property
-    def n_categories(self) -> int:
-        return len(self._conditionals[0]) if self._conditionals else 0
-
     def prior(self, u: int) -> RatingDistribution:
         return RatingDistribution(self._priors[u])
 
@@ -157,10 +156,6 @@ class ItemAcceptanceModel:
 
     def __init__(self, dists: list[tuple[float, ...]]):
         self._dists = dists
-
-    @property
-    def n_items(self) -> int:
-        return len(self._dists)
 
     def acceptance(self, i: int) -> RatingDistribution:
         return RatingDistribution(self._dists[i])
@@ -269,27 +264,26 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     return preference, acceptance, friends
 
 
+def _rescaled(weights: list[float]) -> list[float]:
+    """Weights times the power of two that brings the largest into [0.5, 1);
+    exact, so the normalized distribution does not change."""
+    _, exponent = math.frexp(max(weights))
+    return [math.ldexp(w, -exponent) for w in weights]
+
+
 def user_preference_prob(u: int, i: int, model: UserPreferenceModel,
-                         categories: ItemCategoryMatrix,
-                         cfg: SnrsConfig = SnrsConfig()) -> RatingDistribution:
+                         categories: ItemCategoryMatrix) -> RatingDistribution:
     """Naive-Bayes posterior over u's rating level for an item with i's
     category bits: prior times the per-category bit likelihoods, normalized."""
-    prior = model.prior(u)
-    weights = []
-    for k in RATING_LEVELS:
-        w = prior[k]
-        for c in range(categories.n_categories):
-            p_one = model.attr_prob(u, c, k)
-            w *= p_one if categories.bit(i, c) else 1.0 - p_one
-        weights.append(w)
+    weights = list(model.prior(u))
+    for c in range(categories.n_categories):
+        if categories.bit(i, c):
+            weights = [w * model.attr_prob(u, c, k) for k, w in enumerate(weights)]
+        else:
+            weights = [w * (1.0 - model.attr_prob(u, c, k)) for k, w in enumerate(weights)]
+        if max(weights) < _RESCALE_BELOW:
+            weights = _rescaled(weights)
     return RatingDistribution.from_weights(weights)
-
-
-def item_acceptance_prob(i: int, model: ItemAcceptanceModel,
-                         cfg: SnrsConfig = SnrsConfig()) -> RatingDistribution:
-    """General acceptance of item i: its smoothed training rating
-    distribution (uniform for an item nobody rated)."""
-    return model.acceptance(i)
 
 
 def friend_inference_prob(u: int, i: int, tables: FriendConditionalTable,
@@ -301,17 +295,15 @@ def friend_inference_prob(u: int, i: int, tables: FriendConditionalTable,
     observed rating, then normalizes; uniform when no friend rated i.
     """
     weights = [1.0] * N_LEVELS
-    found = False
     raters = train.item_ratings(i)
     for v, _strength in graph.friends_of(u, cfg.friend_min_strength):
         rating_v = raters.get(v)
         if rating_v is None:
             continue
-        found = True
         column = tables.column(u, v, rating_v)
         weights = [w * p for w, p in zip(weights, column)]
-    if not found:
-        return RatingDistribution.uniform()
+        if max(weights) < _RESCALE_BELOW:
+            weights = _rescaled(weights)
     return RatingDistribution.from_weights(weights)
 
 
@@ -322,23 +314,7 @@ def combine(pu: RatingDistribution, pi: RatingDistribution,
     Raises DegenerateEvidenceError when the product is zero at every level
     (impossible for smoothed inputs, reachable for hand-built point masses).
     """
-    weights = [pu[k] * pi[k] * pff[k] for k in RATING_LEVELS]
-    total = sum(weights)
-    if total <= 0:
-        raise DegenerateEvidenceError("evidence product vanished at every level")
-    return RatingDistribution(w / total for w in weights)
-
-
-def predict_snrs(u: int, i: int, preference: UserPreferenceModel,
-                 acceptance: ItemAcceptanceModel, tables: FriendConditionalTable,
-                 categories: ItemCategoryMatrix, graph: RelationshipGraph,
-                 train: RatingMatrix, cfg: SnrsConfig = SnrsConfig()) -> float:
-    """Expected rating level under the combined distribution, taken over
-    cfg.prediction_levels."""
-    pu = user_preference_prob(u, i, preference, categories, cfg)
-    pi = item_acceptance_prob(i, acceptance, cfg)
-    pff = friend_inference_prob(u, i, tables, graph, train, cfg)
-    return combine(pu, pi, pff).expected_level(cfg.prediction_levels)
+    return RatingDistribution.from_weights(pu[k] * pi[k] * pff[k] for k in RATING_LEVELS)
 
 
 class SnrsPredictor:
@@ -356,8 +332,8 @@ class SnrsPredictor:
                                                   RatingDistribution]:
         """The three factor distributions for one cell, before combination."""
         return (
-            user_preference_prob(u, i, self.preference, self._categories, self.cfg),
-            item_acceptance_prob(i, self.acceptance, self.cfg),
+            user_preference_prob(u, i, self.preference, self._categories),
+            self.acceptance.acceptance(i),
             friend_inference_prob(u, i, self.friend_tables, self._graph,
                                   self._ratings, self.cfg),
         )
@@ -367,4 +343,10 @@ class SnrsPredictor:
         return combine(pu, pi, pff)
 
     def predict(self, u: int, i: int) -> float:
-        return self.rating_distribution(u, i).expected_level(self.cfg.prediction_levels)
+        return self.predict_detailed(u, i).value
+
+    def predict_detailed(self, u: int, i: int) -> Prediction:
+        """Expected rating level under the combined distribution, taken over
+        cfg.prediction_levels."""
+        value = self.rating_distribution(u, i).expected_level(self.cfg.prediction_levels)
+        return Prediction(value, None)

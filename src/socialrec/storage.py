@@ -74,7 +74,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
     edge_rows = [
         [user_label(a), user_label(b), str(s)]
-        for (a, b), s in sorted(dataset.graph.canonical_edges().items())
+        for (a, b), s in sorted(dataset.graph.edges.items())
     ]
     rating_rows = [
         [user_label(u), item_label(i), str(r)]

@@ -238,7 +238,7 @@ def test_criterion_7_generator_invariants(tmp_path):
         problems = validate_dataset(dataset)
         if problems:
             failures.append(f"seed {seed}: {problems[0]}")
-        for (a, b), s in dataset.graph.canonical_edges().items():
+        for (a, b), s in dataset.graph.edges.items():
             if dataset.graph.strength(a, b) != dataset.graph.strength(b, a):
                 failures.append(f"seed {seed}: asymmetric strength at ({a},{b})")
             if s not in range(6):

@@ -8,14 +8,15 @@ from socialrec import (
     CfConfig,
     CfPredictor,
     ColdStartError,
+    Prediction,
     RatingMatrix,
     RelationshipGraph,
     SimilarityCache,
     pearson_correlation,
-    pearson_similarity,
     predict_cf,
     select_neighbors,
 )
+import socialrec.cf
 from socialrec.cf import round_rating  # re-exported alongside the predictor
 from conftest import build_dataset
 
@@ -107,22 +108,22 @@ class TestPearsonSimilarity:
         })
 
     def test_over_co_rated_items(self):
-        value = pearson_similarity(0, 1, self.matrix())
+        value = SimilarityCache.build(self.matrix(), 2).similarity(0, 1)
         assert abs(value - math.sqrt(3) / 2) < 1e-12
 
     def test_too_few_co_rated(self):
-        assert pearson_similarity(0, 2, self.matrix()) is None
+        assert SimilarityCache.build(self.matrix(), 2).similarity(0, 2) is None
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (1, 1): 2, (1, 2): 0})
-        assert pearson_similarity(0, 1, m) is None  # one shared item
+        assert SimilarityCache.build(m, 2).similarity(0, 1) is None  # one shared item
 
     def test_co_rate_min_raises_threshold(self):
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 5})
-        assert pearson_similarity(0, 1, m) is not None
-        assert pearson_similarity(0, 1, m, co_rate_min=3) is None
+        assert SimilarityCache.build(m, 2).similarity(0, 1) is not None
+        assert SimilarityCache.build(m, 3).similarity(0, 1) is None
 
     def test_self_similarity_rejected(self):
         with pytest.raises(ValueError):
-            pearson_similarity(1, 1, self.matrix())
+            SimilarityCache.build(self.matrix(), 2).similarity(1, 1)
 
 
 class TestSimilarityCache:
@@ -134,7 +135,12 @@ class TestSimilarityCache:
             for n in range(4):
                 if u == n:
                     continue
-                assert cache.similarity(u, n) == pearson_similarity(u, n, m)
+                row_u, row_n = m.user_ratings(u), m.user_ratings(n)
+                co_rated = sorted(row_u.keys() & row_n.keys())
+                expected = (pearson_correlation([row_u[i] for i in co_rated],
+                                                [row_n[i] for i in co_rated])
+                            if len(co_rated) >= 2 else None)
+                assert cache.similarity(u, n) == expected
 
     def test_symmetric_access(self):
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 5})
@@ -283,6 +289,29 @@ class TestCfPredictor:
         detail = CfPredictor(default_dataset).predict_detailed(0, 0)
         assert detail.fallback is None
         assert len(detail.neighbors) > 0
+
+    def test_global_mean_for_user_without_ratings(self):
+        d = build_dataset(2, 2, 1, cells={(0, 0): 2, (0, 1): 5})
+        assert CfPredictor(d).predict_detailed(1, 0) == Prediction(3.5, "global-mean")
+        assert CfPredictor(d).predict(1, 0) == 3.5
+
+    def test_cold_start_only_without_any_rating(self):
+        with pytest.raises(ColdStartError, match="^cold start: U2 has no ratings"):
+            CfPredictor(build_dataset(2, 2, 1)).predict_detailed(1, 0)
+
+    def test_selects_neighbors_once_per_cell(self, default_dataset, monkeypatch):
+        predictor = CfPredictor(default_dataset)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:2])
+            return select_neighbors(*args)
+
+        monkeypatch.setattr(socialrec.cf, "select_neighbors", counting)
+        cells = [(u, i) for u in range(0, 100, 9) for i in range(10)]
+        for u, i in cells:
+            predictor.predict_detailed(u, i)
+        assert calls == cells
 
     def test_deterministic(self, default_dataset):
         a = CfPredictor(default_dataset)

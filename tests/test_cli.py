@@ -142,6 +142,18 @@ class TestPredict:
         assert result.exit_code == 1
         assert "cold start" in result.output
 
+    def test_vanished_evidence_is_one_line_error(self, runner, tmp_path):
+        # alpha 1e-20 rounds P(C1 | level) to 1.0 at all six levels U1 used
+        d = build_dataset(2, 7, 1, cells={**{(0, k): k for k in range(6)}, (1, 6): 2},
+                          members={(k, 0) for k in range(6)})
+        save_dataset(d, tmp_path / "d")
+        result = runner.invoke(main, ["predict", "--data", str(tmp_path / "d"),
+                                      "--method", "snrs", "--user", "U1", "--item", "I7",
+                                      "--alpha", "1e-20"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: evidence vanished at every level (weights sum to 0.0)"]
+
     def test_engine_tuning_flags(self, runner, small_data):
         result = runner.invoke(main, ["predict", "--data", str(small_data),
                                       "--method", "cf", "--user", "U3",

@@ -6,7 +6,6 @@ from socialrec import (
     GenConfig,
     RatingMatrix,
     RelationshipGraph,
-    friend_weighted_fill,
     friend_weighted_fill_trace,
     generate_categories,
     generate_dataset,
@@ -64,7 +63,7 @@ class TestGenerateRelationships:
 
     def test_values_and_symmetry(self):
         g = generate_relationships(GenConfig(n_users=30, edge_density=0.5, rng_seed=3))
-        for (a, b), s in g.canonical_edges().items():
+        for (a, b), s in g.edges.items():
             assert a < b
             assert s in range(6)
             assert g.strength(a, b) == g.strength(b, a) == s
@@ -136,7 +135,7 @@ class TestFriendWeightedFill:
     def test_single_friend_passthrough(self):
         graph = RelationshipGraph(2, {(0, 1): 4})
         seeded = RatingMatrix(2, 1, {(1, 0): 5})
-        filled = friend_weighted_fill(graph, seeded, self.fill_cfg(n_users=2))
+        filled = friend_weighted_fill_trace(graph, seeded, self.fill_cfg(n_users=2))[0]
         assert filled.get(0, 0) == 5
 
     def test_strength_zero_friends_do_not_contribute(self):
@@ -171,19 +170,20 @@ class TestFriendWeightedFill:
     def test_result_dense(self):
         cfg = GenConfig(n_users=20, n_items=5, edge_density=0.3,
                         seed_rating_fraction=0.1, rng_seed=8)
-        filled = friend_weighted_fill(generate_relationships(cfg), seed_ratings(cfg), cfg)
+        filled = friend_weighted_fill_trace(
+            generate_relationships(cfg), seed_ratings(cfg), cfg)[0]
         assert filled.n_rated == 100
 
     def test_mismatched_users_rejected(self):
         with pytest.raises(ValueError, match="users"):
-            friend_weighted_fill(RelationshipGraph(3), RatingMatrix(2, 1),
-                                 self.fill_cfg())
+            friend_weighted_fill_trace(RelationshipGraph(3), RatingMatrix(2, 1),
+                                       self.fill_cfg())
 
     def test_seeded_cells_never_overwritten(self):
         cfg = GenConfig(n_users=15, n_items=4, edge_density=0.5,
                         seed_rating_fraction=0.3, rng_seed=11)
         seeded = seed_ratings(cfg)
-        filled = friend_weighted_fill(generate_relationships(cfg), seeded, cfg)
+        filled = friend_weighted_fill_trace(generate_relationships(cfg), seeded, cfg)[0]
         for u, i, r in seeded.cells():
             assert filled.get(u, i) == r
 
@@ -241,7 +241,7 @@ class TestGenerateDataset:
         friend_sum = friend_n = stranger_sum = stranger_n = 0
         for seed in range(8):
             d = generate_dataset(GenConfig(rng_seed=seed))
-            canon = d.graph.canonical_edges()
+            canon = d.graph.edges
             known = set(canon)
             for (a, b), s in canon.items():
                 if s < 3:

@@ -126,28 +126,34 @@ class TestRelationshipGraph:
         source[(0, 2)] = 5
         assert g.friends_of(0) == [(1, 4)]
 
-    def test_both_orientations_listed_per_stored_edge(self):
-        g = RelationshipGraph(3, {(0, 1): 3, (1, 0): 2, (2, 1): 5})
-        assert g.friends_of(1) == [(0, 2), (0, 3), (2, 5)]
+    def test_equal_duplicate_orientations_listed_once(self):
+        g = RelationshipGraph(3, {(0, 1): 3, (1, 0): 3, (2, 1): 5})
+        assert dict(g.edges) == {(0, 1): 3, (1, 2): 5}
+        assert g.n_edges == 2
+        assert g.friends_of(1) == [(0, 3), (2, 5)]
         assert g.friends_of(0, min_strength=3) == [(1, 3)]
 
     @given(
         st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
             st.just(n),
+            # keys are unordered pairs; the flip picks the orientation passed in
             st.dictionaries(
                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                .filter(lambda pair: pair[0] != pair[1]),
-                st.integers(0, 5), max_size=3 * n),
+                .filter(lambda pair: pair[0] < pair[1]),
+                st.tuples(st.integers(0, 5), st.booleans()), max_size=3 * n),
         )),
         st.integers(min_value=0, max_value=5),
     )
     def test_friends_of_matches_edge_scan(self, graph_spec, min_strength):
-        n_users, edges = graph_spec
-        g = RelationshipGraph(n_users, edges)
+        n_users, spec = graph_spec
+        g = RelationshipGraph(n_users, {((y, x) if flip else (x, y)): s
+                                        for (x, y), (s, flip) in spec.items()})
+        canonical = {pair: s for pair, (s, _) in spec.items()}
+        assert dict(g.edges) == canonical
         for u in range(n_users):
             expected = sorted(
-                [(y, s) for (x, y), s in edges.items() if x == u and s >= min_strength]
-                + [(x, s) for (x, y), s in edges.items() if y == u and s >= min_strength])
+                [(y, s) for (x, y), s in canonical.items() if x == u and s >= min_strength]
+                + [(x, s) for (x, y), s in canonical.items() if y == u and s >= min_strength])
             assert g.friends_of(u, min_strength) == expected
 
 
@@ -253,10 +259,8 @@ class TestValidateDataset:
         assert validate_dataset(tiny_dataset) == []
 
     def test_asymmetric_edge(self):
-        d = build_dataset(3, 1, 1, edges={(0, 1): 3, (1, 0): 2})
-        problems = validate_dataset(d)
-        assert len(problems) == 1
-        assert "asymmetric" in problems[0]
+        with pytest.raises(ValueError, match="conflicting strengths for pair U1/U2"):
+            build_dataset(3, 1, 1, edges={(0, 1): 3, (1, 0): 2})
 
     def test_symmetric_duplicate_is_fine(self):
         d = build_dataset(3, 1, 1, edges={(0, 1): 3, (1, 0): 3}, cells={(0, 0): 1})
@@ -291,7 +295,7 @@ class TestValidateDataset:
 
     def test_multiple_violations_collected(self):
         d = build_dataset(3, 2, 1,
-                          edges={(0, 1): 3, (1, 0): 2, (2, 2): 1},
+                          edges={(0, 1): 9, (2, 2): 1},
                           cells={(0, 0): 6, (1, 1): -1})
         assert len(validate_dataset(d)) == 4
 

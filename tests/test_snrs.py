@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,15 +10,14 @@ from socialrec import (
     DegenerateEvidenceError,
     EmptyTrainingSetError,
     GenConfig,
+    Prediction,
     RatingDistribution,
     SnrsConfig,
     SnrsPredictor,
     combine,
     friend_inference_prob,
     generate_dataset,
-    item_acceptance_prob,
     learn_models,
-    predict_snrs,
     user_preference_prob,
 )
 from socialrec.evaluate import SplitSpec, split
@@ -223,7 +224,7 @@ class TestFriendTablesOracle:
 
 def brute_force_user_preference(dataset, u, i, alpha=1.0):
     """Full enumeration of the naive-Bayes posterior, independent of the
-    package's counting code."""
+    package's counting code; exact when alpha is a Fraction."""
     row = dataset.ratings.user_ratings(u)
     n_categories = dataset.n_categories
     masses = []
@@ -234,7 +235,7 @@ def brute_force_user_preference(dataset, u, i, alpha=1.0):
             ones = sum(1 for item, r in row.items()
                        if r == k and dataset.categories.bit(item, c))
             p_one = (ones + alpha) / (count_k + 2 * alpha)
-            mass *= p_one if dataset.categories.bit(i, c) else 1.0 - p_one
+            mass *= p_one if dataset.categories.bit(i, c) else 1 - p_one
         masses.append(mass)
     total = sum(masses)
     return [m / total for m in masses]
@@ -276,7 +277,7 @@ class TestItemAcceptance:
     def test_is_the_smoothed_item_distribution(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
         _, acceptance, _ = learn_models(d)
-        dist = item_acceptance_prob(0, acceptance)
+        dist = acceptance.acceptance(0)
         assert close(dist, [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
 
 
@@ -391,16 +392,7 @@ class TestPredictSnrs:
             pu, pi, pff = predictor.components(u, i)
             expected = combine(pu, pi, pff).expected_level()
             assert predictor.predict(u, i) == expected
-
-    def test_free_function_equals_predictor(self, tiny_dataset):
-        cfg = SnrsConfig()
-        preference, acceptance, tables = learn_models(tiny_dataset, cfg)
-        predictor = SnrsPredictor(tiny_dataset, cfg)
-        for u in range(3):
-            for i in range(2):
-                assert predict_snrs(u, i, preference, acceptance, tables,
-                                    tiny_dataset.categories, tiny_dataset.graph,
-                                    tiny_dataset.ratings, cfg) == predictor.predict(u, i)
+            assert predictor.predict_detailed(u, i) == Prediction(expected, None)
 
     def test_uniform_evidence_predicts_midpoint(self):
         # isolated unrated user, unrated item: all three factors uniform
@@ -439,3 +431,61 @@ class TestPredictSnrs:
         cells = [(u, i) for u in range(0, 100, 13) for i in range(10)]
         assert [a.predict(u, i) for u, i in cells] == \
                [b.predict(u, i) for u, i in cells]
+
+
+def matches_exact(dist, exact):
+    """Every level within 1e-9 relative of an exact Fraction distribution."""
+    return all(math.isclose(p, float(q), rel_tol=1e-9, abs_tol=1e-300)
+               for p, q in zip(dist, exact))
+
+
+class TestLongProducts:
+    """Products over many friends or categories fall below the smallest
+    float; the evidence must still normalize to the exact distribution."""
+
+    def star_dataset(self, n_friends):
+        # U1 rated I2=3 and I3=1.  Each friend rated I2 and I3 with different
+        # levels and I1 like one of them, so half the friends point U1 at 3
+        # and half at 1, each by a factor 2/7 against 1/7.
+        edges = {(0, v): 3 for v in range(1, n_friends + 1)}
+        cells = {(0, 1): 3, (0, 2): 1}
+        for v in range(1, n_friends + 1):
+            a, b = v % 6, (v + 1) % 6
+            cells.update({(v, 1): a, (v, 2): b, (v, 0): a if v % 2 else b})
+        return build_dataset(n_friends + 1, 3, 1, edges, cells, {(0, 0)})
+
+    @pytest.mark.parametrize("n_friends", [300, 800, 2000])
+    def test_many_friends(self, n_friends):
+        d = self.star_dataset(n_friends)
+        _, _, tables = learn_models(d)
+        dist = friend_inference_prob(0, 0, tables, d.graph, d.ratings)
+        weights = [Fraction(1)] * 6
+        for v in range(1, n_friends + 1):
+            column = recount_friend_table(d, 0, v, Fraction(1))[d.ratings.get(v, 0)]
+            weights = [w * p for w, p in zip(weights, column)]
+        assert matches_exact(dist, [w / sum(weights) for w in weights])
+        assert dist[1] == dist[3] > 0.49
+        assert 0.0 <= SnrsPredictor(d).predict(0, 0) <= 5.0
+
+    @pytest.mark.parametrize("n_categories", [1100, 2000])
+    def test_many_categories(self, n_categories):
+        members = ({(0, c) for c in range(0, n_categories, 2)}
+                   | {(1, c) for c in range(0, n_categories, 3)}
+                   | {(2, c) for c in range(0, n_categories, 5)})
+        d = build_dataset(2, 3, n_categories, edges={(0, 1): 2},
+                          cells={(0, 1): 2, (0, 2): 4, (1, 0): 3, (1, 1): 1},
+                          members=members)
+        preference, _, _ = learn_models(d)
+        dist = user_preference_prob(0, 0, preference, d.categories)
+        assert matches_exact(dist, brute_force_user_preference(d, 0, 0, Fraction(1)))
+        assert 0.0 <= SnrsPredictor(d).predict(0, 0) <= 5.0
+
+    def test_vanished_evidence_is_typed(self):
+        # With alpha 1e-20, P(C1 | level k) rounds to 1.0 at every level U1
+        # has used, and U1 used all six on C1 items, so an item outside C1
+        # leaves no mass at any level.
+        d = build_dataset(2, 7, 1, cells={**{(0, k): k for k in range(6)}, (1, 6): 2},
+                          members={(k, 0) for k in range(6)})
+        predictor = SnrsPredictor(d, SnrsConfig(laplace_alpha=1e-20))
+        with pytest.raises(DegenerateEvidenceError):
+            predictor.predict(0, 6)

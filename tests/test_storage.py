@@ -85,7 +85,7 @@ class TestSaveDeterminism:
         assert (tmp_path / "d" / "categories.csv").read_text() == "item,category\n"
 
     def test_refuses_invalid(self, tmp_path):
-        bad = build_dataset(3, 1, 1, edges={(0, 1): 3, (1, 0): 2})
+        bad = build_dataset(3, 1, 1, edges={(0, 1): 9})
         with pytest.raises(ValueError, match="refusing to save"):
             save_dataset(bad, tmp_path / "d")
 
