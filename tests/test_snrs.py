@@ -464,7 +464,7 @@ class TestLongProducts:
             column = recount_friend_table(d, 0, v, Fraction(1))[d.ratings.get(v, 0)]
             weights = [w * p for w, p in zip(weights, column)]
         assert matches_exact(dist, [w / sum(weights) for w in weights])
-        assert dist[1] == dist[3] > 0.49
+        assert math.isclose(dist[1], dist[3], rel_tol=1e-12) and dist[1] > 0.49
         assert 0.0 <= SnrsPredictor(d).predict(0, 0) <= 5.0
 
     @pytest.mark.parametrize("n_categories", [1100, 2000])
