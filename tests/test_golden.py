@@ -67,6 +67,32 @@ COMPARE_SHAPE_DIGESTS = {
     ),
 }
 
+# gen --out at the generator's extreme fill paths, default shape:
+# (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
+# seeds 5% of the cells on a sparse graph and sweeps once, so most cells come
+# from the final random fill; "full-seed" seeds every cell, so nothing is
+# propagated or randomly filled.
+GEN_PATH_DIGESTS = {
+    "sparse-seed": (
+        ["--edge-density", "0.02", "--seed-fraction", "0.05", "--fill-passes", "1"],
+        {0: ("a01bf16adedce66de3909c4eb30a62139fa249a22666eaa446f1f83b3c153aa9",
+             "  ratings: 1000 (seeded 50, propagated 139, random 811)"),
+         1: ("f060466964f1682872d786fc817bc13beaffc10a43a761a3868c40385b040031",
+             "  ratings: 1000 (seeded 50, propagated 192, random 758)"),
+         2: ("d6cf2ae2fd4b18c579fdd3914ca67739df21a246b4d90aaa45e7b1df39bcab6c",
+             "  ratings: 1000 (seeded 50, propagated 170, random 780)")},
+    ),
+    "full-seed": (
+        ["--seed-fraction", "1.0"],
+        {0: ("76f5cde50a14055b732f0d12853ebc232f44ad588357997f9ba761659a01a44c",
+             "  ratings: 1000 (seeded 1000, propagated 0, random 0)"),
+         1: ("3e271cd8b4e89455e5aecced56ffa3d36c923f0f8fa24ce056cd96c6835f5f28",
+             "  ratings: 1000 (seeded 1000, propagated 0, random 0)"),
+         2: ("592802c710a33c4c92ef0698460b3dc8daebfe70a84a179a438e3f9d9a278b7e",
+             "  ratings: 1000 (seeded 1000, propagated 0, random 0)")},
+    ),
+}
+
 # predict stdout on PREDICT_DATASET, one line per (method, user, item).
 # U3's only co-raters of I1 correlate negatively with U3 (user-mean
 # fallback); U4's single rating is the held-out cell (global-mean fallback).
@@ -140,6 +166,18 @@ def test_compare_reports_benchmark_shapes(shape, tmp_path):
     assert result.exit_code == 0, result.output
     for name, expected in digests.items():
         assert file_digest(reports / name) == expected, name
+
+
+@pytest.mark.parametrize("path, seed", [(path, seed) for path in sorted(GEN_PATH_DIGESTS)
+                                         for seed in range(3)])
+def test_gen_fill_paths(path, seed, tmp_path):
+    gen_flags, pins = GEN_PATH_DIGESTS[path]
+    result = CliRunner().invoke(main, ["gen", *gen_flags, "--seed", str(seed),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    digest, ratings_line = pins[seed]
+    assert dataset_digest(tmp_path) == digest
+    assert result.output.splitlines()[2] == ratings_line
 
 
 @pytest.fixture(scope="module")
