@@ -13,7 +13,6 @@ from .model import (
     RATING_MAX,
     RATING_MIN,
     category_label,
-    check_rating,
     item_label,
     parse_label,
     round_rating,

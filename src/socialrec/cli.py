@@ -42,8 +42,12 @@ _COMMANDS = ("gen", "predict", "eval", "compare")
 
 def _read_config_file(path: str) -> dict:
     """Parse a key=value defaults file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
     defaults = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -132,8 +136,7 @@ def _resolve_label(dataset: Dataset, label: str, kind: str) -> int:
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     limit, what = {"U": (dataset.n_users, "users"),
-                   "I": (dataset.n_items, "items"),
-                   "C": (dataset.n_categories, "categories")}[kind]
+                   "I": (dataset.n_items, "items")}[kind]
     if index >= limit:
         raise click.UsageError(f"unknown label {label!r} (dataset has {limit} {what})")
     return index

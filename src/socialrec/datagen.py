@@ -110,10 +110,8 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     rng = _stream(cfg, _SEED_STREAM)
     chosen = rng.choice(n_cells, size=count, replace=False)
     values = rng.integers(0, RATING_MAX + 1, size=count)
-    matrix = RatingMatrix(cfg.n_users, cfg.n_items)
-    for flat, value in zip(chosen, values):
-        matrix.set(int(flat) // cfg.n_items, int(flat) % cfg.n_items, int(value))
-    return matrix
+    cells = {divmod(int(flat), cfg.n_items): int(value) for flat, value in zip(chosen, values)}
+    return RatingMatrix(cfg.n_users, cfg.n_items, cells)
 
 
 def friend_weighted_fill_trace(
@@ -134,34 +132,33 @@ def friend_weighted_fill_trace(
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
                          f"{seeded.n_users}")
-    matrix = seeded.copy()
+    cells = {(u, i): r for u, i, r in seeded.cells()}
     events: list[FillEvent] = []
     friends = {u: graph.friends_of(u, min_strength=1) for u in range(graph.n_users)}
+    grid = list(itertools.product(range(seeded.n_users), range(seeded.n_items)))
 
     for sweep in range(1, cfg.fill_passes + 1):
-        for u, i in itertools.product(range(matrix.n_users), range(matrix.n_items)):
-            if (u, i) in matrix:
+        for u, i in grid:
+            if (u, i) in cells:
                 continue
             contributors = tuple(
-                (v, s, matrix.get(v, i)) for v, s in friends[u] if (v, i) in matrix
+                (v, s, cells[v, i]) for v, s in friends[u] if (v, i) in cells
             )
             if not contributors:
                 continue
             total = sum(s for _, s, _ in contributors)
             weighted = sum(s * r for _, s, r in contributors)
-            value = round_rating(weighted / total)
-            matrix.set(u, i, value)
+            value = cells[u, i] = round_rating(weighted / total)
             events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
 
     rng = _stream(cfg, _FILL_STREAM)
-    for u, i in itertools.product(range(matrix.n_users), range(matrix.n_items)):
-        if (u, i) in matrix:
+    for u, i in grid:
+        if (u, i) in cells:
             continue
-        value = int(rng.integers(0, RATING_MAX + 1))
-        matrix.set(u, i, value)
+        value = cells[u, i] = int(rng.integers(0, RATING_MAX + 1))
         events.append(FillEvent(u, i, None, (), value, "random"))
 
-    return matrix, events
+    return RatingMatrix(seeded.n_users, seeded.n_items, cells), events
 
 
 def generate_dataset(cfg: GenConfig = GenConfig()) -> Dataset:

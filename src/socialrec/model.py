@@ -8,7 +8,7 @@ Ratings and relationship strengths share the same 0..5 integer scale.
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 RATING_MIN = 0
 RATING_MAX = 5
@@ -44,15 +44,6 @@ def parse_label(label: str, kind: str) -> int:
     if number < 1:
         raise ValueError(f"label numbers start at 1: {label!r}")
     return number - 1
-
-
-def check_rating(value: int) -> int:
-    """Validate a rating level; returns the value as a plain int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"rating must be an integer, got {value!r}")
-    if not RATING_MIN <= value <= RATING_MAX:
-        raise ValueError(f"rating {value} outside {RATING_MIN}..{RATING_MAX}")
-    return int(value)
 
 
 def round_rating(x: float) -> int:
@@ -133,10 +124,11 @@ class RelationshipGraph:
 
 
 class RatingMatrix:
-    """Sparse user x item matrix of integer ratings 0..5.
+    """Sparse user x item matrix of integer ratings 0..5, fixed at construction.
 
-    Absent cells are unrated.  ``set`` validates values and bounds; bulk
-    construction stores cells as given so validate_dataset can audit them.
+    Built once from a {(user, item): rating} map; absent cells are unrated.
+    Cells are stored as given so that validate_dataset can report every
+    out-of-range value or index.
     """
 
     def __init__(self, n_users: int, n_items: int,
@@ -145,18 +137,8 @@ class RatingMatrix:
             raise ValueError("matrix dimensions must be >= 0")
         self.n_users = n_users
         self.n_items = n_items
-        # Bulk construction stores cells as given so that validate_dataset
-        # can report every violation; set() is the checked mutation path.
         self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
-        self._rows: dict[int, dict[int, int]] | None = None
-        self._cols: dict[int, dict[int, int]] | None = None
-
-    def set(self, user: int, item: int, rating: int) -> None:
-        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
-            raise ValueError(f"cell ({user}, {item}) out of bounds "
-                             f"for {self.n_users}x{self.n_items} matrix")
-        self._cells[(user, item)] = check_rating(rating)
-        self._rows = self._cols = None
+        self._lines: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]] | None = None
 
     def get(self, user: int, item: int) -> int | None:
         return self._cells.get((user, item))
@@ -167,14 +149,14 @@ class RatingMatrix:
             yield u, i, self._cells[(u, i)]
 
     def _index(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-        if self._rows is None or self._cols is None:
+        if self._lines is None:
             rows: dict[int, dict[int, int]] = {}
             cols: dict[int, dict[int, int]] = {}
             for (u, i), r in self._cells.items():
                 rows.setdefault(u, {})[i] = r
                 cols.setdefault(i, {})[u] = r
-            self._rows, self._cols = rows, cols
-        return self._rows, self._cols
+            self._lines = rows, cols
+        return self._lines
 
     def user_ratings(self, user: int) -> dict[int, int]:
         """item -> rating map for one user; treat as read-only (cached)."""
@@ -205,9 +187,6 @@ class RatingMatrix:
         total = self.n_users * self.n_items
         return self.n_rated / total if total else 0.0
 
-    def copy(self) -> "RatingMatrix":
-        return RatingMatrix(self.n_users, self.n_items, self._cells)
-
     def __contains__(self, cell: tuple[int, int]) -> bool:
         return cell in self._cells
 
@@ -223,38 +202,19 @@ class RatingMatrix:
 
 
 class ItemCategoryMatrix:
-    """Binary item x category membership; only the 1-entries are stored."""
+    """Binary item x category membership, fixed at construction from the
+    (item, category) pairs whose bit is 1; validate_dataset checks bounds."""
 
     def __init__(self, n_items: int, n_categories: int,
-                 members: Mapping[tuple[int, int], int] | set | None = None):
+                 members: Iterable[tuple[int, int]] = ()):
         if n_items < 0 or n_categories < 0:
             raise ValueError("matrix dimensions must be >= 0")
         self.n_items = n_items
         self.n_categories = n_categories
-        # Only 1-bits are representable, so membership values are {0, 1} by
-        # construction; index bounds are checked by validate_dataset.
-        self._members: set[tuple[int, int]] = set()
-        if members:
-            if isinstance(members, Mapping):
-                for (i, c), bit in members.items():
-                    if bit not in (0, 1):
-                        raise ValueError(f"membership must be 0 or 1, got {bit!r}")
-                    if bit:
-                        self._members.add((i, c))
-            else:
-                self._members.update((i, c) for (i, c) in members)
-
-    def add(self, item: int, category: int) -> None:
-        if not (0 <= item < self.n_items and 0 <= category < self.n_categories):
-            raise ValueError(f"membership ({item}, {category}) out of bounds "
-                             f"for {self.n_items}x{self.n_categories} matrix")
-        self._members.add((item, category))
+        self._members: set[tuple[int, int]] = set(members)
 
     def bit(self, item: int, category: int) -> int:
         return 1 if (item, category) in self._members else 0
-
-    def categories_of(self, item: int) -> frozenset[int]:
-        return frozenset(c for (i, c) in self._members if i == item)
 
     def members(self) -> Iterator[tuple[int, int]]:
         """All (item, category) pairs with membership 1, in index order."""
@@ -276,7 +236,7 @@ class ItemCategoryMatrix:
                 f"{self.n_members} memberships)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Bundle of the three tables plus generation metadata.
 
@@ -313,6 +273,11 @@ class Prediction:
     neighbors: tuple[tuple[int, float], ...] = ()
 
 
+def _is_level(value) -> bool:
+    """True for a plain int on the 0..5 scale (a bool is not a level)."""
+    return type(value) is int and RATING_MIN <= value <= RATING_MAX
+
+
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Check every structural invariant; returns a list of violation messages.
 
@@ -338,7 +303,7 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if not (0 <= x < graph.n_users and 0 <= y < graph.n_users):
             problems.append(f"edge {pair} references a user outside 0..{graph.n_users - 1}")
             continue
-        if not (isinstance(s, int) and RATING_MIN <= s <= RATING_MAX):
+        if not _is_level(s):
             problems.append(f"edge {pair} strength {s!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
 
@@ -347,7 +312,7 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if not (0 <= u < ratings.n_users and 0 <= i < ratings.n_items):
             problems.append(f"rating cell {where} out of bounds for "
                             f"{ratings.n_users}x{ratings.n_items} matrix")
-        if not (isinstance(r, int) and RATING_MIN <= r <= RATING_MAX):
+        if not _is_level(r):
             problems.append(f"rating {where} value {r!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
 

@@ -201,17 +201,25 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     if ratings.n_rated == 0:
         raise EmptyTrainingSetError("empty training set: no ratings to learn from")
     alpha = cfg.laplace_alpha
+    columns: dict[tuple[int, ...], tuple[float, ...]] = {}
+
+    def smoothed(counts: list[int]) -> tuple[float, ...]:
+        key = tuple(counts)
+        column = columns.get(key)
+        if column is None:
+            total = sum(counts)
+            column = columns[key] = tuple((n + alpha) / (total + N_LEVELS * alpha)
+                                          for n in counts)
+        return column
 
     priors = []
     conditionals = []
     for u in range(ratings.n_users):
         row = ratings.user_ratings(u)
-        n = len(row)
         counts = [0] * N_LEVELS
         for r in row.values():
             counts[r] += 1
-        priors.append(tuple((counts[k] + alpha) / (n + N_LEVELS * alpha)
-                            for k in RATING_LEVELS))
+        priors.append(smoothed(counts))
         per_category = []
         for c in range(categories.n_categories):
             bit_counts = [0] * N_LEVELS
@@ -229,20 +237,8 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
         counts = [0] * N_LEVELS
         for r in column.values():
             counts[r] += 1
-        item_dists.append(tuple((counts[k] + alpha) / (len(column) + N_LEVELS * alpha)
-                                for k in RATING_LEVELS))
+        item_dists.append(smoothed(counts))
     acceptance = ItemAcceptanceModel(item_dists)
-
-    columns: dict[tuple[int, ...], tuple[float, ...]] = {}
-
-    def smoothed(counts: list[int]) -> tuple[float, ...]:
-        key = tuple(counts)
-        column = columns.get(key)
-        if column is None:
-            total = sum(counts)
-            column = columns[key] = tuple((n + alpha) / (total + N_LEVELS * alpha)
-                                          for n in counts)
-        return column
 
     tables: dict[tuple[int, int], list[tuple[float, ...]]] = {}
     for u in range(ratings.n_users):

@@ -12,6 +12,7 @@ datasets always produce identical files.
 """
 
 import csv
+import io
 from pathlib import Path
 
 from .model import (
@@ -133,7 +134,7 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     dataset = Dataset(
         graph=RelationshipGraph(n_users, edges),
         ratings=RatingMatrix(n_users, n_items, cells),
-        categories=ItemCategoryMatrix(n_items, n_categories, set(members)),
+        categories=ItemCategoryMatrix(n_items, n_categories, members),
         meta={"path": str(directory)},
     )
     problems = validate_dataset(dataset)
@@ -147,9 +148,16 @@ def _read_rows(directory: Path, name: str) -> list[tuple[int, list[str]]]:
     file_path = directory / name
     if not file_path.is_file():
         raise DataFormatError(name, None, "file not found")
-    with open(file_path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(line, row) for line, row in enumerate(reader, start=1)]
+    try:
+        text = file_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(name, line, f"not UTF-8: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(enumerate(reader, start=1))
+    except csv.Error as exc:
+        raise DataFormatError(name, reader.line_num, str(exc)) from None
     if not rows:
         raise DataFormatError(name, 1, "missing header")
     header_line, header = rows[0]

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,22 @@ class TestCompare:
         assert "ratings.csv:2" in result.output
 
 
+    @pytest.mark.parametrize("ratings", [
+        b"user,item,rating\nU1,I1,3\nU2,I\xff1,2\n",
+        b"user,item,rating\nU1,I1,3\nU2,I1," + b"9" * (csv.field_size_limit() + 1) + b"\n",
+    ], ids=["undecodable", "oversized-field"])
+    def test_unreadable_data_is_one_line_error(self, runner, tmp_path, ratings):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        (directory / "relationships.csv").write_text("user_a,user_b,strength\n")
+        (directory / "ratings.csv").write_bytes(ratings)
+        (directory / "categories.csv").write_text("item,category\n")
+        result = runner.invoke(main, ["compare", "--data", str(directory)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ratings.csv:3:"), result.output
+
 class TestEmptyTrainingSet:
     """Holding out every rated cell leaves nothing to train on: a clean
     one-line error, never a traceback."""
@@ -313,6 +330,15 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(config), "gen",
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    def test_undecodable_config_usage_error(self, runner, tmp_path):
+        config = tmp_path / "defaults.cfg"
+        config.write_bytes(b"users=7\n\xff\n")
+        result = runner.invoke(main, ["--config", str(config), "gen",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "defaults.cfg" in result.output
 
     def test_unknown_keys_ignored(self, runner, tmp_path):
         config = tmp_path / "defaults.cfg"

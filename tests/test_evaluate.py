@@ -53,11 +53,11 @@ class TestSplit:
 
     def test_partition_identity(self, default_dataset):
         train, test = split(default_dataset, SplitSpec())
-        rebuilt = RatingMatrix(train.ratings.n_users, train.ratings.n_items,
-                               {(u, i): r for u, i, r in train.ratings.cells()})
+        cells = {(u, i): r for u, i, r in train.ratings.cells()}
         for u, i, r in test:
             assert train.ratings.get(u, i) is None
-            rebuilt.set(u, i, r)
+            cells[u, i] = r
+        rebuilt = RatingMatrix(train.ratings.n_users, train.ratings.n_items, cells)
         assert rebuilt == default_dataset.ratings
 
     def test_sorted_by_user_then_item(self, default_dataset):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from socialrec import (
     RatingMatrix,
     RelationshipGraph,
     category_label,
-    check_rating,
     item_label,
     parse_label,
     round_rating,
@@ -41,14 +41,21 @@ class TestLabels:
 
 
 class TestCheckRating:
+    """validate_dataset is the one check of a rating or strength level: the
+    six integers 0..5 pass, anything else (a bool included) is reported."""
+
     @pytest.mark.parametrize("value", [0, 1, 2, 3, 4, 5])
     def test_accepts_levels(self, value):
-        assert check_rating(value) == value
+        d = build_dataset(2, 1, 1, edges={(0, 1): value}, cells={(0, 0): value})
+        assert validate_dataset(d) == []
 
     @pytest.mark.parametrize("bad", [-1, 6, 100, 2.5, "3", True, None])
     def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_rating(bad)
+        d = build_dataset(2, 1, 1, edges={(0, 1): bad}, cells={(0, 0): bad})
+        assert validate_dataset(d) == [
+            f"edge ('U1', 'U2') strength {bad!r} outside 0..5",
+            f"rating (U1, I1) value {bad!r} outside 0..5",
+        ]
 
 
 class TestRoundRating:
@@ -158,33 +165,26 @@ class TestRelationshipGraph:
 
 
 class TestRatingMatrix:
-    def test_set_get(self):
-        m = RatingMatrix(2, 3)
-        m.set(1, 2, 4)
+    def test_get(self):
+        m = RatingMatrix(2, 3, {(1, 2): 4})
         assert m.get(1, 2) == 4
         assert m.get(0, 0) is None
         assert (1, 2) in m and (0, 0) not in m
 
-    def test_set_validates(self):
-        m = RatingMatrix(2, 2)
-        with pytest.raises(ValueError):
-            m.set(0, 0, 6)
-        with pytest.raises(ValueError):
-            m.set(2, 0, 3)
-        with pytest.raises(ValueError):
-            m.set(0, -1, 3)
+    def test_fixed_at_construction(self):
+        cells = {(0, 0): 1}
+        m = RatingMatrix(2, 2, cells)
+        assert m.user_ratings(1) == {}
+        cells[(1, 1)] = 2
+        assert m.get(1, 1) is None
+        assert m.user_ratings(1) == {}
+        assert m.n_rated == 1
 
     def test_rows_and_columns(self):
         m = RatingMatrix(3, 2, {(0, 0): 1, (0, 1): 5, (2, 0): 3})
         assert m.user_ratings(0) == {0: 1, 1: 5}
         assert m.user_ratings(1) == {}
         assert m.item_ratings(0) == {0: 1, 2: 3}
-
-    def test_index_invalidated_by_set(self):
-        m = RatingMatrix(2, 2, {(0, 0): 1})
-        assert m.user_ratings(1) == {}
-        m.set(1, 1, 2)
-        assert m.user_ratings(1) == {1: 2}
 
     def test_means(self):
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (0, 2): 5})
@@ -193,12 +193,9 @@ class TestRatingMatrix:
         assert m.global_mean() == 3.0
         assert RatingMatrix(1, 1).global_mean() is None
 
-    def test_density_and_copy(self):
+    def test_density(self):
         m = RatingMatrix(2, 2, {(0, 0): 1})
         assert m.density == 0.25
-        clone = m.copy()
-        clone.set(1, 1, 5)
-        assert m.get(1, 1) is None
 
     def test_cells_sorted(self):
         m = RatingMatrix(2, 2, {(1, 1): 1, (0, 1): 2, (1, 0): 3})
@@ -210,36 +207,14 @@ class TestItemCategoryMatrix:
         m = ItemCategoryMatrix(3, 2, {(0, 1), (2, 0)})
         assert m.bit(0, 1) == 1
         assert m.bit(0, 0) == 0
-        assert m.categories_of(0) == {1}
-        assert m.categories_of(1) == frozenset()
+        assert m.n_members == 2
 
-    def test_categories_of_after_add(self):
-        m = ItemCategoryMatrix(3, 4, {(0, 1)})
-        assert m.categories_of(0) == {1}
-        assert m.categories_of(2) == frozenset()
-        m.add(2, 3)
-        m.add(0, 0)
-        m.add(0, 1)
-        assert m.categories_of(0) == {0, 1}
-        assert m.categories_of(1) == frozenset()
-        assert m.categories_of(2) == {3}
-        for i in range(3):
-            assert m.categories_of(i) == {c for c in range(4) if m.bit(i, c)}
-
-    def test_mapping_with_zero_bits(self):
-        m = ItemCategoryMatrix(2, 2, {(0, 0): 1, (0, 1): 0})
-        assert m.bit(0, 0) == 1
-        assert m.bit(0, 1) == 0
-        assert m.n_members == 1
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            ItemCategoryMatrix(2, 2, {(0, 0): 2})
-
-    def test_add_bounds(self):
-        m = ItemCategoryMatrix(2, 2)
-        with pytest.raises(ValueError):
-            m.add(2, 0)
+    def test_built_from_any_pair_iterable(self):
+        m = ItemCategoryMatrix(2, 3, iter([(1, 2), (0, 0), (1, 2)]))
+        assert m.n_members == 2
+        assert list(m.members()) == [(0, 0), (1, 2)]
+        assert m == ItemCategoryMatrix(2, 3, [(0, 0), (1, 2)])
+        assert ItemCategoryMatrix(2, 3).n_members == 0
 
 
 class TestDataset:
@@ -252,6 +227,10 @@ class TestDataset:
         other = Dataset(tiny_dataset.graph, tiny_dataset.ratings,
                         tiny_dataset.categories, meta={"anything": 1})
         assert other == tiny_dataset
+
+    def test_frozen(self, tiny_dataset):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_dataset.ratings = RatingMatrix(3, 2)
 
 
 class TestValidateDataset:
@@ -283,6 +262,12 @@ class TestValidateDataset:
     def test_strength_out_of_range(self):
         d = build_dataset(3, 1, 1, edges={(0, 1): 9})
         assert any("strength" in p for p in validate_dataset(d))
+
+    def test_rating_cell_out_of_bounds(self):
+        d = build_dataset(2, 2, 1, cells={(2, 0): 3, (0, -1): 3})
+        problems = validate_dataset(d)
+        assert len(problems) == 2
+        assert all("out of bounds" in p for p in problems)
 
     def test_dimension_mismatch(self):
         d = Dataset(

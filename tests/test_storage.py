@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,25 @@ class TestLoadErrors:
                               categories="item,category\nI1,C2\nI1,C2\n")
         with pytest.raises(DataFormatError, match="duplicate membership"):
             load_dataset(directory)
+
+    def test_undecodable_file_names_line(self, tmp_path):
+        directory = write_dir(tmp_path / "d")
+        (directory / "ratings.csv").write_bytes(b"user,item,rating\nU1,I1,3\nU2,I\xff1,2\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(directory)
+        assert err.value.file == "ratings.csv"
+        assert err.value.line == 3
+        assert "UTF-8" in err.value.reason
+
+    def test_oversized_field_names_line(self, tmp_path):
+        field = "9" * (csv.field_size_limit() + 1)
+        directory = write_dir(tmp_path / "d",
+                              ratings=f"user,item,rating\nU1,I1,3\nU2,I1,{field}\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(directory)
+        assert err.value.file == "ratings.csv"
+        assert err.value.line == 3
+        assert "field limit" in err.value.reason
 
     def test_explicit_dims_smaller_than_data_fail_validation(self, tmp_path):
         d = build_dataset(4, 2, 1, cells={(3, 0): 2, (0, 1): 1})
