@@ -44,8 +44,8 @@ def _read_config_file(path: str) -> dict:
     """Parse a key=value defaults file; '#' starts a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config file {path} is not UTF-8: {exc}") from exc
     defaults = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -107,9 +107,9 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     row (an all-zero final category column, for instance, is otherwise
     indistinguishable from a dataset with one fewer category).
 
-    Raises DataFormatError for a missing file or malformed row (with file
-    and line number) and DatasetValidationError if the assembled dataset
-    fails validation.  Row order within the files never affects the result.
+    Raises DataFormatError for a missing file, a file that is not UTF-8 or
+    a malformed row (with file and line number) and DatasetValidationError
+    if the assembled dataset fails validation.  Row order within the files never affects the result.
     """
     directory = Path(path)
 
