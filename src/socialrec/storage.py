@@ -109,7 +109,8 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
 
     Raises DataFormatError for a missing file, a file that is not UTF-8 or
     a malformed row (with file and line number) and DatasetValidationError
-    if the assembled dataset fails validation.  Row order within the files never affects the result.
+    if the assembled dataset fails validation.  Row order within the files
+    never affects the result.
     """
     directory = Path(path)
 
