@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .model import (
     Dataset,
     Prediction,
@@ -89,37 +91,71 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | Non
 class SimilarityCache:
     """Precomputed Pearson similarities for every unordered user pair.
 
-    Built once from a rating matrix and immutable afterwards; None entries
-    mark pairs whose similarity is undefined.
+    Built once from a rating matrix and immutable afterwards.  Each user's
+    defined similarities are stored as one {other user: similarity} row in
+    neighbour order: similarity descending, ties by ascending user index.
+    A pair missing from the rows has an undefined similarity.
     """
 
-    def __init__(self, entries: dict[tuple[int, int], float | None], co_rate_min: int):
-        self._entries = entries
-        self.co_rate_min = co_rate_min
+    def __init__(self, n_users: int, rows: dict[int, dict[int, float]]):
+        self.n_users = n_users
+        self._rows = rows
 
     @classmethod
     def build(cls, ratings: RatingMatrix, co_rate_min: int = 2) -> "SimilarityCache":
-        rows = {u: ratings.user_ratings(u) for u in range(ratings.n_users)}
-        entries: dict[tuple[int, int], float | None] = {}
-        for u in range(ratings.n_users):
-            for n in range(u + 1, ratings.n_users):
-                co_rated = sorted(rows[u].keys() & rows[n].keys())
-                if len(co_rated) < co_rate_min:
-                    entries[(u, n)] = None
-                else:
-                    entries[(u, n)] = pearson_correlation(
-                        [rows[u][i] for i in co_rated],
-                        [rows[n][i] for i in co_rated])
-        return cls(entries, co_rate_min)
+        """All pairs at once, as integer Gram products over the rated users.
+
+        With R the rating array, M its 0/1 mask and n = M·Mᵀ the co-rated
+        counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and Sxy = R·Rᵀ are each pair's sums
+        over its co-rated items.  A = n·Sxx − Sx², uv = n·(n·Sxy − Sx·Sxᵀ),
+        uu = n·A and vv = n·Aᵀ are the exact integers pearson_correlation
+        builds, and float(uu)·float(vv) rounds like float(uu·vv) while both
+        stay below 2**53 (up to about 10**5 co-rated items), so every
+        similarity is bit-identical to it.  The sums stay in integers so that
+        no BLAS library or thread count can change a result.
+        """
+        users = [u for u in range(ratings.n_users) if ratings.user_ratings(u)]
+        columns: dict[int, int] = {}
+        cells = [(a, columns.setdefault(i, len(columns)), r)
+                 for a, u in enumerate(users) for i, r in ratings.user_ratings(u).items()]
+        rated = np.zeros((len(users), len(columns)), dtype=np.int64)
+        mask = np.zeros_like(rated)
+        if cells:
+            a, c, r = np.array(cells, dtype=np.int64).T
+            rated[a, c] = r
+            mask[a, c] = 1
+        n = mask @ mask.T
+        sx = rated @ mask.T
+        spread = n * ((rated * rated) @ mask.T) - sx * sx
+        uv = n * (n * (rated @ rated.T) - sx * sx.T)
+        uu = (n * spread).astype(np.float64)
+        defined = (n >= co_rate_min) & (spread != 0) & (spread.T != 0)
+        np.fill_diagonal(defined, False)
+        sims = np.divide(uv, np.sqrt(uu * uu.T), out=np.zeros(uv.shape), where=defined)
+        labels = np.array(users, dtype=np.int64)
+        rows = {}
+        for a, u in enumerate(users):
+            (others,) = np.nonzero(defined[a])
+            others = others[np.lexsort((others, -sims[a, others]))]
+            rows[u] = dict(zip(labels[others].tolist(), sims[a, others].tolist()))
+        return cls(ratings.n_users, rows)
+
+    def row(self, u: int) -> dict[int, float]:
+        """u's defined similarities in neighbour order; treat as read-only."""
+        return self._rows.get(u, {})
 
     def similarity(self, u: int, n: int) -> float | None:
         if u == n:
             raise ValueError("similarity of a user with themselves is undefined")
-        return self._entries[(min(u, n), max(u, n))]
+        return self.row(u).get(n)
 
     def pairs(self):
-        """All ((u, n), similarity) entries with u < n."""
-        return self._entries.items()
+        """Every ((u, n), similarity) with u < n over all users, None where
+        undefined, generated on demand."""
+        for u in range(self.n_users):
+            row = self.row(u)
+            for n in range(u + 1, self.n_users):
+                yield (u, n), row.get(n)
 
 
 def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
@@ -135,19 +171,19 @@ def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCac
     """
     if cfg.neighbor_scope == SCOPE_FRIENDS and graph is None:
         raise ValueError("friends-only scope requires the relationship graph")
-    candidates = []
-    for n in sorted(ratings.item_ratings(i)):
-        if n == u:
+    raters = ratings.item_ratings(i)
+    neighbors = []
+    for n, sim in cache.row(u).items():
+        if sim <= 0 or len(neighbors) == cfg.neighbor_k:
+            break
+        if n not in raters:
             continue
         if cfg.neighbor_scope == SCOPE_FRIENDS:
             strength = graph.strength(u, n)
             if strength is None or strength < 1:
                 continue
-        sim = cache.similarity(u, n)
-        if sim is not None and sim > 0:
-            candidates.append((n, sim))
-    candidates.sort(key=lambda pair: (-pair[1], pair[0]))
-    return candidates[:cfg.neighbor_k]
+        neighbors.append((n, sim))
+    return neighbors
 
 
 def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,

@@ -76,12 +76,12 @@ class RelationshipGraph:
         if n_users < 0:
             raise ValueError("n_users must be >= 0")
         self.n_users = n_users
-        self._edges: dict[tuple[int, int], int] = {}
-        for (x, y), s in (edges or {}).items():
-            key = (x, y) if x <= y else (y, x)
-            if self._edges.setdefault(key, s) != s:
-                raise ValueError(f"conflicting strengths for pair {user_label(key[0])}/"
-                                 f"{user_label(key[1])}: {self._edges[key]} and {s}")
+        self._edges: dict[tuple[int, int], int] = dict(edges or {})
+        for x, y in [key for key in self._edges if key[0] > key[1]]:
+            s = self._edges.pop((x, y))
+            if self._edges.setdefault((y, x), s) != s:
+                raise ValueError(f"conflicting strengths for pair {user_label(y)}/"
+                                 f"{user_label(x)}: {self._edges[(y, x)]} and {s}")
         self._adjacency: dict[int, list[tuple[int, int]]] | None = None
 
     @property
@@ -138,7 +138,8 @@ class RatingMatrix:
         self.n_users = n_users
         self.n_items = n_items
         self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
-        self._lines: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]] | None = None
+        self._lines: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]],
+                           dict[int, float]] | None = None
 
     def get(self, user: int, item: int) -> int | None:
         return self._cells.get((user, item))
@@ -148,14 +149,17 @@ class RatingMatrix:
         for (u, i) in sorted(self._cells):
             yield u, i, self._cells[(u, i)]
 
-    def _index(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    def _index(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]],
+                              dict[int, float]]:
+        """Rows, columns and user means, built in one pass on first use."""
         if self._lines is None:
             rows: dict[int, dict[int, int]] = {}
             cols: dict[int, dict[int, int]] = {}
             for (u, i), r in self._cells.items():
                 rows.setdefault(u, {})[i] = r
                 cols.setdefault(i, {})[u] = r
-            self._lines = rows, cols
+            means = {u: sum(row.values()) / len(row) for u, row in rows.items()}
+            self._lines = rows, cols, means
         return self._lines
 
     def user_ratings(self, user: int) -> dict[int, int]:
@@ -168,10 +172,7 @@ class RatingMatrix:
 
     def user_mean(self, user: int) -> float | None:
         """Mean of the user's full rating row, or None if the row is empty."""
-        row = self.user_ratings(user)
-        if not row:
-            return None
-        return sum(row.values()) / len(row)
+        return self._index()[2].get(user)
 
     def global_mean(self) -> float | None:
         if not self._cells:

@@ -153,9 +153,16 @@ class TestSimilarityCache:
             cache.similarity(1, 1)
 
 
-def hand_cache(entries, co_rate_min=2):
-    return SimilarityCache({(min(a, b), max(a, b)): s
-                            for (a, b), s in entries.items()}, co_rate_min)
+def hand_cache(entries):
+    """A cache holding the given pair similarities; None marks an undefined pair."""
+    rows = {}
+    for (a, b), s in entries.items():
+        if s is not None:
+            rows.setdefault(a, []).append((b, s))
+            rows.setdefault(b, []).append((a, s))
+    ranked = {u: dict(sorted(row, key=lambda pair: (-pair[1], pair[0])))
+              for u, row in rows.items()}
+    return SimilarityCache(1 + max(max(pair) for pair in entries), ranked)
 
 
 class TestSelectNeighbors:
