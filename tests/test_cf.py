@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+import time
+import warnings
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from socialrec import (
     CfConfig,
@@ -27,6 +30,25 @@ def rating_vector_pairs(draw, min_size=2, max_size=8):
     xs = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     ys = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     return xs, ys
+
+
+@st.composite
+def rating_matrices(draw):
+    n_users = draw(st.integers(min_value=1, max_value=6))
+    n_items = draw(st.integers(min_value=1, max_value=8))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+        st.integers(0, 5), max_size=n_users * n_items))
+    return RatingMatrix(n_users, n_items, cells)
+
+
+def reference_similarity(m, u, n, co_rate_min):
+    """pearson_correlation over the co-rated items, None below co_rate_min."""
+    row_u, row_n = m.user_ratings(u), m.user_ratings(n)
+    co_rated = sorted(row_u.keys() & row_n.keys())
+    if len(co_rated) < co_rate_min:
+        return None
+    return pearson_correlation([row_u[i] for i in co_rated], [row_n[i] for i in co_rated])
 
 
 class TestPearsonCorrelation:
@@ -131,16 +153,8 @@ class TestSimilarityCache:
         m = RatingMatrix(4, 5, {(u, i): (u * 7 + i * 3) % 6
                                 for u in range(4) for i in range(5) if (u + i) % 2})
         cache = SimilarityCache.build(m)
-        for u in range(4):
-            for n in range(4):
-                if u == n:
-                    continue
-                row_u, row_n = m.user_ratings(u), m.user_ratings(n)
-                co_rated = sorted(row_u.keys() & row_n.keys())
-                expected = (pearson_correlation([row_u[i] for i in co_rated],
-                                                [row_n[i] for i in co_rated])
-                            if len(co_rated) >= 2 else None)
-                assert cache.similarity(u, n) == expected
+        for u, n in itertools.permutations(range(4), 2):
+            assert cache.similarity(u, n) == reference_similarity(m, u, n, 2)
 
     def test_symmetric_access(self):
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 5})
@@ -151,6 +165,80 @@ class TestSimilarityCache:
         cache = SimilarityCache.build(RatingMatrix(2, 2))
         with pytest.raises(ValueError):
             cache.similarity(1, 1)
+
+    @given(rating_matrices(), st.integers(min_value=2, max_value=4))
+    @example(RatingMatrix(4, 3, {(0, 0): 2, (0, 1): 2, (0, 2): 2,     # zero variance
+                                 (1, 0): 1, (1, 1): 4, (1, 2): 0,
+                                 (2, 1): 5}), 2)                      # U4 has no ratings
+    def test_build_is_bit_identical_to_scalar_reference(self, m, co_rate_min):
+        cache = SimilarityCache.build(m, co_rate_min)
+        for u, n in itertools.permutations(range(m.n_users), 2):
+            assert cache.similarity(u, n) == reference_similarity(m, u, n, co_rate_min)
+        for u in range(m.n_users):
+            row = list(cache.row(u).items())
+            assert all(type(sim) is float for _, sim in row)
+            assert row == sorted(row, key=lambda pair: (-pair[1], pair[0]))
+
+    def test_rounding_of_large_norm_products(self):
+        # 331 co-rated items at levels 0 and 5: uu * vv exceeds 2**53 with more
+        # than 53 significant bits (an odd item count keeps them), so the float
+        # product of uu and vv must round exactly as float(uu * vv) does
+        n_items = 331
+        rng = random.Random(8)
+        m = RatingMatrix(4, n_items, {(u, i): rng.choice((0, 5))
+                                      for u in range(4) for i in range(n_items)})
+        cache = SimilarityCache.build(m)
+        inexact = 0
+        for u, n in itertools.combinations(range(4), 2):
+            xs = [m.get(u, i) for i in range(n_items)]
+            ys = [m.get(n, i) for i in range(n_items)]
+            uu = sum((n_items * x - sum(xs)) ** 2 for x in xs)
+            vv = sum((n_items * y - sum(ys)) ** 2 for y in ys)
+            assert uu < 2**53 and vv < 2**53 < uu * vv
+            inexact += int(float(uu * vv)) != uu * vv
+            assert cache.similarity(u, n) == pearson_correlation(xs, ys)
+        assert inexact > 0
+
+    def test_degenerate_rows_build_without_warnings(self):
+        m = RatingMatrix(5, 3, {(0, 0): 4,                            # one item
+                                (1, 0): 2, (1, 1): 2, (1, 2): 2,      # constant
+                                (2, 0): 5, (2, 1): 0, (2, 2): 3,
+                                (3, 2): 1})                           # U5 empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = SimilarityCache.build(m)
+            empty = SimilarityCache.build(RatingMatrix(3, 2))
+        assert [sim for _, sim in cache.pairs()] == [None] * 10
+        assert [sim for _, sim in empty.pairs()] == [None] * 3
+
+    def test_pairs_cover_users_without_ratings(self):
+        m = RatingMatrix(4, 2, {(1, 0): 1, (1, 1): 3, (3, 0): 2, (3, 1): 5})
+        assert list(SimilarityCache.build(m).pairs()) == [
+            ((0, 1), None), ((0, 2), None), ((0, 3), None),
+            ((1, 2), None), ((1, 3), 1.0), ((2, 3), None)]
+
+    def test_users_without_ratings_add_no_build_cost(self):
+        rng = random.Random(4)
+        cells = {(u, i): rng.randint(0, 5) for u in range(100) for i in range(10)
+                 if rng.random() < 0.7}
+        small, large = RatingMatrix(100, 10, cells), RatingMatrix(5000, 10, cells)
+
+        def build_seconds(m):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                cache = SimilarityCache.build(m)
+                best = min(best, time.perf_counter() - start)
+            return cache, best
+
+        small_cache, small_s = build_seconds(small)
+        large_cache, large_s = build_seconds(large)
+        # one entry per pair of the 5000 users took ~12.5 million entries
+        assert large_s < 5 * small_s + 0.05
+        assert large_cache.similarity(4999, 3) is None
+        for u, i in itertools.product(range(100), range(10)):
+            assert predict_cf(u, i, large, large_cache, CfConfig()) == \
+                predict_cf(u, i, small, small_cache, CfConfig())
 
 
 def hand_cache(entries):

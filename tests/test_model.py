@@ -193,6 +193,10 @@ class TestRatingMatrix:
         assert m.global_mean() == 3.0
         assert RatingMatrix(1, 1).global_mean() is None
 
+    def test_mean_is_row_sum_over_row_length(self):
+        m = RatingMatrix(1, 3, {(0, 0): 1, (0, 1): 2, (0, 2): 2})
+        assert m.user_mean(0) == 5 / 3
+
     def test_density(self):
         m = RatingMatrix(2, 2, {(0, 0): 1})
         assert m.density == 0.25
