@@ -107,12 +107,13 @@ class SimilarityCache:
 
         With R the rating array, M its 0/1 mask and n = M·Mᵀ the co-rated
         counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and Sxy = R·Rᵀ are each pair's sums
-        over its co-rated items.  A = n·Sxx − Sx², uv = n·(n·Sxy − Sx·Sxᵀ),
-        uu = n·A and vv = n·Aᵀ are the exact integers pearson_correlation
-        builds, and float(uu)·float(vv) rounds like float(uu·vv) while both
-        stay below 2**53 (up to about 10**5 co-rated items), so every
-        similarity is bit-identical to it.  The sums stay in integers so that
-        no BLAS library or thread count can change a result.
+        over its co-rated items.  A = n·Sxx − Sx² (``spread``),
+        uv = n·(n·Sxy − Sx·Sxᵀ), uu = n·A and vv = n·Aᵀ = uuᵀ are the exact
+        integers pearson_correlation builds, and float(uu)·float(vv) rounds
+        like float(uu·vv) while both stay below 2**53 (up to about 10**5
+        co-rated items), so every similarity is bit-identical to it.  The
+        sums stay in integers so that no BLAS library or thread count can
+        change a result.
         """
         users = [u for u in range(ratings.n_users) if ratings.user_ratings(u)]
         columns: dict[int, int] = {}
@@ -121,9 +122,9 @@ class SimilarityCache:
         rated = np.zeros((len(users), len(columns)), dtype=np.int64)
         mask = np.zeros_like(rated)
         if cells:
-            a, c, r = np.array(cells, dtype=np.int64).T
-            rated[a, c] = r
-            mask[a, c] = 1
+            at_row, at_column, values = np.array(cells, dtype=np.int64).T
+            rated[at_row, at_column] = values
+            mask[at_row, at_column] = 1
         n = mask @ mask.T
         sx = rated @ mask.T
         spread = n * ((rated * rated) @ mask.T) - sx * sx
