@@ -11,7 +11,7 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from socialrec import GenConfig, generate_dataset, save_dataset
+from socialrec import GenConfig, SnrsPredictor, generate_dataset, save_dataset
 from socialrec.cli import main
 from conftest import build_dataset
 
@@ -66,6 +66,12 @@ COMPARE_SHAPE_DIGESTS = {
          "summary.csv": "706fab2396a098f01d7daa51a58f2d2123d6826dd21ddc9ded64ec2dcca2b142"},
     ),
 }
+
+# float.hex() of every level of the three snrs factor distributions
+# (preference, acceptance, friend inference), for every cell of the seed-42
+# default dataset and of the seed-0 DENSE_SHAPE dataset, each trained on
+# itself.  repr would round to 4 places and hide a changed last bit.
+SNRS_FACTORS_DIGEST = "82b1ba5515c019ea86cd5134afcdb427d834208b124fe81c901c4f5546a7672a"
 
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
@@ -166,6 +172,18 @@ def test_compare_reports_benchmark_shapes(shape, tmp_path):
     assert result.exit_code == 0, result.output
     for name, expected in digests.items():
         assert file_digest(reports / name) == expected, name
+
+
+def test_snrs_factor_bits():
+    digest = hashlib.sha256()
+    for dataset in (generate_dataset(GenConfig(rng_seed=42)),
+                    generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))):
+        predictor = SnrsPredictor(dataset)
+        for u in range(dataset.n_users):
+            for i in range(dataset.n_items):
+                for dist in predictor.components(u, i):
+                    digest.update(" ".join(p.hex() for p in dist).encode() + b"\n")
+    assert digest.hexdigest() == SNRS_FACTORS_DIGEST
 
 
 @pytest.mark.parametrize("path, seed", [(path, seed) for path in sorted(GEN_PATH_DIGESTS)
