@@ -53,9 +53,7 @@ from .snrs import (
     SnrsPredictor,
     UserPreferenceModel,
     combine,
-    friend_inference_prob,
     learn_models,
-    user_preference_prob,
 )
 from .evaluate import (
     CellRecord,

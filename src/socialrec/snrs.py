@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 from .model import (
     Dataset,
-    ItemCategoryMatrix,
     Prediction,
-    RatingMatrix,
-    RelationshipGraph,
     SocialRecError,
     N_LEVELS,
     RATING_LEVELS,
@@ -133,32 +130,32 @@ class SnrsConfig:
 
 
 class UserPreferenceModel:
-    """Per-user rating priors and per-category bit conditionals.
-
-    ``attr_prob(u, c, k)`` is the smoothed probability that an item carries
-    category c given that user u rates it at level k.
-    """
+    """Per-user rating priors and per-category bit likelihoods."""
 
     def __init__(self, priors: list[tuple[float, ...]],
-                 conditionals: list[list[tuple[float, ...]]]):
+                 likelihoods: list[list[tuple[tuple[float, ...], tuple[float, ...]]]]):
         self._priors = priors
-        self._conditionals = conditionals  # [user][category][level] -> P(bit=1)
+        self._likelihoods = likelihoods
 
-    def prior(self, u: int) -> RatingDistribution:
-        return RatingDistribution(self._priors[u])
+    def prior(self, u: int) -> tuple[float, ...]:
+        """User u's smoothed distribution over rating levels."""
+        return self._priors[u]
 
-    def attr_prob(self, u: int, c: int, k: int) -> float:
-        return self._conditionals[u][c][k]
+    def likelihoods(self, u: int) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+        """Per category c, in index order, the column pair indexed by bit b:
+        column k is the smoothed probability that an item's category-c bit
+        is b given that user u rates the item at level k."""
+        return self._likelihoods[u]
 
 
 class ItemAcceptanceModel:
     """Smoothed distribution of the ratings each item has received."""
 
-    def __init__(self, dists: list[tuple[float, ...]]):
+    def __init__(self, dists: list[RatingDistribution]):
         self._dists = dists
 
     def acceptance(self, i: int) -> RatingDistribution:
-        return RatingDistribution(self._dists[i])
+        return self._dists[i]
 
 
 class FriendConditionalTable:
@@ -191,9 +188,10 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                  ) -> tuple[UserPreferenceModel, ItemAcceptanceModel, FriendConditionalTable]:
     """Count-and-smooth all three factor models from training ratings.
 
-    Friend tables are counted once per unordered friend pair: one 6x6
-    co-rating count gives both the (u, v) and the (v, u) table.  Equal count
-    columns share one smoothed tuple.
+    Each user's level counts and per-category bit counts come from one pass
+    over the user's row.  Friend tables are counted once per unordered
+    friend pair: one 6x6 co-rating count gives both the (u, v) and the
+    (v, u) table.  Equal count columns share one smoothed tuple.
 
     Raises EmptyTrainingSetError when the training set has no ratings at all.
     """
@@ -212,24 +210,25 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                                           for n in counts)
         return column
 
+    item_categories: list[list[int]] = [[] for _ in range(ratings.n_items)]
+    for i, c in categories.members():
+        item_categories[i].append(c)
     priors = []
-    conditionals = []
+    likelihoods = []
     for u in range(ratings.n_users):
-        row = ratings.user_ratings(u)
         counts = [0] * N_LEVELS
-        for r in row.values():
+        bit_counts = [[0] * N_LEVELS for _ in range(categories.n_categories)]
+        for i, r in ratings.user_ratings(u).items():
             counts[r] += 1
+            for c in item_categories[i]:
+                bit_counts[c][r] += 1
         priors.append(smoothed(counts))
         per_category = []
-        for c in range(categories.n_categories):
-            bit_counts = [0] * N_LEVELS
-            for i, r in row.items():
-                if categories.bit(i, c):
-                    bit_counts[r] += 1
-            per_category.append(tuple((bit_counts[k] + alpha) / (counts[k] + 2 * alpha)
-                                      for k in RATING_LEVELS))
-        conditionals.append(per_category)
-    preference = UserPreferenceModel(priors, conditionals)
+        for ones in bit_counts:
+            present = tuple((ones[k] + alpha) / (counts[k] + 2 * alpha) for k in RATING_LEVELS)
+            per_category.append((tuple(1.0 - p for p in present), present))
+        likelihoods.append(per_category)
+    preference = UserPreferenceModel(priors, likelihoods)
 
     item_dists = []
     for i in range(ratings.n_items):
@@ -237,7 +236,7 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
         counts = [0] * N_LEVELS
         for r in column.values():
             counts[r] += 1
-        item_dists.append(smoothed(counts))
+        item_dists.append(RatingDistribution(smoothed(counts)))
     acceptance = ItemAcceptanceModel(item_dists)
 
     tables: dict[tuple[int, int], list[tuple[float, ...]]] = {}
@@ -260,46 +259,20 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     return preference, acceptance, friends
 
 
-def _rescaled(weights: list[float]) -> list[float]:
-    """Weights times the power of two that brings the largest into [0.5, 1);
-    exact, so the normalized distribution does not change."""
-    _, exponent = math.frexp(max(weights))
-    return [math.ldexp(w, -exponent) for w in weights]
+def _evidence(start, columns) -> RatingDistribution:
+    """Normalized per-level product of ``start`` and each column in order.
 
-
-def user_preference_prob(u: int, i: int, model: UserPreferenceModel,
-                         categories: ItemCategoryMatrix) -> RatingDistribution:
-    """Naive-Bayes posterior over u's rating level for an item with i's
-    category bits: prior times the per-category bit likelihoods, normalized."""
-    weights = list(model.prior(u))
-    for c in range(categories.n_categories):
-        if categories.bit(i, c):
-            weights = [w * model.attr_prob(u, c, k) for k, w in enumerate(weights)]
-        else:
-            weights = [w * (1.0 - model.attr_prob(u, c, k)) for k, w in enumerate(weights)]
-        if max(weights) < _RESCALE_BELOW:
-            weights = _rescaled(weights)
-    return RatingDistribution.from_weights(weights)
-
-
-def friend_inference_prob(u: int, i: int, tables: FriendConditionalTable,
-                          graph: RelationshipGraph, train: RatingMatrix,
-                          cfg: SnrsConfig = SnrsConfig()) -> RatingDistribution:
-    """Distribution over u's level implied by friends who rated item i.
-
-    Multiplies each such friend's conditional column at the friend's
-    observed rating, then normalizes; uniform when no friend rated i.
+    Whenever the largest weight falls below 2**-500, all six are scaled by
+    the power of two that brings it into [0.5, 1); the rescale is exact, so
+    the normalized distribution does not change.
     """
-    weights = [1.0] * N_LEVELS
-    raters = train.item_ratings(i)
-    for v, _strength in graph.friends_of(u, cfg.friend_min_strength):
-        rating_v = raters.get(v)
-        if rating_v is None:
-            continue
-        column = tables.column(u, v, rating_v)
+    weights = start
+    for column in columns:
         weights = [w * p for w, p in zip(weights, column)]
-        if max(weights) < _RESCALE_BELOW:
-            weights = _rescaled(weights)
+        top = max(weights)
+        if top < _RESCALE_BELOW:
+            _, exponent = math.frexp(top)
+            weights = [math.ldexp(w, -exponent) for w in weights]
     return RatingDistribution.from_weights(weights)
 
 
@@ -326,12 +299,24 @@ class SnrsPredictor:
 
     def components(self, u: int, i: int) -> tuple[RatingDistribution, RatingDistribution,
                                                   RatingDistribution]:
-        """The three factor distributions for one cell, before combination."""
+        """The three factor distributions for one cell, before combination.
+
+        User preference is the naive-Bayes posterior: u's prior times, for
+        each category in index order, the likelihood of item i's bit.
+        Friend inference multiplies, over the friends who rated i in
+        ``friends_of`` order, each friend's table column at that rating;
+        it is uniform when no friend rated i.
+        """
+        bit = self._categories.bit
+        raters = self._ratings.item_ratings(i)
+        friends = self._graph.friends_of(u, self.cfg.friend_min_strength)
         return (
-            user_preference_prob(u, i, self.preference, self._categories),
+            _evidence(self.preference.prior(u),
+                      [pair[bit(i, c)] for c, pair in enumerate(self.preference.likelihoods(u))]),
             self.acceptance.acceptance(i),
-            friend_inference_prob(u, i, self.friend_tables, self._graph,
-                                  self._ratings, self.cfg),
+            _evidence((1.0,) * N_LEVELS,
+                      [self.friend_tables.column(u, v, raters[v])
+                       for v, _strength in friends if v in raters]),
         )
 
     def rating_distribution(self, u: int, i: int) -> RatingDistribution:

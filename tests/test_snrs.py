@@ -15,10 +15,8 @@ from socialrec import (
     SnrsConfig,
     SnrsPredictor,
     combine,
-    friend_inference_prob,
     generate_dataset,
     learn_models,
-    user_preference_prob,
 )
 from socialrec.evaluate import SplitSpec, split
 from conftest import build_dataset
@@ -124,11 +122,14 @@ class TestLearnModels:
 
     def test_attribute_conditionals(self):
         preference, _, _ = learn_models(history_dataset())
-        assert preference.attr_prob(0, 0, 2) == pytest.approx(3 / 4)   # (2+1)/(2+2)
-        assert preference.attr_prob(0, 1, 2) == pytest.approx(1 / 4)   # (0+1)/(2+2)
-        assert preference.attr_prob(0, 0, 4) == pytest.approx(1 / 3)   # (0+1)/(1+2)
-        assert preference.attr_prob(0, 1, 4) == pytest.approx(2 / 3)   # (1+1)/(1+2)
-        assert preference.attr_prob(0, 0, 5) == pytest.approx(1 / 2)   # no level-5 items
+        (absent_0, present_0), (absent_1, present_1), *_ = preference.likelihoods(0)
+        assert present_0[2] == pytest.approx(3 / 4)   # (2+1)/(2+2)
+        assert present_1[2] == pytest.approx(1 / 4)   # (0+1)/(2+2)
+        assert present_0[4] == pytest.approx(1 / 3)   # (0+1)/(1+2)
+        assert present_1[4] == pytest.approx(2 / 3)   # (1+1)/(1+2)
+        assert present_0[5] == pytest.approx(1 / 2)   # no level-5 items
+        assert absent_0 == tuple(1.0 - p for p in present_0)
+        assert absent_1 == tuple(1.0 - p for p in present_1)
 
     def test_item_acceptance_counts(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
@@ -244,8 +245,7 @@ def brute_force_user_preference(dataset, u, i, alpha=1.0):
 class TestUserPreference:
     def test_hand_case_argmax_and_values(self):
         d = history_dataset()
-        preference, _, _ = learn_models(d)
-        dist = user_preference_prob(0, 3, preference, d.categories)
+        dist, _, _ = SnrsPredictor(d).components(0, 3)
         oracle = brute_force_user_preference(d, 0, 3)
         assert close(dist, oracle)
         assert max(range(6), key=lambda k: dist[k]) == 2
@@ -253,23 +253,23 @@ class TestUserPreference:
     def test_empty_history_uniform(self):
         d = build_dataset(2, 2, 3, cells={(0, 0): 3, (0, 1): 1},
                           members={(0, 0), (1, 2)})
-        preference, _, _ = learn_models(d)
-        assert close(user_preference_prob(1, 0, preference, d.categories), UNIFORM)
+        dist, _, _ = SnrsPredictor(d).components(1, 0)
+        assert close(dist, UNIFORM)
 
     def test_matches_oracle_on_generated_data(self):
         d = generate_dataset(GenConfig(n_users=12, n_items=6, n_categories=5,
                                        rng_seed=3))
-        preference, _, _ = learn_models(d)
+        predictor = SnrsPredictor(d)
         rng = random.Random(0)
         for _ in range(40):
             u, i = rng.randrange(12), rng.randrange(6)
-            dist = user_preference_prob(u, i, preference, d.categories)
+            dist, _, _ = predictor.components(u, i)
             assert close(dist, brute_force_user_preference(d, u, i))
 
     def test_sums_to_one(self, default_dataset):
-        preference, _, _ = learn_models(default_dataset)
+        predictor = SnrsPredictor(default_dataset)
         for u, i in [(0, 0), (5, 9), (99, 3)]:
-            dist = user_preference_prob(u, i, preference, default_dataset.categories)
+            dist, _, _ = predictor.components(u, i)
             assert abs(sum(dist) - 1.0) < 1e-9
 
 
@@ -282,30 +282,24 @@ class TestItemAcceptance:
 
 
 class TestFriendInference:
-    def friend_setup(self):
+    def test_no_friend_rated_uniform(self):
+        d = build_dataset(2, 2, 1, edges={(0, 1): 3}, cells={(0, 0): 1})
+        _, _, dist = SnrsPredictor(d).components(0, 1)
+        assert close(dist, UNIFORM)
+
+    def test_no_friends_at_all_uniform(self):
+        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (1, 1): 4})
+        _, _, dist = SnrsPredictor(d).components(0, 1)
+        assert close(dist, UNIFORM)
+
+    def test_single_friend_column(self):
         d = build_dataset(
             2, 4, 1,
             edges={(0, 1): 4},
             cells={(0, 0): 2, (0, 1): 2, (0, 2): 3,
                    (1, 0): 2, (1, 1): 2, (1, 2): 2, (1, 3): 2},
         )
-        _, _, tables = learn_models(d)
-        return d, tables
-
-    def test_no_friend_rated_uniform(self):
-        d = build_dataset(2, 2, 1, edges={(0, 1): 3}, cells={(0, 0): 1})
-        _, _, tables = learn_models(d)
-        dist = friend_inference_prob(0, 1, tables, d.graph, d.ratings)
-        assert close(dist, UNIFORM)
-
-    def test_no_friends_at_all_uniform(self):
-        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (1, 1): 4})
-        _, _, tables = learn_models(d)
-        assert close(friend_inference_prob(0, 1, tables, d.graph, d.ratings), UNIFORM)
-
-    def test_single_friend_column(self):
-        d, tables = self.friend_setup()
-        dist = friend_inference_prob(0, 3, tables, d.graph, d.ratings)
+        _, _, dist = SnrsPredictor(d).components(0, 3)
         assert close(dist, [1 / 9, 1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9])
 
     def test_uniform_friends_stay_uniform(self):
@@ -314,15 +308,13 @@ class TestFriendInference:
                           edges={(0, 1): 3, (0, 2): 5},
                           cells={(0, 0): 1, (1, 1): 4, (1, 2): 2,
                                  (2, 1): 0, (2, 2): 5})
-        _, _, tables = learn_models(d)
-        dist = friend_inference_prob(0, 1, tables, d.graph, d.ratings)
+        _, _, dist = SnrsPredictor(d).components(0, 1)
         assert close(dist, UNIFORM)
 
     def test_strength_gate(self):
         d = build_dataset(2, 2, 1, edges={(0, 1): 0},
                           cells={(0, 0): 2, (1, 0): 2, (1, 1): 5})
-        _, _, tables = learn_models(d)
-        dist = friend_inference_prob(0, 1, tables, d.graph, d.ratings)
+        _, _, dist = SnrsPredictor(d).components(0, 1)
         assert close(dist, UNIFORM)  # strength-0 edge is not friendship
 
 
@@ -457,15 +449,15 @@ class TestLongProducts:
     @pytest.mark.parametrize("n_friends", [300, 800, 2000])
     def test_many_friends(self, n_friends):
         d = self.star_dataset(n_friends)
-        _, _, tables = learn_models(d)
-        dist = friend_inference_prob(0, 0, tables, d.graph, d.ratings)
+        predictor = SnrsPredictor(d)
+        _, _, dist = predictor.components(0, 0)
         weights = [Fraction(1)] * 6
         for v in range(1, n_friends + 1):
             column = recount_friend_table(d, 0, v, Fraction(1))[d.ratings.get(v, 0)]
             weights = [w * p for w, p in zip(weights, column)]
         assert matches_exact(dist, [w / sum(weights) for w in weights])
         assert math.isclose(dist[1], dist[3], rel_tol=1e-12) and dist[1] > 0.49
-        assert 0.0 <= SnrsPredictor(d).predict(0, 0) <= 5.0
+        assert 0.0 <= predictor.predict(0, 0) <= 5.0
 
     @pytest.mark.parametrize("n_categories", [1100, 2000])
     def test_many_categories(self, n_categories):
@@ -475,10 +467,10 @@ class TestLongProducts:
         d = build_dataset(2, 3, n_categories, edges={(0, 1): 2},
                           cells={(0, 1): 2, (0, 2): 4, (1, 0): 3, (1, 1): 1},
                           members=members)
-        preference, _, _ = learn_models(d)
-        dist = user_preference_prob(0, 0, preference, d.categories)
+        predictor = SnrsPredictor(d)
+        dist, _, _ = predictor.components(0, 0)
         assert matches_exact(dist, brute_force_user_preference(d, 0, 0, Fraction(1)))
-        assert 0.0 <= SnrsPredictor(d).predict(0, 0) <= 5.0
+        assert 0.0 <= predictor.predict(0, 0) <= 5.0
 
     def test_vanished_evidence_is_typed(self):
         # With alpha 1e-20, P(C1 | level k) rounds to 1.0 at every level U1
