@@ -186,7 +186,7 @@ def _engine_configs(neighbor_k, co_rate_min, scope, alpha, min_strength, levels)
 @click.option("--out", required=True, type=click.Path(file_okay=False),
               help="Output dataset directory.")
 def gen(users, items, categories, edge_density, seed_fraction, fill_passes, seed, out):
-    """Generate a synthetic dataset and write its three CSV files."""
+    """Generate a synthetic dataset and write its four CSV files."""
     cfg = GenConfig(n_users=users, n_items=items, n_categories=categories,
                     edge_density=edge_density, seed_rating_fraction=seed_fraction,
                     fill_passes=fill_passes, rng_seed=seed)

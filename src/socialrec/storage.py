@@ -1,10 +1,11 @@
 """CSV persistence for datasets.
 
-A dataset directory holds three files:
+A dataset directory holds four files:
 
     relationships.csv   user_a,user_b,strength      one row per unordered pair
     ratings.csv         user,item,rating            absent cells have no row
     categories.csv      item,category               rows are the 1-memberships
+    shape.csv           n_users,n_items,n_categories   one row of counts
 
 All files are UTF-8 with LF line endings and display labels ("U1", "I5",
 "C3").  Saves are byte-deterministic: rows are sorted by index, so equal
@@ -33,11 +34,13 @@ from .model import (
 RELATIONSHIPS_FILE = "relationships.csv"
 RATINGS_FILE = "ratings.csv"
 CATEGORIES_FILE = "categories.csv"
+SHAPE_FILE = "shape.csv"
 
 _HEADERS = {
     RELATIONSHIPS_FILE: ["user_a", "user_b", "strength"],
     RATINGS_FILE: ["user", "item", "rating"],
     CATEGORIES_FILE: ["item", "category"],
+    SHAPE_FILE: ["n_users", "n_items", "n_categories"],
 }
 
 
@@ -61,7 +64,7 @@ class DatasetValidationError(SocialRecError):
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the three CSV files for a valid dataset into ``path``.
+    """Write the four CSV files for a valid dataset into ``path``.
 
     The directory is created if needed.  Raises ValueError if the dataset
     fails validation (save never persists a broken dataset).
@@ -90,6 +93,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         (RELATIONSHIPS_FILE, edge_rows),
         (RATINGS_FILE, rating_rows),
         (CATEGORIES_FILE, category_rows),
+        (SHAPE_FILE, [[str(dataset.n_users), str(dataset.n_items), str(dataset.n_categories)]]),
     ]:
         with open(directory / name, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -102,10 +106,10 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
                  n_categories: int | None = None) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    Dimensions default to one past the highest index mentioned in any file;
-    pass them explicitly when trailing users/items/categories appear in no
-    row (an all-zero final category column, for instance, is otherwise
-    indistinguishable from a dataset with one fewer category).
+    Dimensions come from ``shape.csv``.  A directory without that file gets
+    one past the highest index mentioned in any file, so trailing
+    users/items/categories that appear in no row are lost unless passed
+    explicitly.  Explicit arguments always win.
 
     Raises DataFormatError for a missing file, a file that is not UTF-8 or
     a malformed row (with file and line number) and DatasetValidationError
@@ -118,19 +122,16 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     cells = _read_ratings(directory)
     members = _read_categories(directory)
 
-    max_user = max(
-        [x for pair in edges for x in pair] + [u for u, _ in cells],
-        default=-1,
-    )
-    max_item = max(
-        [i for _, i in cells] + [i for i, _ in members],
-        default=-1,
-    )
-    max_category = max([c for _, c in members], default=-1)
-
-    n_users = n_users if n_users is not None else max_user + 1
-    n_items = n_items if n_items is not None else max_item + 1
-    n_categories = n_categories if n_categories is not None else max_category + 1
+    shape = _read_shape(directory)
+    if shape is None:
+        shape = (
+            1 + max([x for pair in edges for x in pair] + [u for u, _ in cells], default=-1),
+            1 + max([i for _, i in cells] + [i for i, _ in members], default=-1),
+            1 + max([c for _, c in members], default=-1),
+        )
+    n_users = n_users if n_users is not None else shape[0]
+    n_items = n_items if n_items is not None else shape[1]
+    n_categories = n_categories if n_categories is not None else shape[2]
 
     dataset = Dataset(
         graph=RelationshipGraph(n_users, edges),
@@ -249,3 +250,25 @@ def _read_categories(directory: Path) -> list[tuple[int, int]]:
                 f"(first on line {members[key]})")
         members[key] = line
     return list(members)
+
+
+def _read_shape(directory: Path) -> tuple[int, int, int] | None:
+    """(n_users, n_items, n_categories) from the shape file, or None without one."""
+    name = SHAPE_FILE
+    if not (directory / name).is_file():
+        return None
+    rows = _read_rows(directory, name)
+    if len(rows) != 1:
+        line = rows[1][0] if rows else 2
+        raise DataFormatError(name, line, f"expected one row of counts, got {len(rows)}")
+    line, fields = rows[0]
+    counts = []
+    for what, token in zip(_HEADERS[name], fields):
+        try:
+            count = int(token)
+        except ValueError:
+            raise DataFormatError(name, line, f"{what} {token!r} is not an integer") from None
+        if count < 0:
+            raise DataFormatError(name, line, f"{what} {count} is negative")
+        counts.append(count)
+    return tuple(counts)

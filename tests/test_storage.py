@@ -9,11 +9,14 @@ from socialrec import (
     GenConfig,
     generate_dataset,
     load_dataset,
+    run_comparison,
     save_dataset,
 )
+from socialrec.evaluate import SplitSpec
 from conftest import build_dataset
+from test_golden import DENSE_SHAPE
 
-FILES = ["relationships.csv", "ratings.csv", "categories.csv"]
+FILES = ["relationships.csv", "ratings.csv", "categories.csv", "shape.csv"]
 
 
 def read_all(directory):
@@ -45,11 +48,38 @@ class TestRoundTrip:
         assert loaded.ratings.n_rated == 1000
 
     def test_sparse_with_explicit_dims(self, tmp_path):
-        # the last user/item/category appear in no file, so dims must be given
         d = build_dataset(4, 3, 2, edges={(0, 1): 2}, cells={(0, 0): 3})
         save_dataset(d, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d", n_users=4, n_items=3, n_categories=2)
         assert loaded == d
+
+    def test_shape_file_keeps_dims_in_no_row(self, tmp_path):
+        # the last user/item/category appear in no row; shape.csv keeps them
+        d = build_dataset(4, 3, 2, edges={(0, 1): 2}, cells={(0, 0): 3})
+        save_dataset(d, tmp_path / "d")
+        assert (tmp_path / "d" / "shape.csv").read_text() == \
+            "n_users,n_items,n_categories\n4,3,2\n"
+        assert load_dataset(tmp_path / "d") == d
+
+    def test_explicit_dims_win_over_shape_file(self, tmp_path):
+        save_dataset(build_dataset(2, 1, 1, cells={(0, 0): 3}), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d", n_users=5, n_categories=3)
+        assert (loaded.n_users, loaded.n_items, loaded.n_categories) == (5, 1, 3)
+
+    @pytest.mark.parametrize("shape, seed", [*[("default", s) for s in range(10)],
+                                             *[("dense", s) for s in range(10)],
+                                             ("default", 61007)])
+    def test_generated_datasets_and_comparisons(self, shape, seed, tmp_path):
+        # seed 61007 puts no item in C10; without shape.csv it reloads with 9
+        if shape == "default":
+            d, spec = generate_dataset(GenConfig(rng_seed=seed)), SplitSpec()
+        else:
+            d = generate_dataset(GenConfig(rng_seed=seed, **DENSE_SHAPE))
+            spec = SplitSpec(tuple(range(60, 120)), tuple(range(8)))
+        save_dataset(d, tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        assert loaded == d
+        assert run_comparison(loaded, spec) == run_comparison(d, spec)
 
     def test_inferred_dims_cover_mentioned_indices(self, tmp_path):
         d = build_dataset(3, 2, 1, edges={(0, 2): 1}, cells={(1, 1): 4},
@@ -84,6 +114,8 @@ class TestSaveDeterminism:
         assert (tmp_path / "d" / "relationships.csv").read_text() == "user_a,user_b,strength\n"
         assert (tmp_path / "d" / "ratings.csv").read_text() == "user,item,rating\n"
         assert (tmp_path / "d" / "categories.csv").read_text() == "item,category\n"
+        assert (tmp_path / "d" / "shape.csv").read_text() == \
+            "n_users,n_items,n_categories\n0,0,0\n"
 
     def test_refuses_invalid(self, tmp_path):
         bad = build_dataset(3, 1, 1, edges={(0, 1): 9})
@@ -184,6 +216,23 @@ class TestLoadErrors:
         assert err.value.file == "ratings.csv"
         assert err.value.line == 3
         assert "field limit" in err.value.reason
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("n_users,n_items,n_categories\n4,3,x\n", 2, "n_categories 'x' is not an integer"),
+        ("n_users,n_items,n_categories\n4,-1,2\n", 2, "n_items -1 is negative"),
+        ("n_users,n_items,n_categories\n4,3\n", 2, "expected 3 fields, got 2"),
+        ("n_users,n_items,n_categories\n", 2, "expected one row of counts, got 0"),
+        ("n_users,n_items,n_categories\n4,3,2\n4,3,2\n", 3,
+         "expected one row of counts, got 2"),
+        ("n_users,n_items\n4,3\n", 1, "expected header"),
+    ])
+    def test_malformed_shape_file_names_line(self, text, line, reason, tmp_path):
+        directory = write_dir(tmp_path / "d")
+        (directory / "shape.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(directory)
+        assert (err.value.file, err.value.line) == ("shape.csv", line)
+        assert err.value.reason.startswith(reason)
 
     def test_explicit_dims_smaller_than_data_fail_validation(self, tmp_path):
         d = build_dataset(4, 2, 1, cells={(3, 0): 2, (0, 1): 1})
