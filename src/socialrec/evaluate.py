@@ -176,6 +176,23 @@ def evaluate_method(dataset: Dataset, spec: SplitSpec, method: str,
     flagged rather than silently blended in.
     """
     train, test = split(dataset, spec)
+    return _train_and_score(method, train, test, cf_cfg, snrs_cfg)
+
+
+def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
+                   cf_cfg: CfConfig = CfConfig(),
+                   snrs_cfg: SnrsConfig = SnrsConfig(),
+                   ) -> tuple[EvaluationReport, EvaluationReport]:
+    """Score both engines on one train/test split, cf first."""
+    train, test = split(dataset, spec)
+    return (
+        _train_and_score(METHOD_CF, train, test, cf_cfg, snrs_cfg),
+        _train_and_score(METHOD_SNRS, train, test, cf_cfg, snrs_cfg),
+    )
+
+
+def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int]],
+                     cf_cfg: CfConfig, snrs_cfg: SnrsConfig) -> EvaluationReport:
     predictor = train_predictor(method, train, cf_cfg, snrs_cfg)
     records = []
     for u, i, actual in test:
@@ -183,17 +200,6 @@ def evaluate_method(dataset: Dataset, spec: SplitSpec, method: str,
         records.append(CellRecord(u, i, actual, prediction.value,
                                   round_rating(prediction.value), prediction.fallback))
     return EvaluationReport.from_records(method, records)
-
-
-def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
-                   cf_cfg: CfConfig = CfConfig(),
-                   snrs_cfg: SnrsConfig = SnrsConfig(),
-                   ) -> tuple[EvaluationReport, EvaluationReport]:
-    """Score both engines on the same train/test split."""
-    return (
-        evaluate_method(dataset, spec, METHOD_CF, cf_cfg, snrs_cfg),
-        evaluate_method(dataset, spec, METHOD_SNRS, cf_cfg, snrs_cfg),
-    )
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

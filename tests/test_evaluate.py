@@ -14,6 +14,7 @@ from socialrec import (
     write_detail_csv,
     write_summary_csv,
 )
+from socialrec import evaluate
 from socialrec.evaluate import CellRecord, SECOND_HALF_ITEMS
 from conftest import build_dataset, constant_dataset
 import reference_grids as grids
@@ -157,6 +158,15 @@ class TestRunComparison:
         first = run_comparison(default_dataset)
         second = run_comparison(default_dataset)
         assert first == second
+
+    def test_splits_once_and_matches_evaluate_method(self, default_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "split",
+                            lambda *args: calls.append(args) or split(*args))
+        reports = run_comparison(default_dataset)
+        assert len(calls) == 1
+        assert reports == tuple(evaluate_method(default_dataset, SplitSpec(), method)
+                                for method in ("cf", "snrs"))
 
     def test_methods_labelled(self, default_dataset):
         cf_report, snrs_report = run_comparison(default_dataset)
