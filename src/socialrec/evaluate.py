@@ -185,10 +185,9 @@ def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
                    ) -> tuple[EvaluationReport, EvaluationReport]:
     """Score both engines on one train/test split, cf first."""
     train, test = split(dataset, spec)
-    return (
-        _train_and_score(METHOD_CF, train, test, cf_cfg, snrs_cfg),
-        _train_and_score(METHOD_SNRS, train, test, cf_cfg, snrs_cfg),
-    )
+    cf_report, snrs_report = (_train_and_score(method, train, test, cf_cfg, snrs_cfg)
+                              for method in (METHOD_CF, METHOD_SNRS))
+    return cf_report, snrs_report
 
 
 def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int]],

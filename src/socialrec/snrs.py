@@ -129,33 +129,24 @@ class SnrsConfig:
         object.__setattr__(self, "prediction_levels", levels)
 
 
+@dataclass(frozen=True)
 class UserPreferenceModel:
-    """Per-user rating priors and per-category bit likelihoods."""
+    """Per-user rating priors and per-category bit likelihoods.
 
-    def __init__(self, priors: list[tuple[float, ...]],
-                 likelihoods: list[list[tuple[tuple[float, ...], tuple[float, ...]]]]):
-        self._priors = priors
-        self._likelihoods = likelihoods
+    ``priors[u]`` is user u's smoothed distribution over rating levels.
+    ``likelihoods[u][c][b][k]`` is the smoothed probability that an item's
+    category-c bit is b given that user u rates the item at level k.
+    """
 
-    def prior(self, u: int) -> tuple[float, ...]:
-        """User u's smoothed distribution over rating levels."""
-        return self._priors[u]
-
-    def likelihoods(self, u: int) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-        """Per category c, in index order, the column pair indexed by bit b:
-        column k is the smoothed probability that an item's category-c bit
-        is b given that user u rates the item at level k."""
-        return self._likelihoods[u]
+    priors: list[tuple[float, ...]]
+    likelihoods: list[list[tuple[tuple[float, ...], tuple[float, ...]]]]
 
 
+@dataclass(frozen=True)
 class ItemAcceptanceModel:
-    """Smoothed distribution of the ratings each item has received."""
+    """``dists[i]`` is the smoothed distribution of the ratings item i received."""
 
-    def __init__(self, dists: list[RatingDistribution]):
-        self._dists = dists
-
-    def acceptance(self, i: int) -> RatingDistribution:
-        return self._dists[i]
+    dists: list[RatingDistribution]
 
 
 class FriendConditionalTable:
@@ -188,8 +179,8 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                  ) -> tuple[UserPreferenceModel, ItemAcceptanceModel, FriendConditionalTable]:
     """Count-and-smooth all three factor models from training ratings.
 
-    Each user's level counts and per-category bit counts come from one pass
-    over the user's row.  Friend tables are counted once per unordered
+    User priors, per-category bit counts and item acceptance counts come
+    from one pass over each user's row.  Friend tables are counted once per unordered
     friend pair: one 6x6 co-rating count gives both the (u, v) and the
     (v, u) table.  Equal count columns share one smoothed tuple.
 
@@ -213,6 +204,7 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     item_categories: list[list[int]] = [[] for _ in range(ratings.n_items)]
     for i, c in categories.members():
         item_categories[i].append(c)
+    item_counts = [[0] * N_LEVELS for _ in range(ratings.n_items)]
     priors = []
     likelihoods = []
     for u in range(ratings.n_users):
@@ -220,6 +212,7 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
         bit_counts = [[0] * N_LEVELS for _ in range(categories.n_categories)]
         for i, r in ratings.user_ratings(u).items():
             counts[r] += 1
+            item_counts[i][r] += 1
             for c in item_categories[i]:
                 bit_counts[c][r] += 1
         priors.append(smoothed(counts))
@@ -229,15 +222,8 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
             per_category.append((tuple(1.0 - p for p in present), present))
         likelihoods.append(per_category)
     preference = UserPreferenceModel(priors, likelihoods)
-
-    item_dists = []
-    for i in range(ratings.n_items):
-        column = ratings.item_ratings(i)
-        counts = [0] * N_LEVELS
-        for r in column.values():
-            counts[r] += 1
-        item_dists.append(RatingDistribution(smoothed(counts)))
-    acceptance = ItemAcceptanceModel(item_dists)
+    acceptance = ItemAcceptanceModel([RatingDistribution(smoothed(counts))
+                                      for counts in item_counts])
 
     tables: dict[tuple[int, int], list[tuple[float, ...]]] = {}
     for u in range(ratings.n_users):
@@ -259,7 +245,8 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     return preference, acceptance, friends
 
 
-def _evidence(start, columns) -> RatingDistribution:
+def _evidence(start: tuple[float, ...],
+              columns: list[tuple[float, ...]]) -> RatingDistribution:
     """Normalized per-level product of ``start`` and each column in order.
 
     Whenever the largest weight falls below 2**-500, all six are scaled by
@@ -299,21 +286,17 @@ class SnrsPredictor:
 
     def components(self, u: int, i: int) -> tuple[RatingDistribution, RatingDistribution,
                                                   RatingDistribution]:
-        """The three factor distributions for one cell, before combination.
-
-        User preference is the naive-Bayes posterior: u's prior times, for
-        each category in index order, the likelihood of item i's bit.
-        Friend inference multiplies, over the friends who rated i in
-        ``friends_of`` order, each friend's table column at that rating;
-        it is uniform when no friend rated i.
-        """
+        """The three factor distributions for one cell, before combination:
+        u's prior times item i's bit likelihood per category in index order,
+        i's acceptance, and the table columns of the friends who rated i in
+        ``friends_of`` order (uniform when no friend rated i)."""
         bit = self._categories.bit
         raters = self._ratings.item_ratings(i)
         friends = self._graph.friends_of(u, self.cfg.friend_min_strength)
         return (
-            _evidence(self.preference.prior(u),
-                      [pair[bit(i, c)] for c, pair in enumerate(self.preference.likelihoods(u))]),
-            self.acceptance.acceptance(i),
+            _evidence(self.preference.priors[u],
+                      [pair[bit(i, c)] for c, pair in enumerate(self.preference.likelihoods[u])]),
+            self.acceptance.dists[i],
             _evidence((1.0,) * N_LEVELS,
                       [self.friend_tables.column(u, v, raters[v])
                        for v, _strength in friends if v in raters]),

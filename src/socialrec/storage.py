@@ -259,8 +259,8 @@ def _read_shape(directory: Path) -> tuple[int, int, int] | None:
         return None
     rows = _read_rows(directory, name)
     if len(rows) != 1:
-        line = rows[1][0] if rows else 2
-        raise DataFormatError(name, line, f"expected one row of counts, got {len(rows)}")
+        raise DataFormatError(name, rows[1][0] if rows else 2,
+                              f"expected one row of counts, got {len(rows)}")
     line, fields = rows[0]
     counts = []
     for what, token in zip(_HEADERS[name], fields):

@@ -112,17 +112,17 @@ class TestLearnModels:
     def test_user_prior_counts(self):
         d = build_dataset(1, 3, 1, cells={(0, 0): 2, (0, 1): 2, (0, 2): 4})
         preference, _, _ = learn_models(d)
-        prior = preference.prior(0)
+        prior = preference.priors[0]
         assert close(prior, [1 / 9, 1 / 9, 3 / 9, 1 / 9, 2 / 9, 1 / 9])
 
     def test_unrated_user_uniform_prior(self):
         d = build_dataset(2, 2, 1, cells={(0, 0): 3, (0, 1): 1})
         preference, _, _ = learn_models(d)
-        assert close(preference.prior(1), UNIFORM)
+        assert close(preference.priors[1], UNIFORM)
 
     def test_attribute_conditionals(self):
         preference, _, _ = learn_models(history_dataset())
-        (absent_0, present_0), (absent_1, present_1), *_ = preference.likelihoods(0)
+        (absent_0, present_0), (absent_1, present_1), *_ = preference.likelihoods[0]
         assert present_0[2] == pytest.approx(3 / 4)   # (2+1)/(2+2)
         assert present_1[2] == pytest.approx(1 / 4)   # (0+1)/(2+2)
         assert present_0[4] == pytest.approx(1 / 3)   # (0+1)/(1+2)
@@ -134,12 +134,12 @@ class TestLearnModels:
     def test_item_acceptance_counts(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
         _, acceptance, _ = learn_models(d)
-        assert close(acceptance.acceptance(0), [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
+        assert close(acceptance.dists[0], [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
 
     def test_unrated_item_uniform(self):
         d = build_dataset(1, 2, 1, cells={(0, 0): 3})
         _, acceptance, _ = learn_models(d)
-        assert close(acceptance.acceptance(1), UNIFORM)
+        assert close(acceptance.dists[1], UNIFORM)
 
     def test_friend_table_hand_case(self):
         # co-rated levels (u, v): (2,2), (2,2), (3,2); column at j=2
@@ -277,7 +277,7 @@ class TestItemAcceptance:
     def test_is_the_smoothed_item_distribution(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
         _, acceptance, _ = learn_models(d)
-        dist = acceptance.acceptance(0)
+        dist = acceptance.dists[0]
         assert close(dist, [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
 
 
