@@ -180,9 +180,9 @@ def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
     """Count-and-smooth all three factor models from training ratings.
 
     User priors, per-category bit counts and item acceptance counts come
-    from one pass over each user's row.  Friend tables are counted once per unordered
-    friend pair: one 6x6 co-rating count gives both the (u, v) and the
-    (v, u) table.  Equal count columns share one smoothed tuple.
+    from one pass over each user's row.  Friend tables are counted once per
+    unordered friend pair: one 6x6 co-rating count gives both the (u, v)
+    and the (v, u) table.  Equal count columns share one smoothed tuple.
 
     Raises EmptyTrainingSetError when the training set has no ratings at all.
     """
