@@ -291,11 +291,12 @@ class SnrsPredictor:
         i's acceptance, and the table columns of the friends who rated i in
         ``friends_of`` order (uniform when no friend rated i)."""
         bit = self._categories.bit
+        likelihoods = self.preference.likelihoods[u]
         raters = self._ratings.item_ratings(i)
         friends = self._graph.friends_of(u, self.cfg.friend_min_strength)
         return (
             _evidence(self.preference.priors[u],
-                      [pair[bit(i, c)] for c, pair in enumerate(self.preference.likelihoods[u])]),
+                      [pair[bit(i, c)] for c, pair in enumerate(likelihoods)]),
             self.acceptance.dists[i],
             _evidence((1.0,) * N_LEVELS,
                       [self.friend_tables.column(u, v, raters[v])
