@@ -11,7 +11,7 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from socialrec import GenConfig, SnrsPredictor, generate_dataset, save_dataset
+from socialrec import GenConfig, SnrsConfig, SnrsPredictor, generate_dataset, save_dataset
 from socialrec.cli import main
 from conftest import build_dataset
 
@@ -72,6 +72,15 @@ COMPARE_SHAPE_DIGESTS = {
 # default dataset and of the seed-0 DENSE_SHAPE dataset, each trained on
 # itself.  repr would round to 4 places and hide a changed last bit.
 SNRS_FACTORS_DIGEST = "82b1ba5515c019ea86cd5134afcdb427d834208b124fe81c901c4f5546a7672a"
+
+# float.hex() of SnrsPredictor(dataset, cfg).predict(u, i) for every cell of
+# the seed-0 DENSE_SHAPE dataset, trained on itself, under non-default
+# configs: half smoothing, the friendship gate at 0 (strength-0 edges count)
+# and at 3, and the expectation restricted to levels 1..5.
+SNRS_CONFIG_PREDICT_DIGEST = "5e4753d087c626654cdac7a2a28c11eb2e494e5ad8014636e2f6a29809669827"
+SNRS_PIN_CONFIGS = [SnrsConfig(laplace_alpha=0.5, friend_min_strength=strength,
+                               prediction_levels=(1, 2, 3, 4, 5))
+                    for strength in (0, 3)]
 
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
@@ -184,6 +193,17 @@ def test_snrs_factor_bits():
                 for dist in predictor.components(u, i):
                     digest.update(" ".join(p.hex() for p in dist).encode() + b"\n")
     assert digest.hexdigest() == SNRS_FACTORS_DIGEST
+
+
+def test_snrs_predict_bits_non_default_configs():
+    dataset = generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))
+    digest = hashlib.sha256()
+    for cfg in SNRS_PIN_CONFIGS:
+        predictor = SnrsPredictor(dataset, cfg)
+        for u in range(dataset.n_users):
+            digest.update(" ".join(predictor.predict(u, i).hex()
+                                   for i in range(dataset.n_items)).encode() + b"\n")
+    assert digest.hexdigest() == SNRS_CONFIG_PREDICT_DIGEST
 
 
 @pytest.mark.parametrize("path, seed", [(path, seed) for path in sorted(GEN_PATH_DIGESTS)
