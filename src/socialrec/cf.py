@@ -246,3 +246,7 @@ class CfPredictor:
                                      f"the dataset has no other ratings to average")
             return Prediction(self._global_mean, "global-mean")
         return _predict(u, i, self._ratings, self._cache, self.cfg, self._graph)
+
+    def predict_many(self, cells) -> list[Prediction]:
+        """predict_detailed for each (user, item) cell, in order."""
+        return [self.predict_detailed(u, i) for u, i in cells]

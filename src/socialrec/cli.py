@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure (bad data, missing test cell),
 2 usage error (bad flags, unknown labels).
 """
 
+import math
 from pathlib import Path
 
 import click
@@ -78,6 +79,16 @@ def main(ctx, config):
     if config:
         defaults = _read_config_file(config)
         ctx.default_map = {command: defaults for command in _COMMANDS}
+
+
+class _FiniteFloatRange(click.FloatRange):
+    """A float flag within a range that also rejects inf and nan."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
 
 
 def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
@@ -155,7 +166,7 @@ def _cf_options(func):
 
 
 def _snrs_options(func):
-    func = click.option("--alpha", type=click.FloatRange(min=0, min_open=True),
+    func = click.option("--alpha", type=_FiniteFloatRange(min=0, min_open=True),
                         default=1.0, show_default=True,
                         help="Laplace smoothing pseudo-count.")(func)
     func = click.option("--min-strength", type=click.IntRange(min=0), default=1,
@@ -167,9 +178,13 @@ def _snrs_options(func):
 
 
 def _engine_configs(neighbor_k, co_rate_min, scope, alpha, min_strength, levels):
-    cf_cfg = CfConfig(neighbor_k=neighbor_k, co_rate_min=co_rate_min, neighbor_scope=scope)
-    snrs_cfg = SnrsConfig(laplace_alpha=alpha, friend_min_strength=min_strength,
-                          prediction_levels=_parse_levels(levels))
+    levels = _parse_levels(levels)
+    try:
+        cf_cfg = CfConfig(neighbor_k=neighbor_k, co_rate_min=co_rate_min, neighbor_scope=scope)
+        snrs_cfg = SnrsConfig(laplace_alpha=alpha, friend_min_strength=min_strength,
+                              prediction_levels=levels)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     return cf_cfg, snrs_cfg
 
 
@@ -177,9 +192,9 @@ def _engine_configs(neighbor_k, co_rate_min, scope, alpha, min_strength, levels)
 @click.option("--users", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--items", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--categories", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--edge-density", type=click.FloatRange(0, 1, min_open=True), default=0.1,
+@click.option("--edge-density", type=_FiniteFloatRange(0, 1, min_open=True), default=0.1,
               show_default=True, help="Fraction of user pairs that get an edge.")
-@click.option("--seed-fraction", type=click.FloatRange(0, 1, min_open=True), default=0.2,
+@click.option("--seed-fraction", type=_FiniteFloatRange(0, 1, min_open=True), default=0.2,
               show_default=True, help="Fraction of rating cells seeded before propagation.")
 @click.option("--fill-passes", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)

@@ -192,13 +192,11 @@ def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
 
 def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int]],
                      cf_cfg: CfConfig, snrs_cfg: SnrsConfig) -> EvaluationReport:
-    predictor = train_predictor(method, train, cf_cfg, snrs_cfg)
-    records = []
-    for u, i, actual in test:
-        prediction = predictor.predict_detailed(u, i)
-        records.append(CellRecord(u, i, actual, prediction.value,
-                                  round_rating(prediction.value), prediction.fallback))
-    return EvaluationReport.from_records(method, records)
+    predictions = train_predictor(method, train, cf_cfg, snrs_cfg).predict_many(
+        [(u, i) for u, i, _ in test])
+    return EvaluationReport.from_records(method, (
+        CellRecord(u, i, actual, p.value, round_rating(p.value), p.fallback)
+        for (u, i, actual), p in zip(test, predictions)))
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

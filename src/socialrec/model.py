@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 RATING_MIN = 0
 RATING_MAX = 5
 RATING_LEVELS = tuple(range(RATING_MIN, RATING_MAX + 1))
@@ -140,6 +142,7 @@ class RatingMatrix:
         self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
         self._lines: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]],
                            dict[int, float]] | None = None
+        self._dense: np.ndarray | None = None
 
     def get(self, user: int, item: int) -> int | None:
         return self._cells.get((user, item))
@@ -161,6 +164,18 @@ class RatingMatrix:
             means = {u: sum(row.values()) / len(row) for u, row in rows.items()}
             self._lines = rows, cols, means
         return self._lines
+
+    def dense(self) -> np.ndarray:
+        """Read-only int8 users x items array of the ratings, -1 where
+        unrated; built once on first use."""
+        if self._dense is None:
+            dense = np.full((self.n_users, self.n_items), -1, dtype=np.int8)
+            if self._cells:
+                users, items = np.array(list(self._cells), dtype=np.intp).T
+                dense[users, items] = list(self._cells.values())
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
     def user_ratings(self, user: int) -> dict[int, int]:
         """item -> rating map for one user; treat as read-only (cached)."""
@@ -213,9 +228,22 @@ class ItemCategoryMatrix:
         self.n_items = n_items
         self.n_categories = n_categories
         self._members: set[tuple[int, int]] = set(members)
+        self._dense: np.ndarray | None = None
 
     def bit(self, item: int, category: int) -> int:
         return 1 if (item, category) in self._members else 0
+
+    def dense(self) -> np.ndarray:
+        """Read-only int8 items x categories array of the bits; built once on
+        first use."""
+        if self._dense is None:
+            dense = np.zeros((self.n_items, self.n_categories), dtype=np.int8)
+            if self._members:
+                items, categories = np.array(list(self._members), dtype=np.intp).T
+                dense[items, categories] = 1
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
     def members(self) -> Iterator[tuple[int, int]]:
         """All (item, category) pairs with membership 1, in index order."""

@@ -17,14 +17,22 @@ so its six level weights are rescaled by a power of two whenever the
 largest falls below 2**-500; the rescale is exact and leaves every
 normalized result unchanged.  The final prediction is the expectation of
 the combined distribution.
+
+Models are numpy arrays, and a batch of cells is predicted at once: each
+product steps through its factors in a fixed order for all cells together,
+and every sum runs left to right, so a cell's result has the same bits
+whatever batch it is in.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     Dataset,
     Prediction,
+    RelationshipGraph,
     SocialRecError,
     N_LEVELS,
     RATING_LEVELS,
@@ -32,6 +40,8 @@ from .model import (
 
 _SUM_TOLERANCE = 1e-9
 _RESCALE_BELOW = 2.0 ** -500
+# Entries of one block of the friend co-rating count: edges x (items + 36).
+_BLOCK_CELLS = 2 ** 16
 
 
 class DegenerateEvidenceError(SocialRecError, ValueError):
@@ -45,8 +55,8 @@ class EmptyTrainingSetError(SocialRecError, ValueError):
 class RatingDistribution:
     """Probability vector over the six rating levels 0..5.
 
-    Entries are non-negative and sum to 1 (within 1e-9), enforced at
-    construction.  Instances are immutable.
+    Entries are finite, non-negative and sum to 1 (within 1e-9), enforced
+    at construction.  Instances are immutable.
     """
 
     __slots__ = ("probs",)
@@ -55,9 +65,11 @@ class RatingDistribution:
         probs = tuple(float(p) for p in probs)
         if len(probs) != N_LEVELS:
             raise ValueError(f"need {N_LEVELS} probabilities, got {len(probs)}")
+        if not all(math.isfinite(p) for p in probs):
+            raise ValueError(f"non-finite probability in {probs}")
         if any(p < 0 for p in probs):
             raise ValueError(f"negative probability in {probs}")
-        if abs(sum(probs) - 1.0) > _SUM_TOLERANCE:
+        if not abs(sum(probs) - 1.0) <= _SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
@@ -67,12 +79,7 @@ class RatingDistribution:
     @classmethod
     def from_weights(cls, weights) -> "RatingDistribution":
         """Normalize non-negative weights; DegenerateEvidenceError if all are 0."""
-        weights = [float(w) for w in weights]
-        total = sum(weights)
-        if total <= 0:
-            raise DegenerateEvidenceError(f"evidence vanished at every level "
-                                          f"(weights sum to {total})")
-        return cls(w / total for w in weights)
+        return cls(_normalise(np.array([[float(w) for w in weights]]))[0])
 
     @classmethod
     def uniform(cls) -> "RatingDistribution":
@@ -102,11 +109,51 @@ class RatingDistribution:
         The restricted distribution is renormalized first, matching a
         weighted mean sum(p_k * k) / sum(p_k) over the kept levels.
         """
-        mass = sum(self.probs[k] for k in levels)
-        if mass <= 0:
+        return float(_expected_levels(np.array([self.probs]), levels)[0])
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0 as the built-in sum adds."""
+    total = np.zeros(len(rows))
+    for column in rows.T:
+        total = total + column
+    return total
+
+
+def _normalise(weights: np.ndarray) -> np.ndarray:
+    """Each row of non-negative weights divided by its sum.
+
+    The first row whose weights sum to 0 raises DegenerateEvidenceError; the
+    first row that fails a RatingDistribution check raises its ValueError.
+    """
+    with np.errstate(all="ignore"):
+        total = _row_sum(weights)
+        vanished = total <= 0
+        if vanished.any():
             raise DegenerateEvidenceError(
-                f"no probability mass on prediction levels {levels}")
-        return sum(self.probs[k] * k for k in levels) / mass
+                f"evidence vanished at every level "
+                f"(weights sum to {float(total[vanished.argmax()])})")
+        probs = weights / total[:, None]
+        invalid = (~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1)
+                   | ~(np.abs(_row_sum(probs) - 1.0) <= _SUM_TOLERANCE))
+    if invalid.any():
+        RatingDistribution(probs[invalid.argmax()])
+    return probs
+
+
+def _expected_levels(probs: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+    """Each row's expectation restricted to ``levels``, as expected_level."""
+    kept = probs[:, np.array(levels, dtype=np.intp)]
+    mass = _row_sum(kept)
+    if (mass <= 0).any():
+        raise DegenerateEvidenceError(
+            f"no probability mass on prediction levels {levels}")
+    return _row_sum(kept * np.array(levels, dtype=np.float64)) / mass
+
+
+def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Laplace-smoothed distributions of each row of integer level counts."""
+    return (counts + alpha) / (_row_sum(counts) + N_LEVELS * alpha)[:, None]
 
 
 @dataclass(frozen=True)
@@ -116,8 +163,9 @@ class SnrsConfig:
     prediction_levels: tuple[int, ...] = RATING_LEVELS
 
     def __post_init__(self):
-        if not self.laplace_alpha > 0:
-            raise ValueError("laplace_alpha must be > 0")
+        if not (self.laplace_alpha > 0 and math.isfinite(N_LEVELS * self.laplace_alpha)):
+            raise ValueError(f"laplace_alpha must be > 0 and {N_LEVELS} * laplace_alpha "
+                             f"finite, got {self.laplace_alpha!r}")
         if self.friend_min_strength < 0:
             raise ValueError("friend_min_strength must be >= 0")
         levels = tuple(self.prediction_levels)
@@ -129,138 +177,156 @@ class SnrsConfig:
         object.__setattr__(self, "prediction_levels", levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserPreferenceModel:
     """Per-user rating priors and per-category bit likelihoods.
 
     ``priors[u]`` is user u's smoothed distribution over rating levels.
-    ``likelihoods[u][c][b][k]`` is the smoothed probability that an item's
+    ``likelihoods[u, c, b, k]`` is the smoothed probability that an item's
     category-c bit is b given that user u rates the item at level k.
     """
 
-    priors: list[tuple[float, ...]]
-    likelihoods: list[list[tuple[tuple[float, ...], tuple[float, ...]]]]
+    priors: np.ndarray
+    likelihoods: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemAcceptanceModel:
     """``dists[i]`` is the smoothed distribution of the ratings item i received."""
 
-    dists: list[RatingDistribution]
+    dists: np.ndarray
 
 
 class FriendConditionalTable:
     """6x6 conditional tables P(R_u = k | R_v = j) per ordered friend pair.
 
     Tables exist only for pairs whose edge strength reaches the configured
-    friendship threshold; every column is a smoothed distribution over the
-    user's level k.
+    friendship threshold.  User u's friends are
+    ``friends[indptr[u]:indptr[u + 1]]``, in ``friends_of`` order, one slot
+    per ordered pair.  Both orders of a pair read the same 6x6 co-rating
+    count of its edge, kept as integers and smoothed as a column is read,
+    so every column is a smoothed distribution over k.
     """
 
-    def __init__(self, tables: dict[tuple[int, int], list[tuple[float, ...]]]):
-        self._tables = tables  # [(u, v)] -> table[j] = column over k
+    def __init__(self, indptr: np.ndarray, friends: np.ndarray, edges: np.ndarray,
+                 lower: np.ndarray, counts: np.ndarray, alpha: float):
+        self.indptr, self.friends = indptr, friends
+        # Slot -> edge, and 1 if the slot's user is the edge's lower index,
+        # else 0.  counts[edge, 0, j, k] counts the items the lower user rated
+        # j and the higher user rated k; counts[edge, 1] is its transpose.
+        self._edges, self._lower, self._counts, self._alpha = edges, lower, counts, alpha
+
+    def _slot(self, u: int, v: int) -> int | None:
+        if not 0 <= u < len(self.indptr) - 1:
+            return None
+        low, high = self.indptr[u], self.indptr[u + 1]
+        slot = low + int(np.searchsorted(self.friends[low:high], v))
+        return slot if slot < high and self.friends[slot] == v else None
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._tables
+        return self._slot(*pair) is not None
 
     @property
     def n_pairs(self) -> int:
-        return len(self._tables)
+        return len(self.friends)
 
-    def pairs(self):
-        return self._tables.keys()
+    def pairs(self) -> list[tuple[int, int]]:
+        users = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        return list(zip(users.tolist(), self.friends.tolist()))
+
+    def columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Row r is the column of pair ``slots[r]`` at friend level ``levels[r]``."""
+        return _smoothed(self._counts[self._edges[slots], self._lower[slots], levels],
+                         self._alpha)
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
         """P(user u rates k | friend v rated j) for k = 0..5."""
-        return self._tables[(u, v)][j]
+        slot = self._slot(u, v)
+        if slot is None:
+            raise KeyError((u, v))
+        return tuple(self.columns(np.array([slot]), np.array([j]))[0].tolist())
+
+
+def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
+                   cfg: SnrsConfig) -> FriendConditionalTable:
+    """Co-rating counts of every friend pair, one bincount per block of edges.
+
+    Each unordered pair is counted once, and both of its ordered pairs read
+    that count.
+    """
+    edges = np.array([pair for pair, s in graph.edges.items()
+                      if s >= cfg.friend_min_strength], dtype=np.intp).reshape(-1, 2)
+    low, high = edges.T
+    counts = np.empty((len(edges), 2, N_LEVELS, N_LEVELS), dtype=np.int32)
+    block = max(1, _BLOCK_CELLS // (ratings.shape[1] + N_LEVELS * N_LEVELS))
+    for start in range(0, len(edges), block):
+        a, b = ratings[low[start:start + block]], ratings[high[start:start + block]]
+        rows, items = np.nonzero((a >= 0) & (b >= 0))
+        keys = N_LEVELS * (N_LEVELS * rows + a[rows, items]) + b[rows, items]
+        counts[start:start + len(a), 0] = np.bincount(
+            keys, minlength=len(a) * N_LEVELS * N_LEVELS).reshape(-1, N_LEVELS, N_LEVELS)
+    counts[:, 1] = counts[:, 0].transpose(0, 2, 1)
+    mutual = low != high
+    users = np.concatenate([low, high[mutual]])
+    friends = np.concatenate([high, low[mutual]])
+    order = np.lexsort((friends, users))
+    indptr = np.searchsorted(users[order], np.arange(len(ratings) + 1))
+    slot_edges = np.concatenate([np.arange(len(edges)), np.flatnonzero(mutual)])[order]
+    lower = (users < friends).astype(np.intp)[order]
+    return FriendConditionalTable(indptr, friends[order], slot_edges, lower, counts,
+                                  cfg.laplace_alpha)
 
 
 def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
                  ) -> tuple[UserPreferenceModel, ItemAcceptanceModel, FriendConditionalTable]:
     """Count-and-smooth all three factor models from training ratings.
 
-    User priors, per-category bit counts and item acceptance counts come
-    from one pass over each user's row.  Friend tables are counted once per
-    unordered friend pair: one 6x6 co-rating count gives both the (u, v)
-    and the (v, u) table.  Equal count columns share one smoothed tuple.
+    User priors, per-category bit counts and item acceptance counts are
+    integer sums over the one-hot users x items x levels rating array.
+    Friend tables are counted once per unordered friend pair.
 
     Raises EmptyTrainingSetError when the training set has no ratings at all.
     """
-    ratings, categories, graph = train.ratings, train.categories, train.graph
-    if ratings.n_rated == 0:
+    if train.ratings.n_rated == 0:
         raise EmptyTrainingSetError("empty training set: no ratings to learn from")
     alpha = cfg.laplace_alpha
-    columns: dict[tuple[int, ...], tuple[float, ...]] = {}
-
-    def smoothed(counts: list[int]) -> tuple[float, ...]:
-        key = tuple(counts)
-        column = columns.get(key)
-        if column is None:
-            total = sum(counts)
-            column = columns[key] = tuple((n + alpha) / (total + N_LEVELS * alpha)
-                                          for n in counts)
-        return column
-
-    item_categories: list[list[int]] = [[] for _ in range(ratings.n_items)]
-    for i, c in categories.members():
-        item_categories[i].append(c)
-    item_counts = [[0] * N_LEVELS for _ in range(ratings.n_items)]
-    priors = []
-    likelihoods = []
-    for u in range(ratings.n_users):
-        counts = [0] * N_LEVELS
-        bit_counts = [[0] * N_LEVELS for _ in range(categories.n_categories)]
-        for i, r in ratings.user_ratings(u).items():
-            counts[r] += 1
-            item_counts[i][r] += 1
-            for c in item_categories[i]:
-                bit_counts[c][r] += 1
-        priors.append(smoothed(counts))
-        per_category = []
-        for ones in bit_counts:
-            present = tuple((ones[k] + alpha) / (counts[k] + 2 * alpha) for k in RATING_LEVELS)
-            per_category.append((tuple(1.0 - p for p in present), present))
-        likelihoods.append(per_category)
-    preference = UserPreferenceModel(priors, likelihoods)
-    acceptance = ItemAcceptanceModel([RatingDistribution(smoothed(counts))
-                                      for counts in item_counts])
-
-    tables: dict[tuple[int, int], list[tuple[float, ...]]] = {}
-    for u in range(ratings.n_users):
-        row_u = ratings.user_ratings(u)
-        for v, _strength in graph.friends_of(u, cfg.friend_min_strength):
-            if v < u:
-                continue  # counted at v's turn
-            row_v = ratings.user_ratings(v)
-            counts = [0] * (N_LEVELS * N_LEVELS)  # [N_LEVELS * k + j]: u rated k, v rated j
-            for i, k in row_u.items():
-                j = row_v.get(i)
-                if j is not None:
-                    counts[N_LEVELS * k + j] += 1
-            tables[(u, v)] = [smoothed(counts[j::N_LEVELS]) for j in RATING_LEVELS]
-            tables[(v, u)] = [smoothed(counts[N_LEVELS * k:N_LEVELS * (k + 1)])
-                              for k in RATING_LEVELS]
-    friends = FriendConditionalTable(tables)
-
-    return preference, acceptance, friends
+    ratings = train.ratings.dense()
+    one_hot = ratings[:, :, None] == np.arange(N_LEVELS)
+    counts = one_hot.sum(axis=1)
+    ones = np.einsum("uik,ic->uck", one_hot, train.categories.dense(), dtype=np.int64)
+    present = (ones + alpha) / (counts[:, None, :] + 2 * alpha)
+    preference = UserPreferenceModel(_smoothed(counts, alpha),
+                                     np.stack([1.0 - present, present], axis=2))
+    acceptance = ItemAcceptanceModel(_smoothed(one_hot.sum(axis=0), alpha))
+    return preference, acceptance, _friend_tables(ratings, train.graph, cfg)
 
 
-def _evidence(start: tuple[float, ...],
-              columns: list[tuple[float, ...]]) -> RatingDistribution:
-    """Normalized per-level product of ``start`` and each column in order.
+def _evidence(weights: np.ndarray, steps) -> np.ndarray:
+    """Normalized product of each row of ``weights`` with the matching row
+    of every step, in order.
 
-    Whenever the largest weight falls below 2**-500, all six are scaled by
-    the power of two that brings it into [0.5, 1); the rescale is exact, so
-    the normalized distribution does not change.
+    Whenever a row's largest weight falls below 2**-500, the row is scaled
+    by the power of two that brings it into [0.5, 1); the rescale is exact,
+    so the normalized distribution does not change.
     """
-    weights = start
-    for column in columns:
-        weights = [w * p for w, p in zip(weights, column)]
-        top = max(weights)
-        if top < _RESCALE_BELOW:
-            _, exponent = math.frexp(top)
-            weights = [math.ldexp(w, -exponent) for w in weights]
-    return RatingDistribution.from_weights(weights)
+    for step in steps:
+        weights = weights * step
+        top = weights.max(axis=1)
+        low = top < _RESCALE_BELOW
+        if low.any():
+            _, exponent = np.frexp(top[low])
+            weights[low] = np.ldexp(weights[low], -exponent[:, None])
+    return _normalise(weights)
+
+
+def _ranks(groups: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each entry's position within its group, for entries sorted by group
+    and ``sizes[g]`` entries in group g."""
+    return np.arange(len(groups)) - (np.cumsum(sizes) - sizes)[groups]
+
+
+def _combine(pu: np.ndarray, pi: np.ndarray, pff: np.ndarray) -> np.ndarray:
+    return _normalise(pu * pi * pff)
 
 
 def combine(pu: RatingDistribution, pi: RatingDistribution,
@@ -270,48 +336,66 @@ def combine(pu: RatingDistribution, pi: RatingDistribution,
     Raises DegenerateEvidenceError when the product is zero at every level
     (impossible for smoothed inputs, reachable for hand-built point masses).
     """
-    return RatingDistribution.from_weights(pu[k] * pi[k] * pff[k] for k in RATING_LEVELS)
+    return RatingDistribution(_combine(*(np.array([d.probs]) for d in (pu, pi, pff)))[0])
 
 
 class SnrsPredictor:
     """Train-once wrapper: learns the three factor models for a dataset and
-    answers per-cell predictions."""
+    predicts batches of cells."""
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
         self.cfg = cfg
-        self._categories = dataset.categories
-        self._graph = dataset.graph
-        self._ratings = dataset.ratings
+        self._ratings = dataset.ratings.dense()
+        self._bits = dataset.categories.dense()
         self.preference, self.acceptance, self.friend_tables = learn_models(dataset, cfg)
+
+    def _friend_steps(self, users: np.ndarray, items: np.ndarray):
+        """The friend-inference columns of each cell, as one n x 6 array per
+        step: step t holds each cell's t-th column, or 1.0 once a cell has
+        no more.  A cell's columns are those of its friends who rated the
+        item, in ``friends_of`` order."""
+        tables = self.friend_tables
+        degrees = np.diff(tables.indptr)[users]
+        cells = np.repeat(np.arange(len(users)), degrees)
+        slots = tables.indptr[users][cells] + _ranks(cells, degrees)
+        levels = self._ratings[tables.friends[slots], items[cells]]
+        rated = levels >= 0
+        cells, slots, levels = cells[rated], slots[rated], levels[rated]
+        columns = np.vstack([tables.columns(slots, levels), np.ones(N_LEVELS)])
+        per_cell = np.bincount(cells, minlength=len(users))
+        index = np.full((len(users), per_cell.max(initial=0)), len(cells))  # pad: the 1.0 row
+        index[cells, _ranks(cells, per_cell)] = np.arange(len(cells))
+        return (columns[step] for step in index.T)
+
+    def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Preference, acceptance and friend-inference rows for each cell:
+        u's prior times item i's bit likelihood per category in index
+        order, i's acceptance, and the table columns of the friends who
+        rated i (uniform when no friend rated i)."""
+        users, items = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+        bits, likelihoods = self._bits[items], self.preference.likelihoods
+        pu = _evidence(self.preference.priors[users],
+                       (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
+        pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items))
+        return pu, self.acceptance.dists[items], pff
+
+    def predict_many(self, cells) -> list[Prediction]:
+        """One prediction per (user, item) cell of a sequence, in order:
+        the expected rating level under the combined distribution, taken
+        over cfg.prediction_levels."""
+        values = _expected_levels(_combine(*self._factors(cells)), self.cfg.prediction_levels)
+        return [Prediction(value, None) for value in values.tolist()]
 
     def components(self, u: int, i: int) -> tuple[RatingDistribution, RatingDistribution,
                                                   RatingDistribution]:
-        """The three factor distributions for one cell, before combination:
-        u's prior times item i's bit likelihood per category in index order,
-        i's acceptance, and the table columns of the friends who rated i in
-        ``friends_of`` order (uniform when no friend rated i)."""
-        bit = self._categories.bit
-        likelihoods = self.preference.likelihoods[u]
-        raters = self._ratings.item_ratings(i)
-        friends = self._graph.friends_of(u, self.cfg.friend_min_strength)
-        return (
-            _evidence(self.preference.priors[u],
-                      [pair[bit(i, c)] for c, pair in enumerate(likelihoods)]),
-            self.acceptance.dists[i],
-            _evidence((1.0,) * N_LEVELS,
-                      [self.friend_tables.column(u, v, raters[v])
-                       for v, _strength in friends if v in raters]),
-        )
+        """The three factor distributions for one cell, before combination."""
+        return tuple(RatingDistribution(rows[0]) for rows in self._factors([(u, i)]))
 
     def rating_distribution(self, u: int, i: int) -> RatingDistribution:
-        pu, pi, pff = self.components(u, i)
-        return combine(pu, pi, pff)
+        return RatingDistribution(_combine(*self._factors([(u, i)]))[0])
 
     def predict(self, u: int, i: int) -> float:
         return self.predict_detailed(u, i).value
 
     def predict_detailed(self, u: int, i: int) -> Prediction:
-        """Expected rating level under the combined distribution, taken over
-        cfg.prediction_levels."""
-        value = self.rating_distribution(u, i).expected_level(self.cfg.prediction_levels)
-        return Prediction(value, None)
+        return self.predict_many([(u, i)])[0]

@@ -308,6 +308,39 @@ class TestEmptyTrainingSet:
             "Error: empty training set: no ratings to learn from"]
 
 
+class TestNonFiniteFloatFlags:
+    """inf, nan and an alpha whose 6 * alpha overflows are usage errors:
+    exit 2 with one Error: line, never a traceback."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, "--alpha", value)
+        for command in ("predict", "eval", "compare")
+        for value in ("inf", "nan", "1e308")
+    ] + [
+        ("gen", flag, value)
+        for flag in ("--edge-density", "--seed-fraction")
+        for value in ("nan", "inf", "-nan")
+    ])
+    def test_usage_error(self, runner, small_data, tmp_path, command, flag, value):
+        args = {"gen": ["--out", str(tmp_path / "out")],
+                "predict": ["--data", str(small_data), "--method", "snrs",
+                            "--user", "U3", "--item", "I2"],
+                "eval": ["--data", str(small_data), "--method", "snrs",
+                         "--test-users", "11-20", "--test-items", "I1-I2"],
+                "compare": ["--data", str(small_data),
+                            "--test-users", "11-20", "--test-items", "I1-I2"]}[command]
+        result = runner.invoke(main, [command, *args, flag, value])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and flag.lstrip("-")[:5] in errors[0], result.output
+
+    def test_finite_alpha_still_runs(self, runner, small_data):
+        result = runner.invoke(main, ["predict", "--data", str(small_data), "--method", "snrs",
+                                      "--user", "U3", "--item", "I2", "--alpha", "1e300"])
+        assert result.exit_code == 0, result.output
+
+
 class TestConfigFile:
     def test_file_overrides_builtin_and_flag_overrides_file(self, runner, tmp_path):
         config = tmp_path / "defaults.cfg"

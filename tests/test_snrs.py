@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socialrec import (
     DegenerateEvidenceError,
@@ -38,6 +40,8 @@ class TestRatingDistribution:
         [0.5, 0.5],                                  # wrong length
         [0.6, 0.1, 0.1, 0.1, 0.1, 0.1],              # sums to 1.1
         [-0.1, 0.3, 0.2, 0.2, 0.2, 0.2],             # negative entry
+        [math.nan] * 6,                              # sum check is False for nan
+        [math.inf, 0, 0, 0, 0, 0],                   # non-finite entry
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -55,6 +59,11 @@ class TestRatingDistribution:
     def test_from_weights_rejects_zero_total(self):
         with pytest.raises(ValueError):
             RatingDistribution.from_weights([0] * 6)
+
+    @pytest.mark.parametrize("weights", [[1, 1, 1, 1, 1, math.inf], [math.nan] * 6])
+    def test_from_weights_rejects_non_finite(self, weights):
+        with pytest.raises(ValueError, match="non-finite"):
+            RatingDistribution.from_weights(weights)
 
     def test_uniform(self):
         assert close(RatingDistribution.uniform(), UNIFORM)
@@ -85,6 +94,9 @@ class TestSnrsConfig:
     @pytest.mark.parametrize("kwargs", [
         {"laplace_alpha": 0},
         {"laplace_alpha": -1},
+        {"laplace_alpha": math.nan},
+        {"laplace_alpha": math.inf},
+        {"laplace_alpha": 1e308},                    # 6 * alpha overflows
         {"friend_min_strength": -1},
         {"prediction_levels": ()},
         {"prediction_levels": (4, 7)},
@@ -128,8 +140,8 @@ class TestLearnModels:
         assert present_0[4] == pytest.approx(1 / 3)   # (0+1)/(1+2)
         assert present_1[4] == pytest.approx(2 / 3)   # (1+1)/(1+2)
         assert present_0[5] == pytest.approx(1 / 2)   # no level-5 items
-        assert absent_0 == tuple(1.0 - p for p in present_0)
-        assert absent_1 == tuple(1.0 - p for p in present_1)
+        assert absent_0.tolist() == [1.0 - p for p in present_0.tolist()]
+        assert absent_1.tolist() == [1.0 - p for p in present_1.tolist()]
 
     def test_item_acceptance_counts(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
@@ -217,10 +229,26 @@ class TestFriendTablesOracle:
             expected = recount_friend_table(dense_train, u, v, alpha)
             assert [tables.column(u, v, j) for j in range(6)] == expected
 
-    def test_equal_columns_shared(self, dense_train):
-        _, _, tables = learn_models(dense_train)
-        columns = [tables.column(u, v, j) for u, v in tables.pairs() for j in range(6)]
-        assert len({id(c) for c in columns}) == len(set(columns)) < len(columns)
+
+
+class TestLearnedMemory:
+    """The learned models, arrays of counts and smoothed rows, retain less
+    than the dict-and-tuple models they replaced (0.724 MB and 2.988 MB)."""
+
+    @pytest.mark.parametrize("shape, spec, limit_mb", [
+        ({}, SplitSpec(), 0.724),
+        (dict(n_users=120, n_items=16, edge_density=0.9),
+         SplitSpec(tuple(range(60, 120)), tuple(range(8))), 2.988),
+    ], ids=["paper", "social"])
+    def test_retained_bytes(self, shape, spec, limit_mb):
+        train, _ = split(generate_dataset(GenConfig(rng_seed=7, **shape)), spec)
+        tracemalloc.start()
+        try:
+            models = learn_models(train)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert models and retained <= limit_mb * 1e6
 
 
 def brute_force_user_preference(dataset, u, i, alpha=1.0):
@@ -472,12 +500,66 @@ class TestLongProducts:
         assert matches_exact(dist, brute_force_user_preference(d, 0, 0, Fraction(1)))
         assert 0.0 <= predictor.predict(0, 0) <= 5.0
 
-    def test_vanished_evidence_is_typed(self):
+    def vanishing_predictor(self):
         # With alpha 1e-20, P(C1 | level k) rounds to 1.0 at every level U1
         # has used, and U1 used all six on C1 items, so an item outside C1
         # leaves no mass at any level.
         d = build_dataset(2, 7, 1, cells={**{(0, k): k for k in range(6)}, (1, 6): 2},
                           members={(k, 0) for k in range(6)})
-        predictor = SnrsPredictor(d, SnrsConfig(laplace_alpha=1e-20))
+        return SnrsPredictor(d, SnrsConfig(laplace_alpha=1e-20))
+
+    def test_vanished_evidence_is_typed(self):
         with pytest.raises(DegenerateEvidenceError):
-            predictor.predict(0, 6)
+            self.vanishing_predictor().predict(0, 6)
+
+    def test_vanished_evidence_fails_the_batch(self):
+        predictor = self.vanishing_predictor()
+        assert len(predictor.predict_many([(0, 0), (1, 6)])) == 2
+        with pytest.raises(DegenerateEvidenceError):
+            predictor.predict_many([(0, 0), (1, 6), (0, 6), (1, 6)])
+
+
+@st.composite
+def batch_cases(draw):
+    """A small dataset, a config and a batch of cells.  Users may have no
+    ratings, items may be unrated, edges may have strength 0, and the batch
+    may repeat cells or be empty."""
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 5))
+    n_categories = draw(st.integers(0, 4))
+    users, items = range(n_users), range(n_items)
+    pairs = [(x, y) for x in users for y in users if x < y]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 5))) if pairs else {}
+    cells = draw(st.dictionaries(st.tuples(st.sampled_from(users), st.sampled_from(items)),
+                                 st.integers(0, 5), min_size=1))
+    members = draw(st.sets(st.tuples(st.sampled_from(items),
+                                     st.sampled_from(range(n_categories))))) \
+        if n_categories else set()
+    cfg = SnrsConfig(laplace_alpha=draw(st.sampled_from([0.5, 1.0, 2.5])),
+                     friend_min_strength=draw(st.integers(0, 2)),
+                     prediction_levels=draw(st.sampled_from([(0, 1, 2, 3, 4, 5),
+                                                             (1, 2, 3, 4, 5), (4, 2)])))
+    batch = draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(items)),
+                          max_size=12))
+    return build_dataset(n_users, n_items, n_categories, edges, cells, members), cfg, batch
+
+
+class TestPredictMany:
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_batch_equals_one_cell_calls(self, case):
+        dataset, cfg, batch = case
+        predictor = SnrsPredictor(dataset, cfg)
+        predictions = predictor.predict_many(batch)
+        assert [p.value.hex() for p in predictions] == \
+               [predictor.predict_detailed(u, i).value.hex() for u, i in batch]
+        assert all(p.fallback is None for p in predictions)
+
+    def test_empty_batch(self, default_dataset):
+        assert SnrsPredictor(default_dataset).predict_many([]) == []
+
+    def test_batch_equals_one_cell_calls_at_benchmark_shape(self, dense_train):
+        predictor = SnrsPredictor(dense_train)
+        cells = [(u, i) for u in range(60, 120) for i in range(8)]
+        assert predictor.predict_many(cells) == [predictor.predict_detailed(u, i)
+                                                 for u, i in cells]
