@@ -544,6 +544,48 @@ def batch_cases(draw):
     return build_dataset(n_users, n_items, n_categories, edges, cells, members), cfg, batch
 
 
+def scalar_prediction(dataset, cfg, u, i):
+    """One cell predicted in plain Python loops, with the same expressions
+    and the same order of operations as the array code: the reference that
+    its results must equal bit for bit."""
+    alpha, ratings, bit = cfg.laplace_alpha, dataset.ratings, dataset.categories.bit
+
+    def smoothed(counts):
+        total = sum(counts)
+        return [(n + alpha) / (total + 6 * alpha) for n in counts]
+
+    def product(weights, columns):
+        for column in columns:
+            weights = [w * p for w, p in zip(weights, column)]
+            top = max(weights)
+            if top < 2.0 ** -500:
+                _, exponent = math.frexp(top)
+                weights = [math.ldexp(w, -exponent) for w in weights]
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    row = ratings.user_ratings(u)
+    counts = [sum(1 for r in row.values() if r == k) for k in range(6)]
+    preference = []
+    for c in range(dataset.n_categories):
+        ones = [sum(1 for item, r in row.items() if r == k and bit(item, c)) for k in range(6)]
+        present = [(ones[k] + alpha) / (counts[k] + 2 * alpha) for k in range(6)]
+        preference.append(present if bit(i, c) else [1.0 - p for p in present])
+    friends = []
+    for v, _ in dataset.graph.friends_of(u, cfg.friend_min_strength):
+        j, other = ratings.get(v, i), ratings.user_ratings(v)
+        if j is not None:
+            joint = Counter(r for item, r in row.items() if other.get(item) == j)
+            friends.append(smoothed([joint[k] for k in range(6)]))
+    pu = product(smoothed(counts), preference)
+    pi = smoothed([sum(1 for r in ratings.item_ratings(i).values() if r == k)
+                   for k in range(6)])
+    pff = product([1.0] * 6, friends)
+    combined = product([a * b * c for a, b, c in zip(pu, pi, pff)], [])
+    levels = cfg.prediction_levels
+    return sum(combined[k] * k for k in levels) / sum(combined[k] for k in levels)
+
+
 class TestPredictMany:
     @settings(max_examples=150, deadline=None)
     @given(batch_cases())
@@ -552,7 +594,8 @@ class TestPredictMany:
         predictor = SnrsPredictor(dataset, cfg)
         predictions = predictor.predict_many(batch)
         assert [p.value.hex() for p in predictions] == \
-               [predictor.predict_detailed(u, i).value.hex() for u, i in batch]
+               [predictor.predict_detailed(u, i).value.hex() for u, i in batch] == \
+               [scalar_prediction(dataset, cfg, u, i).hex() for u, i in batch]
         assert all(p.fallback is None for p in predictions)
 
     def test_empty_batch(self, default_dataset):
