@@ -59,6 +59,17 @@ def round_rating(x: float) -> int:
     return min(RATING_MAX, max(RATING_MIN, rounded))
 
 
+def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
+    """Read-only int8 array of ``shape`` holding ``values`` at the (row,
+    column) ``keys`` and ``fill`` everywhere else."""
+    array = np.full(shape, fill, dtype=np.int8)
+    if keys:
+        rows, columns = np.array(list(keys), dtype=np.intp).T
+        array[rows, columns] = values
+    array.flags.writeable = False
+    return array
+
+
 class RelationshipGraph:
     """Symmetric weighted friendship graph over ``n_users`` nodes.
 
@@ -169,12 +180,8 @@ class RatingMatrix:
         """Read-only int8 users x items array of the ratings, -1 where
         unrated; built once on first use."""
         if self._dense is None:
-            dense = np.full((self.n_users, self.n_items), -1, dtype=np.int8)
-            if self._cells:
-                users, items = np.array(list(self._cells), dtype=np.intp).T
-                dense[users, items] = list(self._cells.values())
-            dense.flags.writeable = False
-            self._dense = dense
+            self._dense = _int8_array((self.n_users, self.n_items), -1,
+                                      self._cells, list(self._cells.values()))
         return self._dense
 
     def user_ratings(self, user: int) -> dict[int, int]:
@@ -237,12 +244,7 @@ class ItemCategoryMatrix:
         """Read-only int8 items x categories array of the bits; built once on
         first use."""
         if self._dense is None:
-            dense = np.zeros((self.n_items, self.n_categories), dtype=np.int8)
-            if self._members:
-                items, categories = np.array(list(self._members), dtype=np.intp).T
-                dense[items, categories] = 1
-            dense.flags.writeable = False
-            self._dense = dense
+            self._dense = _int8_array((self.n_items, self.n_categories), 0, self._members, 1)
         return self._dense
 
     def members(self) -> Iterator[tuple[int, int]]:

@@ -42,6 +42,9 @@ _SUM_TOLERANCE = 1e-9
 _RESCALE_BELOW = 2.0 ** -500
 # Entries of one block of the friend co-rating count: edges x (items + 36).
 _BLOCK_CELLS = 2 ** 16
+# Cells predicted together: the arrays of a batch grow with its cells times
+# the users' friend counts, so a long batch runs in parts of this size.
+_BATCH_CELLS = 256
 
 
 class DegenerateEvidenceError(SocialRecError, ValueError):
@@ -257,7 +260,8 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     edges = np.array([pair for pair, s in graph.edges.items()
                       if s >= cfg.friend_min_strength], dtype=np.intp).reshape(-1, 2)
     low, high = edges.T
-    counts = np.empty((len(edges), 2, N_LEVELS, N_LEVELS), dtype=np.int32)
+    counts = np.empty((len(edges), 2, N_LEVELS, N_LEVELS),
+                      dtype=np.min_scalar_type(ratings.shape[1]))  # no count exceeds the items
     block = max(1, _BLOCK_CELLS // (ratings.shape[1] + N_LEVELS * N_LEVELS))
     for start in range(0, len(edges), block):
         a, b = ratings[low[start:start + block]], ratings[high[start:start + block]]
@@ -357,13 +361,14 @@ class SnrsPredictor:
         tables = self.friend_tables
         degrees = np.diff(tables.indptr)[users]
         cells = np.repeat(np.arange(len(users)), degrees)
-        slots = tables.indptr[users][cells] + _ranks(cells, degrees)
+        slots = _ranks(cells, degrees)
+        slots += tables.indptr[users][cells]
         levels = self._ratings[tables.friends[slots], items[cells]]
         rated = levels >= 0
         cells, slots, levels = cells[rated], slots[rated], levels[rated]
         columns = np.vstack([tables.columns(slots, levels), np.ones(N_LEVELS)])
         per_cell = np.bincount(cells, minlength=len(users))
-        index = np.full((len(users), per_cell.max(initial=0)), len(cells))  # pad: the 1.0 row
+        index = np.full((len(users), per_cell.max(initial=0)), len(cells))  # the 1.0 row
         index[cells, _ranks(cells, per_cell)] = np.arange(len(cells))
         return (columns[step] for step in index.T)
 
@@ -383,8 +388,12 @@ class SnrsPredictor:
         """One prediction per (user, item) cell of a sequence, in order:
         the expected rating level under the combined distribution, taken
         over cfg.prediction_levels."""
-        values = _expected_levels(_combine(*self._factors(cells)), self.cfg.prediction_levels)
-        return [Prediction(value, None) for value in values.tolist()]
+        cells = list(cells)
+        return [Prediction(value, None)
+                for start in range(0, len(cells), _BATCH_CELLS)
+                for value in _expected_levels(
+                    _combine(*self._factors(cells[start:start + _BATCH_CELLS])),
+                    self.cfg.prediction_levels).tolist()]
 
     def components(self, u: int, i: int) -> tuple[RatingDistribution, RatingDistribution,
                                                   RatingDistribution]:

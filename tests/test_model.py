@@ -205,6 +205,12 @@ class TestRatingMatrix:
         m = RatingMatrix(2, 2, {(1, 1): 1, (0, 1): 2, (1, 0): 3})
         assert list(m.cells()) == [(0, 1, 2), (1, 0, 3), (1, 1, 1)]
 
+    def test_dense(self):
+        m = RatingMatrix(2, 3, {(0, 1): 4, (1, 2): 0})
+        assert m.dense().tolist() == [[-1, 4, -1], [-1, -1, 0]]
+        assert m.dense() is m.dense() and not m.dense().flags.writeable
+        assert RatingMatrix(2, 0).dense().shape == (2, 0)
+
 
 class TestItemCategoryMatrix:
     def test_bits(self):
@@ -219,6 +225,12 @@ class TestItemCategoryMatrix:
         assert list(m.members()) == [(0, 0), (1, 2)]
         assert m == ItemCategoryMatrix(2, 3, [(0, 0), (1, 2)])
         assert ItemCategoryMatrix(2, 3).n_members == 0
+
+    def test_dense(self):
+        m = ItemCategoryMatrix(3, 2, {(0, 1), (2, 0)})
+        assert m.dense().tolist() == [[0, 1], [0, 0], [1, 0]]
+        assert m.dense() is m.dense() and not m.dense().flags.writeable
+        assert ItemCategoryMatrix(2, 0).dense().shape == (2, 0)
 
 
 class TestDataset:
