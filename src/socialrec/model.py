@@ -61,11 +61,12 @@ def round_rating(x: float) -> int:
 
 def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
     """Read-only int8 array of ``shape`` holding ``values`` at the (row,
-    column) ``keys`` and ``fill`` everywhere else."""
+    column) ``keys`` and ``fill`` everywhere else.  A key outside the shape,
+    negative ones included, raises ValueError rather than wrapping around."""
     array = np.full(shape, fill, dtype=np.int8)
     if keys:
-        rows, columns = np.array(list(keys), dtype=np.intp).T
-        array[rows, columns] = values
+        at = np.ravel_multi_index(np.array(list(keys), dtype=np.intp).T, shape)
+        array.reshape(-1)[at] = values
     array.flags.writeable = False
     return array
 

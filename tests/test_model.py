@@ -211,6 +211,11 @@ class TestRatingMatrix:
         assert m.dense() is m.dense() and not m.dense().flags.writeable
         assert RatingMatrix(2, 0).dense().shape == (2, 0)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+    def test_dense_rejects_cells_out_of_bounds(self, cell):
+        with pytest.raises(ValueError):
+            RatingMatrix(2, 3, {cell: 1}).dense()
+
 
 class TestItemCategoryMatrix:
     def test_bits(self):

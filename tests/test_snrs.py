@@ -230,10 +230,9 @@ class TestFriendTablesOracle:
             assert [tables.column(u, v, j) for j in range(6)] == expected
 
 
-
 class TestLearnedMemory:
-    """The learned models, arrays of counts and smoothed rows, retain less
-    than the dict-and-tuple models they replaced (0.724 MB and 2.988 MB)."""
+    """The learned arrays retain no more than the earlier dict-and-tuple
+    models did at these shapes (0.724 MB and 2.988 MB)."""
 
     @pytest.mark.parametrize("shape, spec, limit_mb", [
         ({}, SplitSpec(), 0.724),
