@@ -10,7 +10,6 @@ Every step draws from its own seeded stream, so each table is a pure
 function of the config and the whole dataset is reproducible bit for bit.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +83,22 @@ def _stream(cfg: GenConfig, salt: int) -> np.random.Generator:
 
 def generate_relationships(cfg: GenConfig) -> RelationshipGraph:
     """Random symmetric graph: each unordered pair gets an edge with
-    probability edge_density, strength uniform over 0..5."""
-    pairs = [(x, y) for x in range(cfg.n_users) for y in range(x + 1, cfg.n_users)]
+    probability edge_density, strength uniform over 0..5.
+
+    Both draws run over the pairs x < y in row-major order; only the kept
+    pairs are ever turned into index arrays."""
+    n = cfg.n_users
+    n_pairs = n * (n - 1) // 2
     rng = _stream(cfg, _EDGE_STREAM)
-    keep = rng.random(len(pairs)) < cfg.edge_density
-    strengths = rng.integers(0, RATING_MAX + 1, size=len(pairs))
-    edges = {pair: int(s) for pair, k, s in zip(pairs, keep, strengths) if k}
-    return RelationshipGraph(cfg.n_users, edges)
+    kept = np.flatnonzero(rng.random(n_pairs) < cfg.edge_density)
+    strengths = rng.integers(0, RATING_MAX + 1, size=n_pairs)[kept]
+    # Row x of the upper triangle holds n - 1 - x pairs, so it starts at
+    # pair number x * (2n - x - 1) / 2.
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    x = np.searchsorted(starts, kept, side="right") - 1
+    y = kept - starts[x] + x + 1
+    return RelationshipGraph(n, dict(zip(zip(x.tolist(), y.tolist()), strengths.tolist())))
 
 
 def generate_categories(cfg: GenConfig) -> ItemCategoryMatrix:
@@ -114,6 +122,69 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     return RatingMatrix(cfg.n_users, cfg.n_items, cells)
 
 
+def _friend_weighted_fill(
+    graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
+    events: list[FillEvent] | None = None,
+) -> tuple[RatingMatrix, int, int]:
+    """The fill behind :func:`friend_weighted_fill_trace`.
+
+    Returns the filled matrix with its propagated and random cell counts,
+    and appends one FillEvent per filled cell to ``events`` when given.
+
+    A cell reads only its own item's column, so one numpy step fills all of
+    a user's empty items at once and gives the same values as a cell-by-cell
+    sweep: the sums over friends are exact integers.  Cells enter the
+    returned matrix in sweep order, as the cell-by-cell sweep would add them.
+    """
+    if graph.n_users != seeded.n_users:
+        raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
+                         f"{seeded.n_users}")
+    cells = {(u, i): r for u, i, r in seeded.cells()}
+    grid = seeded.dense().astype(np.int64)  # -1 where unrated
+    friends = []
+    for u in range(graph.n_users):
+        pairs = graph.friends_of(u, min_strength=1)
+        if pairs:
+            vs, ss = np.array(pairs, dtype=np.int64).T
+            friends.append((u, pairs, vs[:, None], ss))
+    n_open = (grid < 0).sum(axis=1).tolist()
+    n_propagated = 0
+
+    for sweep in range(1, cfg.fill_passes + 1):
+        for u, pairs, vs, ss in friends:
+            if not n_open[u]:
+                continue
+            empty = (grid[u] < 0).nonzero()[0]
+            rated = grid[vs, empty]  # friends x empty items
+            total = ss @ (rated >= 0)
+            weighted = ss @ np.maximum(rated, 0)
+            hit = total.nonzero()[0]
+            if not hit.size:
+                continue
+            items = empty[hit].tolist()
+            values = [round_rating(w / t)
+                      for w, t in zip(weighted[hit].tolist(), total[hit].tolist())]
+            grid[u, items] = values
+            cells.update(zip([(u, i) for i in items], values))
+            n_open[u] -= len(values)
+            n_propagated += len(values)
+            if events is not None:
+                for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
+                    contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
+                                         if r >= 0)
+                    events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
+
+    holes = np.flatnonzero(grid < 0)  # row-major
+    values = _stream(cfg, _FILL_STREAM).integers(0, RATING_MAX + 1, size=holes.size)
+    for flat, value in zip(holes.tolist(), values.tolist()):
+        u, i = divmod(flat, seeded.n_items)
+        cells[u, i] = value
+        if events is not None:
+            events.append(FillEvent(u, i, None, (), value, "random"))
+
+    return RatingMatrix(seeded.n_users, seeded.n_items, cells), n_propagated, holes.size
+
+
 def friend_weighted_fill_trace(
     graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
 ) -> tuple[RatingMatrix, list[FillEvent]]:
@@ -124,41 +195,15 @@ def friend_weighted_fill_trace(
     strength-weighted average of those friends' ratings, rounded half away
     from zero.  Cells filled earlier are visible to later cells, and the
     sweep repeats cfg.fill_passes times so ratings spread outward from the
-    seeds.  Cells still empty afterwards get uniform random values.
+    seeds.  Cells still empty afterwards get uniform random values, drawn
+    in row-major order.
 
     Returns the filled matrix and one FillEvent per filled cell, recording
     the exact inputs each value was computed from.
     """
-    if graph.n_users != seeded.n_users:
-        raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
-                         f"{seeded.n_users}")
-    cells = {(u, i): r for u, i, r in seeded.cells()}
     events: list[FillEvent] = []
-    friends = {u: graph.friends_of(u, min_strength=1) for u in range(graph.n_users)}
-    grid = list(itertools.product(range(seeded.n_users), range(seeded.n_items)))
-
-    for sweep in range(1, cfg.fill_passes + 1):
-        for u, i in grid:
-            if (u, i) in cells:
-                continue
-            contributors = tuple(
-                (v, s, cells[v, i]) for v, s in friends[u] if (v, i) in cells
-            )
-            if not contributors:
-                continue
-            total = sum(s for _, s, _ in contributors)
-            weighted = sum(s * r for _, s, r in contributors)
-            value = cells[u, i] = round_rating(weighted / total)
-            events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
-
-    rng = _stream(cfg, _FILL_STREAM)
-    for u, i in grid:
-        if (u, i) in cells:
-            continue
-        value = cells[u, i] = int(rng.integers(0, RATING_MAX + 1))
-        events.append(FillEvent(u, i, None, (), value, "random"))
-
-    return RatingMatrix(seeded.n_users, seeded.n_items, cells), events
+    filled = _friend_weighted_fill(graph, seeded, cfg, events)[0]
+    return filled, events
 
 
 def generate_dataset(cfg: GenConfig = GenConfig()) -> Dataset:
@@ -170,10 +215,7 @@ def generate_dataset(cfg: GenConfig = GenConfig()) -> Dataset:
     graph = generate_relationships(cfg)
     categories = generate_categories(cfg)
     seeded = seed_ratings(cfg)
-    ratings, events = friend_weighted_fill_trace(graph, seeded, cfg)
-
-    n_propagated = sum(1 for e in events if e.source == "propagated")
-    n_random = sum(1 for e in events if e.source == "random")
+    ratings, n_propagated, n_random = _friend_weighted_fill(graph, seeded, cfg)
     meta = {
         "rng_seed": cfg.rng_seed,
         "n_users": cfg.n_users,

@@ -1,6 +1,9 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socialrec import (
     GenConfig,
@@ -14,6 +17,9 @@ from socialrec import (
     seed_ratings,
     validate_dataset,
 )
+from socialrec import datagen
+from socialrec.datagen import FillEvent
+from socialrec.model import round_rating
 
 
 class TestGenConfig:
@@ -256,3 +262,140 @@ class TestGenerateDataset:
                     stranger_sum += abs(d.ratings.get(a, i) - d.ratings.get(b, i))
                     stranger_n += 1
         assert friend_sum / friend_n <= stranger_sum / stranger_n
+
+
+def reference_relationships(cfg):
+    """The edge draw over a Python list of every pair x < y, row-major."""
+    pairs = [(x, y) for x in range(cfg.n_users) for y in range(x + 1, cfg.n_users)]
+    rng = np.random.default_rng([1, cfg.rng_seed])
+    keep = rng.random(len(pairs)) < cfg.edge_density
+    strengths = rng.integers(0, 6, size=len(pairs))
+    return RelationshipGraph(cfg.n_users,
+                             {pair: int(s) for pair, k, s in zip(pairs, keep, strengths) if k})
+
+
+def reference_fill(graph, seeded, cfg):
+    """The fill as a plain-Python sweep over every cell, one scalar draw per
+    random cell: the reference the array fill must equal, events included."""
+    cells = {(u, i): r for u, i, r in seeded.cells()}
+    events = []
+    friends = {u: graph.friends_of(u, min_strength=1) for u in range(graph.n_users)}
+    grid = list(itertools.product(range(seeded.n_users), range(seeded.n_items)))
+    for sweep in range(1, cfg.fill_passes + 1):
+        for u, i in grid:
+            if (u, i) in cells:
+                continue
+            contributors = tuple((v, s, cells[v, i]) for v, s in friends[u] if (v, i) in cells)
+            if not contributors:
+                continue
+            total = sum(s for _, s, _ in contributors)
+            weighted = sum(s * r for _, s, r in contributors)
+            value = cells[u, i] = round_rating(weighted / total)
+            events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
+    rng = np.random.default_rng([4, cfg.rng_seed])
+    for u, i in grid:
+        if (u, i) not in cells:
+            value = cells[u, i] = int(rng.integers(0, 6))
+            events.append(FillEvent(u, i, None, (), value, "random"))
+    return RatingMatrix(seeded.n_users, seeded.n_items, cells), events
+
+
+def assert_same_fill(filled, reference):
+    """Equal matrices whose rows and columns list their cells in the same
+    order, the order in which the fill added them."""
+    assert filled == reference
+    for u in range(filled.n_users):
+        assert list(filled.user_ratings(u).items()) == list(reference.user_ratings(u).items())
+    for i in range(filled.n_items):
+        assert list(filled.item_ratings(i).items()) == list(reference.item_ratings(i).items())
+
+
+@st.composite
+def fill_cases(draw):
+    """A graph, a seed matrix and a config.  Edges may have strength 0 or
+    join a user to themself, users may have no friends, and the seed may be
+    empty, one cell or every cell."""
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 5))
+    users, items = range(n_users), range(n_items)
+    pairs = [(x, y) for x in users for y in users if x <= y]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 5)))
+    all_cells = list(itertools.product(users, items))
+    seeded = draw(st.one_of(
+        st.dictionaries(st.sampled_from(all_cells), st.integers(0, 5)),
+        st.fixed_dictionaries({cell: st.integers(0, 5) for cell in all_cells})))
+    cfg = GenConfig(n_users=n_users, n_items=n_items, fill_passes=draw(st.integers(1, 4)),
+                    rng_seed=draw(st.integers(0, 2**32)))
+    return RelationshipGraph(n_users, edges), RatingMatrix(n_users, n_items, seeded), cfg
+
+
+@st.composite
+def gen_configs(draw):
+    n_users = draw(st.integers(1, 12))
+    n_items = draw(st.integers(1, 6))
+    one_cell = 1 / (n_users * n_items)
+    return GenConfig(
+        n_users=n_users, n_items=n_items, n_categories=draw(st.integers(1, 3)),
+        edge_density=draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
+        seed_rating_fraction=draw(st.sampled_from([one_cell, 0.1, 0.3, 1.0])),
+        fill_passes=draw(st.integers(1, 4)), rng_seed=draw(st.integers(0, 2**32)))
+
+
+class TestFillAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(fill_cases())
+    def test_fill_matches_reference(self, case):
+        graph, seeded, cfg = case
+        filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
+        reference, reference_events = reference_fill(graph, seeded, cfg)
+        assert_same_fill(filled, reference)
+        assert events == reference_events
+
+    @settings(max_examples=100, deadline=None)
+    @given(gen_configs())
+    def test_dataset_matches_reference(self, cfg):
+        dataset = generate_dataset(cfg)
+        graph = reference_relationships(cfg)
+        assert list(dataset.graph.edges.items()) == list(graph.edges.items())
+        reference, events = reference_fill(graph, seed_ratings(cfg), cfg)
+        assert_same_fill(dataset.ratings, reference)
+        sources = [e.source for e in events]
+        assert (dataset.meta["cells_propagated"], dataset.meta["cells_random"]) == \
+               (sources.count("propagated"), sources.count("random"))
+
+    @pytest.mark.parametrize("shape", [
+        {},
+        {"n_users": 120, "n_items": 16, "edge_density": 0.9},
+        {"n_users": 80, "n_items": 80, "n_categories": 4, "edge_density": 0.05},
+        {"n_users": 40, "n_items": 6, "edge_density": 0.03, "fill_passes": 1},
+    ])
+    def test_benchmark_shapes(self, shape):
+        n_random = 0
+        for seed in range(3):
+            cfg = GenConfig(rng_seed=seed, **shape)
+            graph, seeded = generate_relationships(cfg), seed_ratings(cfg)
+            filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
+            reference, reference_events = reference_fill(graph, seeded, cfg)
+            assert_same_fill(filled, reference)
+            assert events == reference_events
+            n_random += generate_dataset(cfg).meta["cells_random"]
+        if shape.get("fill_passes") == 1:
+            assert n_random > 0
+
+    def test_dataset_builds_no_events(self, monkeypatch):
+        def no_events(*args):
+            raise AssertionError("generate_dataset built a FillEvent")
+        monkeypatch.setattr(datagen, "FillEvent", no_events)
+        meta = generate_dataset(GenConfig(n_users=30, n_items=6, edge_density=0.05,
+                                          fill_passes=1)).meta
+        assert meta["cells_propagated"] > 0 and meta["cells_random"] > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 133, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1])
+def test_batched_draw_equals_scalar_draws(seed, n):
+    # The random fill takes its values in one draw; the reference takes one
+    # scalar draw per cell from the same stream.
+    batched = np.random.default_rng([4, seed]).integers(0, 6, size=n)
+    rng = np.random.default_rng([4, seed])
+    assert batched.tolist() == [int(rng.integers(0, 6)) for _ in range(n)]
