@@ -327,21 +327,23 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         problems.append(f"rating matrix has {ratings.n_items} items but category "
                         f"matrix has {categories.n_items}")
 
+    # Labels are built only for a violation: most datasets have none.
     for (x, y), s in graph.edges.items():
-        pair = (user_label(x), user_label(y))
         if x == y:
-            problems.append(f"self-edge on {pair[0]}")
-            continue
-        if not (0 <= x < graph.n_users and 0 <= y < graph.n_users):
-            problems.append(f"edge {pair} references a user outside 0..{graph.n_users - 1}")
-            continue
-        if not _is_level(s):
-            problems.append(f"edge {pair} strength {s!r} outside "
+            problems.append(f"self-edge on {user_label(x)}")
+        elif not (0 <= x < graph.n_users and 0 <= y < graph.n_users):
+            problems.append(f"edge {(user_label(x), user_label(y))} references a user "
+                            f"outside 0..{graph.n_users - 1}")
+        elif not _is_level(s):
+            problems.append(f"edge {(user_label(x), user_label(y))} strength {s!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
 
     for u, i, r in ratings.cells():
+        in_bounds = 0 <= u < ratings.n_users and 0 <= i < ratings.n_items
+        if in_bounds and _is_level(r):
+            continue
         where = f"({user_label(u)}, {item_label(i)})"
-        if not (0 <= u < ratings.n_users and 0 <= i < ratings.n_items):
+        if not in_bounds:
             problems.append(f"rating cell {where} out of bounds for "
                             f"{ratings.n_users}x{ratings.n_items} matrix")
         if not _is_level(r):
