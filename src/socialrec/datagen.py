@@ -83,17 +83,14 @@ def _stream(cfg: GenConfig, salt: int) -> np.random.Generator:
 
 def generate_relationships(cfg: GenConfig) -> RelationshipGraph:
     """Random symmetric graph: each unordered pair gets an edge with
-    probability edge_density, strength uniform over 0..5.
-
-    Both draws run over the pairs x < y in row-major order; only the kept
-    pairs are ever turned into index arrays."""
+    probability edge_density, strength uniform over 0..5.  Both draws run
+    over the pairs x < y in row-major order."""
     n = cfg.n_users
     n_pairs = n * (n - 1) // 2
     rng = _stream(cfg, _EDGE_STREAM)
     kept = np.flatnonzero(rng.random(n_pairs) < cfg.edge_density)
     strengths = rng.integers(0, RATING_MAX + 1, size=n_pairs)[kept]
-    # Row x of the upper triangle holds n - 1 - x pairs, so it starts at
-    # pair number x * (2n - x - 1) / 2.
+    # Only kept pairs get (x, y) indices: row x starts at pair x * (2n - x - 1) / 2.
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
     x = np.searchsorted(starts, kept, side="right") - 1
@@ -126,15 +123,13 @@ def _friend_weighted_fill(
     graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
     events: list[FillEvent] | None = None,
 ) -> tuple[RatingMatrix, int, int]:
-    """The fill behind :func:`friend_weighted_fill_trace`.
-
-    Returns the filled matrix with its propagated and random cell counts,
-    and appends one FillEvent per filled cell to ``events`` when given.
+    """The fill behind :func:`friend_weighted_fill_trace`: returns the filled
+    matrix and its propagated and random cell counts, and appends one
+    FillEvent per filled cell to ``events`` when given.
 
     A cell reads only its own item's column, so one numpy step fills all of
-    a user's empty items at once and gives the same values as a cell-by-cell
-    sweep: the sums over friends are exact integers.  Cells enter the
-    returned matrix in sweep order, as the cell-by-cell sweep would add them.
+    a user's empty items at once with the values of a cell-by-cell sweep (the
+    sums over friends are exact integers), adding them in that sweep's order.
     """
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
@@ -148,7 +143,6 @@ def _friend_weighted_fill(
             vs, ss = np.array(pairs, dtype=np.int64).T
             friends.append((u, pairs, vs[:, None], ss))
     n_open = (grid < 0).sum(axis=1).tolist()
-    n_propagated = 0
 
     for sweep in range(1, cfg.fill_passes + 1):
         for u, pairs, vs, ss in friends:
@@ -167,7 +161,6 @@ def _friend_weighted_fill(
             grid[u, items] = values
             cells.update(zip([(u, i) for i in items], values))
             n_open[u] -= len(values)
-            n_propagated += len(values)
             if events is not None:
                 for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
                     contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
@@ -182,6 +175,7 @@ def _friend_weighted_fill(
         if events is not None:
             events.append(FillEvent(u, i, None, (), value, "random"))
 
+    n_propagated = len(cells) - holes.size - seeded.n_rated
     return RatingMatrix(seeded.n_users, seeded.n_items, cells), n_propagated, holes.size
 
 
@@ -202,8 +196,7 @@ def friend_weighted_fill_trace(
     the exact inputs each value was computed from.
     """
     events: list[FillEvent] = []
-    filled = _friend_weighted_fill(graph, seeded, cfg, events)[0]
-    return filled, events
+    return _friend_weighted_fill(graph, seeded, cfg, events)[0], events
 
 
 def generate_dataset(cfg: GenConfig = GenConfig()) -> Dataset:

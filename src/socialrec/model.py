@@ -327,7 +327,6 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         problems.append(f"rating matrix has {ratings.n_items} items but category "
                         f"matrix has {categories.n_items}")
 
-    # Labels are built only for a violation: most datasets have none.
     for (x, y), s in graph.edges.items():
         if x == y:
             problems.append(f"self-edge on {user_label(x)}")
@@ -339,15 +338,11 @@ def validate_dataset(dataset: Dataset) -> list[str]:
                             f"{RATING_MIN}..{RATING_MAX}")
 
     for u, i, r in ratings.cells():
-        in_bounds = 0 <= u < ratings.n_users and 0 <= i < ratings.n_items
-        if in_bounds and _is_level(r):
-            continue
-        where = f"({user_label(u)}, {item_label(i)})"
-        if not in_bounds:
-            problems.append(f"rating cell {where} out of bounds for "
-                            f"{ratings.n_users}x{ratings.n_items} matrix")
+        if not (0 <= u < ratings.n_users and 0 <= i < ratings.n_items):
+            problems.append(f"rating cell ({user_label(u)}, {item_label(i)}) out of bounds "
+                            f"for {ratings.n_users}x{ratings.n_items} matrix")
         if not _is_level(r):
-            problems.append(f"rating {where} value {r!r} outside "
+            problems.append(f"rating ({user_label(u)}, {item_label(i)}) value {r!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
 
     for i, c in categories.members():

@@ -308,3 +308,18 @@ class TestValidateDataset:
     def test_membership_out_of_bounds(self):
         d = build_dataset(1, 2, 2, members={(5, 0)})
         assert any("membership" in p for p in validate_dataset(d))
+
+    def test_messages_in_full(self):
+        d = build_dataset(3, 2, 1, edges={(0, 1): 9, (2, 2): 1, (0, 5): 3},
+                          cells={(0, 0): 6, (4, 1): 2, (2, -1): 7, (1, 1): 3},
+                          members={(0, 0), (3, 1)})
+        assert validate_dataset(d) == [
+            "edge ('U1', 'U2') strength 9 outside 0..5",
+            "self-edge on U3",
+            "edge ('U1', 'U6') references a user outside 0..2",
+            "rating (U1, I1) value 6 outside 0..5",
+            "rating cell (U3, I0) out of bounds for 3x2 matrix",
+            "rating (U3, I0) value 7 outside 0..5",
+            "rating cell (U5, I2) out of bounds for 3x2 matrix",
+            "membership (I4, C2) out of bounds for 2x1 matrix",
+        ]
