@@ -15,6 +15,7 @@ import numpy as np
 RATING_MIN = 0
 RATING_MAX = 5
 RATING_LEVELS = tuple(range(RATING_MIN, RATING_MAX + 1))
+_LEVEL_SET = frozenset(RATING_LEVELS)
 N_LEVELS = len(RATING_LEVELS)
 
 
@@ -310,6 +311,26 @@ def _is_level(value) -> bool:
     return type(value) is int and RATING_MIN <= value <= RATING_MAX
 
 
+def _all_levels(values) -> bool:
+    """True when every value is a level, as _is_level decides."""
+    return set(map(type, values)) <= {int} and set(values) <= _LEVEL_SET
+
+
+def _is_valid(dataset: Dataset) -> bool:
+    """True only when validate_dataset finds no violation, decided in one
+    unsorted pass that formats nothing.  Edge keys are (low, high), as the
+    graph stores them, so ``x < y`` also rules out a self-edge."""
+    graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
+    n_users, n_items = ratings.n_users, ratings.n_items
+    n_categories = categories.n_categories
+    return (graph.n_users == n_users and categories.n_items == n_items
+            and all(0 <= x < y < n_users for x, y in graph.edges)
+            and all(0 <= u < n_users and 0 <= i < n_items for u, i in ratings._cells)
+            and all(0 <= i < n_items and 0 <= c < n_categories
+                    for i, c in categories._members)
+            and _all_levels(graph.edges.values()) and _all_levels(ratings._cells.values()))
+
+
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Check every structural invariant; returns a list of violation messages.
 
@@ -317,6 +338,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     not exceptions: self-edges, out-of-range values, out-of-bounds indices
     and dimension mismatches are all collected in one pass.
     """
+    if _is_valid(dataset):
+        return []
     problems: list[str] = []
     graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
 

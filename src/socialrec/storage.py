@@ -10,11 +10,19 @@ A dataset directory holds four files:
 All files are UTF-8 with LF line endings and display labels ("U1", "I5",
 "C3").  Saves are byte-deterministic: rows are sorted by index, so equal
 datasets always produce identical files.
+
+A table file whose body is exactly the form ``save_dataset`` writes parses
+in bulk; every other file, and every file with an error, goes through the
+csv row walk, which gives the same result and names the line of an error.
 """
 
 import csv
 import io
+import re
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from .model import (
     Dataset,
@@ -42,6 +50,16 @@ _HEADERS = {
     CATEGORIES_FILE: ["item", "category"],
     SHAPE_FILE: ["n_users", "n_items", "n_categories"],
 }
+
+# The exact body save_dataset writes: a "\n" after every row, labels without
+# a leading zero and short enough for int64, levels 0..5.
+_LABEL = "[1-9][0-9]{0,17}"
+_BULK_BODY = {
+    RELATIONSHIPS_FILE: re.compile(f"(?:U{_LABEL},U{_LABEL},[0-5]\n)*"),
+    RATINGS_FILE: re.compile(f"(?:U{_LABEL},I{_LABEL},[0-5]\n)*"),
+    CATEGORIES_FILE: re.compile(f"(?:I{_LABEL},C{_LABEL}\n)*"),
+}
+_LABELS_TO_NUMBERS = str.maketrans({"U": None, "I": None, "C": None, "\n": ","})
 
 
 class DataFormatError(SocialRecError):
@@ -145,16 +163,36 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     return dataset
 
 
-def _read_rows(directory: Path, name: str) -> list[tuple[int, list[str]]]:
-    """Rows of one CSV as (line_number, fields), header checked and skipped."""
+def _read_text(directory: Path, name: str) -> str:
+    """The decoded text of one dataset file."""
     file_path = directory / name
     if not file_path.is_file():
         raise DataFormatError(name, None, "file not found")
     try:
-        text = file_path.read_bytes().decode("utf-8")
+        return file_path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(name, line, f"not UTF-8: {exc.reason}") from None
+
+
+def _bulk_rows(name: str, text: str) -> np.ndarray | None:
+    """The rows of a table file as an int64 array of its label numbers and
+    levels, one row per line, or None unless its body is save_dataset's form."""
+    header = ",".join(_HEADERS[name]) + "\n"
+    if not (text.startswith(header) and _BULK_BODY[name].fullmatch(text, len(header))):
+        return None
+    body = text[len(header):-1].translate(_LABELS_TO_NUMBERS)
+    numbers = np.fromstring(body, dtype=np.int64, sep=",") if body else np.empty(0, np.int64)
+    return numbers.reshape(-1, len(_HEADERS[name]))
+
+
+def _pairs(columns: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The rows of a two-column array as tuples of Python ints, in row order."""
+    return zip(*columns.T.tolist())
+
+
+def _read_rows(name: str, text: str) -> list[tuple[int, list[str]]]:
+    """Rows of one CSV text as (line_number, fields), header checked and skipped."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(enumerate(reader, start=1))
@@ -194,9 +232,15 @@ def _parse_level(name: str, line: int, token: str, what: str) -> int:
 
 def _read_relationships(directory: Path) -> dict[tuple[int, int], int]:
     name = RELATIONSHIPS_FILE
+    text = _read_text(directory, name)
+    rows = _bulk_rows(name, text)
+    if rows is not None and not (rows[:, 0] == rows[:, 1]).any():
+        bulk = dict(zip(_pairs(np.sort(rows[:, :2], axis=1) - 1), rows[:, 2].tolist()))
+        if len(bulk) == len(rows):
+            return bulk
     edges: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}
-    for line, (a_token, b_token, s_token) in _read_rows(directory, name):
+    for line, (a_token, b_token, s_token) in _read_rows(name, text):
         a = _parse_index(name, line, a_token, "U")
         b = _parse_index(name, line, b_token, "U")
         strength = _parse_level(name, line, s_token, "strength")
@@ -219,9 +263,15 @@ def _read_relationships(directory: Path) -> dict[tuple[int, int], int]:
 
 def _read_ratings(directory: Path) -> dict[tuple[int, int], int]:
     name = RATINGS_FILE
+    text = _read_text(directory, name)
+    rows = _bulk_rows(name, text)
+    if rows is not None:
+        bulk = dict(zip(_pairs(rows[:, :2] - 1), rows[:, 2].tolist()))
+        if len(bulk) == len(rows):
+            return bulk
     cells: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}
-    for line, (u_token, i_token, r_token) in _read_rows(directory, name):
+    for line, (u_token, i_token, r_token) in _read_rows(name, text):
         user = _parse_index(name, line, u_token, "U")
         item = _parse_index(name, line, i_token, "I")
         rating = _parse_level(name, line, r_token, "rating")
@@ -238,8 +288,14 @@ def _read_ratings(directory: Path) -> dict[tuple[int, int], int]:
 
 def _read_categories(directory: Path) -> list[tuple[int, int]]:
     name = CATEGORIES_FILE
+    text = _read_text(directory, name)
+    rows = _bulk_rows(name, text)
+    if rows is not None:
+        bulk_members = dict.fromkeys(_pairs(rows - 1))
+        if len(bulk_members) == len(rows):
+            return list(bulk_members)
     members: dict[tuple[int, int], int] = {}
-    for line, (i_token, c_token) in _read_rows(directory, name):
+    for line, (i_token, c_token) in _read_rows(name, text):
         item = _parse_index(name, line, i_token, "I")
         category = _parse_index(name, line, c_token, "C")
         key = (item, category)
@@ -257,7 +313,7 @@ def _read_shape(directory: Path) -> tuple[int, int, int] | None:
     name = SHAPE_FILE
     if not (directory / name).is_file():
         return None
-    rows = _read_rows(directory, name)
+    rows = _read_rows(name, _read_text(directory, name))
     if len(rows) != 1:
         raise DataFormatError(name, rows[1][0] if rows else 2,
                               f"expected one row of counts, got {len(rows)}")

@@ -341,6 +341,30 @@ class TestNonFiniteFloatFlags:
         assert result.exit_code == 0, result.output
 
 
+class TestNonAsciiDigits:
+    """Digits outside ASCII, which str.isdigit accepts but int() may not,
+    are usage errors: exit 2 with one Error: line, never a traceback."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--test-users", "U\u00b2"),
+        ("--test-users", "\u00b2"),
+        ("--test-users", "1-\u00b2"),
+        ("--test-users", "\u0663"),
+        ("--test-items", "I\u00b9-I2"),
+        ("--levels", "\u00b2"),
+        ("--levels", "0-\u00b2"),
+        ("--levels", "\u0663"),
+    ])
+    def test_usage_error(self, runner, small_data, flag, value):
+        result = runner.invoke(main, ["compare", "--data", str(small_data),
+                                      "--test-users", "11-20", "--test-items", "I1-I2",
+                                      flag, value])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, result.output
+
+
 class TestConfigFile:
     def test_file_overrides_builtin_and_flag_overrides_file(self, runner, tmp_path):
         config = tmp_path / "defaults.cfg"

@@ -1,7 +1,10 @@
 import csv
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socialrec import (
     DataFormatError,
@@ -12,6 +15,7 @@ from socialrec import (
     run_comparison,
     save_dataset,
 )
+from socialrec import storage
 from socialrec.evaluate import SplitSpec
 from conftest import build_dataset
 from test_golden import DENSE_SHAPE
@@ -273,3 +277,135 @@ class TestLoadSemantics:
         loaded = load_dataset(tmp_path / "d",
                               n_users=12, n_items=4, n_categories=3)
         assert loaded == d
+
+
+TABLES = ["relationships.csv", "ratings.csv", "categories.csv"]
+LEVELS = st.integers(min_value=0, max_value=5)
+
+
+def _with_zero(field):
+    return field[0] + "0" + field[1:] if field[:1].isalpha() else "0" + field
+
+
+def _conflicting(fields):
+    if len(fields) == 3 and fields[2].isdigit():
+        return [fields, fields[:2] + [str((int(fields[2]) + 1) % 6)]]
+    return [fields, fields]
+
+
+# Each edit takes one row's fields, a field index and ``draw``, and returns
+# the rows that replace it.
+ROW_EDITS = {
+    "whitespace": lambda fields, f, draw: [
+        fields[:f] + [draw(st.sampled_from([" {}", "{} ", "\t{} "])).format(fields[f])]
+        + fields[f + 1:]],
+    "leading_zero": lambda fields, f, draw: [fields[:f] + [_with_zero(fields[f])] + fields[f + 1:]],
+    "quoted": lambda fields, f, draw: [fields[:f] + [f'"{fields[f]}"'] + fields[f + 1:]],
+    "cr_on_one_row": lambda fields, f, draw: [fields[:-1] + [fields[-1] + "\r"]],
+    "reversed": lambda fields, f, draw: [[fields[1], fields[0], *fields[2:]]],
+    "duplicate": lambda fields, f, draw: [fields, fields],
+    "conflicting": lambda fields, f, draw: _conflicting(fields),
+    "self_edge": lambda fields, f, draw: [[fields[0], fields[0], *fields[2:]]],
+    "level_6": lambda fields, f, draw: [fields[:-1] + ["6"]],
+    "label_zero": lambda fields, f, draw: [[fields[0][0] + "0", *fields[1:]]],
+    "label_18_digits": lambda fields, f, draw: [[fields[0][0] + "9" * 18, *fields[1:]]],
+    "label_19_digits": lambda fields, f, draw: [[fields[0][0] + "9" * 19, *fields[1:]]],
+}
+TEXT_EDITS = {
+    "shuffled": lambda header, rows, draw: [header, *draw(st.permutations(rows)), ""],
+    "crlf": lambda header, rows, draw: ["\r\n".join([header, *rows, ""])],
+    "no_final_newline": lambda header, rows, draw: [header, *rows],
+    "blank_line": lambda header, rows, draw: [header, *rows, "", ""],
+    "header_only": lambda header, rows, draw: [header, ""],
+    "empty_file": lambda header, rows, draw: [""],
+}
+
+
+def mutate(text, kind, draw):
+    """One edit of a table file's text; a row edit on a file without rows
+    leaves it as it is."""
+    header, *lines = text.split("\n")
+    if kind in TEXT_EDITS:
+        return "\n".join(TEXT_EDITS[kind](header, [row for row in lines if row], draw))
+    filled = [r for r, row in enumerate(lines) if row]
+    if filled:
+        r = draw(st.sampled_from(filled))
+        fields = lines[r].split(",")
+        f = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        lines[r:r + 1] = [",".join(row) for row in ROW_EDITS[kind](fields, f, draw)]
+    return "\n".join([header, *lines])
+
+
+@st.composite
+def small_datasets(draw):
+    n_users = draw(st.integers(min_value=0, max_value=6))
+    n_items = draw(st.integers(min_value=0, max_value=4))
+    n_categories = draw(st.integers(min_value=0, max_value=3))
+    pairs = [(x, y) for x in range(n_users) for y in range(x + 1, n_users)]
+    cells = [(u, i) for u in range(n_users) for i in range(n_items)]
+    bits = [(i, c) for i in range(n_items) for c in range(n_categories)]
+    return build_dataset(
+        n_users, n_items, n_categories,
+        edges=draw(st.dictionaries(st.sampled_from(pairs), LEVELS)) if pairs else {},
+        cells=draw(st.dictionaries(st.sampled_from(cells), LEVELS)) if cells else {},
+        members=draw(st.sets(st.sampled_from(bits))) if bits else set())
+
+
+def load_outcome(directory):
+    """What load_dataset gives: the dataset with the iteration order of its
+    edges and rating rows and columns, or the exception's type and message."""
+    try:
+        d = load_dataset(directory)
+    except Exception as exc:
+        return type(exc), str(exc)
+    users = sorted({u for u, _, _ in d.ratings.cells()})
+    items = sorted({i for _, i, _ in d.ratings.cells()})
+    return (d, list(d.graph.edges.items()),
+            [list(d.ratings.user_ratings(u).items()) for u in users],
+            [list(d.ratings.item_ratings(i).items()) for i in items])
+
+
+class TestBulkParse:
+    """Files in save_dataset's own form parse in bulk; any other text goes
+    through the csv row walk.  The two must give the same outcome."""
+
+    @pytest.mark.parametrize("kind", [None, *ROW_EDITS, *TEXT_EDITS])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_row_walk(self, kind, data):
+        dataset = data.draw(small_datasets())
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            save_dataset(dataset, directory)
+            edits = [] if kind is None else [(data.draw(st.sampled_from(TABLES)), kind)]
+            edits += data.draw(st.lists(st.tuples(st.sampled_from(TABLES),
+                                                  st.sampled_from([*ROW_EDITS, *TEXT_EDITS])),
+                                        max_size=2))
+            for name, edit in edits:
+                path = directory / name
+                path.write_bytes(mutate(path.read_bytes().decode("utf-8"), edit,
+                                        data.draw).encode("utf-8"))
+            if data.draw(st.booleans()):
+                (directory / "shape.csv").unlink()
+            bulk = load_outcome(directory)
+            with mock.patch.object(storage, "_bulk_rows", lambda name, text: None):
+                walk = load_outcome(directory)
+        assert bulk == walk
+
+    def test_saved_files_skip_the_row_walk(self, default_dataset, tmp_path):
+        save_dataset(default_dataset, tmp_path / "d")
+        with mock.patch.object(storage, "_read_rows", side_effect=AssertionError):
+            with pytest.raises(AssertionError):
+                load_dataset(tmp_path / "d")
+            (tmp_path / "d" / "shape.csv").unlink()
+            loaded = load_dataset(tmp_path / "d")
+        assert loaded == default_dataset
+        assert list(loaded.graph.edges) == sorted(default_dataset.graph.edges)
+
+    def test_unsorted_rows_keep_file_order(self, tmp_path):
+        directory = write_dir(tmp_path / "d",
+                              relationships="user_a,user_b,strength\nU3,U1,1\nU2,U1,3\n",
+                              ratings="user,item,rating\nU2,I1,4\nU1,I2,2\nU1,I1,5\n")
+        loaded = load_dataset(directory)
+        assert list(loaded.graph.edges.items()) == [((0, 2), 1), ((0, 1), 3)]
+        assert list(loaded.ratings.user_ratings(0).items()) == [(1, 2), (0, 5)]
