@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure (bad data, missing test cell),
 2 usage error (bad flags, unknown labels).
 """
 
+import gc
 import math
 from pathlib import Path
 
@@ -37,6 +38,13 @@ from .model import (
 )
 from .snrs import SnrsConfig
 from .storage import load_dataset, save_dataset
+
+# The objects the imports above made (about 25k: click, numpy, the package)
+# live as long as the process.  Freeze them so that the cyclic collector's
+# full passes during a command traverse only the command's own objects: a
+# pass over them costs about 5 ms, and whether one falls inside a command
+# depends on what ran before it.
+gc.freeze()
 
 _COMMANDS = ("gen", "predict", "eval", "compare")
 
