@@ -11,7 +11,8 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
-from socialrec import GenConfig, SnrsConfig, SnrsPredictor, generate_dataset, save_dataset
+from socialrec import (CfConfig, CfPredictor, GenConfig, SnrsConfig, SnrsPredictor,
+                       generate_dataset, save_dataset)
 from socialrec.cli import main
 from conftest import build_dataset
 
@@ -81,6 +82,13 @@ SNRS_CONFIG_PREDICT_DIGEST = "5e4753d087c626654cdac7a2a28c11eb2e494e5ad8014636e2
 SNRS_PIN_CONFIGS = [SnrsConfig(laplace_alpha=0.5, friend_min_strength=strength,
                                prediction_levels=(1, 2, 3, 4, 5))
                     for strength in (0, 3)]
+
+# float.hex() of the value, the fallback and the (neighbour, float.hex()
+# similarity) list of CfPredictor(dataset, cfg).predict_detailed(u, i) for
+# every cell of the seed-0 DENSE_SHAPE dataset, trained on itself, with the
+# neighbours restricted to graph friends.
+CF_CONFIG_PREDICT_DIGEST = "4ada16e030f2c6317706628f4703a47bec80f599166288ff3e4283c188c53e60"
+CF_PIN_CONFIG = CfConfig(neighbor_k=5, co_rate_min=3, neighbor_scope="friends-only")
 
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
@@ -204,6 +212,18 @@ def test_snrs_predict_bits_non_default_configs():
             digest.update(" ".join(predictor.predict(u, i).hex()
                                    for i in range(dataset.n_items)).encode() + b"\n")
     assert digest.hexdigest() == SNRS_CONFIG_PREDICT_DIGEST
+
+
+def test_cf_predict_bits_friends_only():
+    dataset = generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))
+    predictor = CfPredictor(dataset, CF_PIN_CONFIG)
+    digest = hashlib.sha256()
+    for u in range(dataset.n_users):
+        for i in range(dataset.n_items):
+            p = predictor.predict_detailed(u, i)
+            neighbors = " ".join(f"{n}:{sim.hex()}" for n, sim in p.neighbors)
+            digest.update(f"{p.value.hex()} {p.fallback} {neighbors}\n".encode())
+    assert digest.hexdigest() == CF_CONFIG_PREDICT_DIGEST
 
 
 @pytest.mark.parametrize("path, seed", [(path, seed) for path in sorted(GEN_PATH_DIGESTS)
