@@ -24,6 +24,7 @@ from .model import (
     RatingMatrix,
     RelationshipGraph,
     SocialRecError,
+    cell_array,
     round_rating,
     user_label,
 )
@@ -105,26 +106,20 @@ class SimilarityCache:
     def build(cls, ratings: RatingMatrix, co_rate_min: int = 2) -> "SimilarityCache":
         """All pairs at once, as integer Gram products over the rated users.
 
-        With R the rating array, M its 0/1 mask and n = M·Mᵀ the co-rated
-        counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and Sxy = R·Rᵀ are each pair's sums
-        over its co-rated items.  A = n·Sxx − Sx² (``spread``),
-        uv = n·(n·Sxy − Sx·Sxᵀ), uu = n·A and vv = n·Aᵀ = uuᵀ are the exact
-        integers pearson_correlation builds, and float(uu)·float(vv) rounds
-        like float(uu·vv) while both stay below 2**53 (up to about 10**5
-        co-rated items), so every similarity is bit-identical to it.  The
-        sums stay in integers so that no BLAS library or thread count can
-        change a result.
+        With R the rated users' ``dense()`` rows (-1 read as 0), M their 0/1
+        mask and n = M·Mᵀ the co-rated counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and
+        Sxy = R·Rᵀ are each pair's sums over its co-rated items.
+        A = n·Sxx − Sx² (``spread``), uv = n·(n·Sxy − Sx·Sxᵀ), uu = n·A and
+        vv = n·Aᵀ = uuᵀ are the exact integers pearson_correlation builds,
+        and float(uu)·float(vv) rounds like float(uu·vv) while both stay
+        below 2**53 (up to about 10**5 co-rated items), so every similarity
+        is bit-identical to it.  The sums stay in integers so that no BLAS
+        library or thread count can change a result.
         """
-        users = [u for u in range(ratings.n_users) if ratings.user_ratings(u)]
-        columns: dict[int, int] = {}
-        cells = [(a, columns.setdefault(i, len(columns)), r)
-                 for a, u in enumerate(users) for i, r in ratings.user_ratings(u).items()]
-        rated = np.zeros((len(users), len(columns)), dtype=np.int64)
-        mask = np.zeros_like(rated)
-        if cells:
-            at_row, at_column, values = np.array(cells, dtype=np.int64).T
-            rated[at_row, at_column] = values
-            mask[at_row, at_column] = 1
+        dense = ratings.dense()
+        users = np.flatnonzero((dense >= 0).any(axis=1))
+        rated = np.maximum(dense[users], 0).astype(np.int64)
+        mask = (dense[users] >= 0).astype(np.int64)
         n = mask @ mask.T
         sx = rated @ mask.T
         spread = n * ((rated * rated) @ mask.T) - sx * sx
@@ -133,12 +128,11 @@ class SimilarityCache:
         defined = (n >= co_rate_min) & (spread != 0) & (spread.T != 0)
         np.fill_diagonal(defined, False)
         sims = np.divide(uv, np.sqrt(uu * uu.T), out=np.zeros(uv.shape), where=defined)
-        labels = np.array(users, dtype=np.int64)
         rows = {}
-        for a, u in enumerate(users):
+        for a, u in enumerate(users.tolist()):
             (others,) = np.nonzero(defined[a])
             others = others[np.lexsort((others, -sims[a, others]))]
-            rows[u] = dict(zip(labels[others].tolist(), sims[a, others].tolist()))
+            rows[u] = dict(zip(users[others].tolist(), sims[a, others].tolist()))
         return cls(ratings.n_users, rows)
 
     def row(self, u: int) -> dict[int, float]:
@@ -172,12 +166,12 @@ def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCac
     """
     if cfg.neighbor_scope == SCOPE_FRIENDS and graph is None:
         raise ValueError("friends-only scope requires the relationship graph")
-    raters = ratings.item_ratings(i)
+    column = ratings.dense()[:, i].tolist()
     neighbors = []
     for n, sim in cache.row(u).items():
         if sim <= 0 or len(neighbors) == cfg.neighbor_k:
             break
-        if n not in raters:
+        if column[n] < 0:
             continue
         if cfg.neighbor_scope == SCOPE_FRIENDS:
             strength = graph.strength(u, n)
@@ -238,15 +232,20 @@ class CfPredictor:
 
         A user with no ratings gets the training global mean, flagged
         "global-mean"; ColdStartError is raised only when the training set
-        has no ratings at all.
+        has no ratings at all, and ValueError for a cell outside the
+        training matrix.
         """
-        if not self._ratings.user_ratings(u):
+        return self.predict_many([(u, i)])[0]
+
+    def predict_many(self, cells) -> list[Prediction]:
+        """predict_detailed for each (user, item) cell, in order."""
+        cells = cell_array(cells, self._ratings.dense().shape).tolist()
+        return [self._predict_one(u, i) for u, i in cells]
+
+    def _predict_one(self, u: int, i: int) -> Prediction:
+        if self._ratings.user_mean(u) is None:
             if self._global_mean is None:
                 raise ColdStartError(f"cold start: {user_label(u)} has no ratings and "
                                      f"the dataset has no other ratings to average")
             return Prediction(self._global_mean, "global-mean")
         return _predict(u, i, self._ratings, self._cache, self.cfg, self._graph)
-
-    def predict_many(self, cells) -> list[Prediction]:
-        """predict_detailed for each (user, item) cell, in order."""
-        return [self.predict_detailed(u, i) for u, i in cells]

@@ -31,6 +31,7 @@ from .model import (
     Dataset,
     RatingMatrix,
     SocialRecError,
+    is_number,
     item_label,
     parse_label,
     round_rating,
@@ -99,12 +100,6 @@ class _FiniteFloatRange(click.FloatRange):
         return value
 
 
-def _is_number(token: str) -> bool:
-    """True for a non-empty run of ASCII digits; str.isdigit alone also
-    accepts digits such as "²" that int() rejects."""
-    return token.isascii() and token.isdigit()
-
-
 def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
     """Parse "51-100", "U51-U100" or "I1,I3,I5" into 0-based indices."""
 
@@ -112,7 +107,7 @@ def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
         token = token.strip()
         if token.upper().startswith(kind):
             token = token[1:]
-        if not _is_number(token) or int(token) < 1:
+        if not is_number(token) or int(token) < 1:
             raise click.UsageError(f"bad {what} {token!r}: expected a 1-based "
                                    f"number or {kind}-label")
         return int(token) - 1
@@ -143,10 +138,10 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             continue
         if "-" in part:
             lo, hi = part.split("-", 1)
-            if not (_is_number(lo.strip()) and _is_number(hi.strip())):
+            if not (is_number(lo.strip()) and is_number(hi.strip())):
                 raise click.UsageError(f"bad rating level range {part!r}")
             levels.extend(range(int(lo), int(hi) + 1))
-        elif _is_number(part):
+        elif is_number(part):
             levels.append(int(part))
         else:
             raise click.UsageError(f"bad rating level {part!r}")

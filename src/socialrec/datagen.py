@@ -129,12 +129,11 @@ def _friend_weighted_fill(
 
     A cell reads only its own item's column, so one numpy step fills all of
     a user's empty items at once with the values of a cell-by-cell sweep (the
-    sums over friends are exact integers), adding them in that sweep's order.
+    sums over friends are exact integers); events come in that sweep's order.
     """
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
                          f"{seeded.n_users}")
-    cells = {(u, i): r for u, i, r in seeded.cells()}
     grid = seeded.dense().astype(np.int64)  # -1 where unrated
     friends = []
     for u in range(graph.n_users):
@@ -159,7 +158,6 @@ def _friend_weighted_fill(
             values = [round_rating(w / t)
                       for w, t in zip(weighted[hit].tolist(), total[hit].tolist())]
             grid[u, items] = values
-            cells.update(zip([(u, i) for i in items], values))
             n_open[u] -= len(values)
             if events is not None:
                 for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
@@ -169,13 +167,14 @@ def _friend_weighted_fill(
 
     holes = np.flatnonzero(grid < 0)  # row-major
     values = _stream(cfg, _FILL_STREAM).integers(0, RATING_MAX + 1, size=holes.size)
-    for flat, value in zip(holes.tolist(), values.tolist()):
-        u, i = divmod(flat, seeded.n_items)
-        cells[u, i] = value
-        if events is not None:
-            events.append(FillEvent(u, i, None, (), value, "random"))
+    grid.flat[holes] = values
+    if events is not None:
+        for flat, value in zip(holes.tolist(), values.tolist()):
+            events.append(FillEvent(*divmod(flat, seeded.n_items), None, (), value, "random"))
 
-    n_propagated = len(cells) - holes.size - seeded.n_rated
+    users, items = np.indices(grid.shape).reshape(2, -1).tolist()
+    cells = dict(zip(zip(users, items), grid.ravel().tolist()))
+    n_propagated = grid.size - holes.size - seeded.n_rated
     return RatingMatrix(seeded.n_users, seeded.n_items, cells), n_propagated, holes.size
 
 

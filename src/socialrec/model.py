@@ -35,13 +35,19 @@ def category_label(index: int) -> str:
     return f"C{index + 1}"
 
 
+def is_number(token: str) -> bool:
+    """True for a non-empty run of ASCII digits; str.isdigit alone also
+    accepts digits such as "²" or "٣"."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_label(label: str, kind: str) -> int:
     """Convert a display label like "U51" back to its 0-based index.
 
     ``kind`` is the expected prefix letter: "U", "I" or "C".
     """
     text = label.strip()
-    if not text.startswith(kind) or not text[1:].isdigit():
+    if not text.startswith(kind) or not is_number(text[1:]):
         raise ValueError(f"malformed {kind!r} label: {label!r}")
     number = int(text[1:])
     if number < 1:
@@ -70,6 +76,18 @@ def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
         array.reshape(-1)[at] = values
     array.flags.writeable = False
     return array
+
+
+def cell_array(cells, shape: tuple[int, int]) -> np.ndarray:
+    """The (user, item) ``cells`` as an n x 2 index array.  A cell outside
+    the users x items ``shape``, negative indices included, raises
+    ValueError naming the first such cell and the shape."""
+    at = np.array(cells, dtype=np.intp).reshape(-1, 2)
+    outside = ((at < 0) | (at >= shape)).any(axis=1)
+    if outside.any():
+        u, i = at[outside.argmax()].tolist()
+        raise ValueError(f"cell ({u}, {i}) outside the {shape[0]}x{shape[1]} rating matrix")
+    return at
 
 
 class RelationshipGraph:
@@ -143,7 +161,7 @@ class RatingMatrix:
 
     Built once from a {(user, item): rating} map; absent cells are unrated.
     Cells are stored as given so that validate_dataset can report every
-    out-of-range value or index.
+    out-of-range value or index.  ``dense`` is the one index over them.
     """
 
     def __init__(self, n_users: int, n_items: int,
@@ -153,9 +171,8 @@ class RatingMatrix:
         self.n_users = n_users
         self.n_items = n_items
         self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
-        self._lines: tuple[dict[int, dict[int, int]], dict[int, dict[int, int]],
-                           dict[int, float]] | None = None
         self._dense: np.ndarray | None = None
+        self._means: list[float | None] | None = None
 
     def get(self, user: int, item: int) -> int | None:
         return self._cells.get((user, item))
@@ -165,19 +182,6 @@ class RatingMatrix:
         for (u, i) in sorted(self._cells):
             yield u, i, self._cells[(u, i)]
 
-    def _index(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]],
-                              dict[int, float]]:
-        """Rows, columns and user means, built in one pass on first use."""
-        if self._lines is None:
-            rows: dict[int, dict[int, int]] = {}
-            cols: dict[int, dict[int, int]] = {}
-            for (u, i), r in self._cells.items():
-                rows.setdefault(u, {})[i] = r
-                cols.setdefault(i, {})[u] = r
-            means = {u: sum(row.values()) / len(row) for u, row in rows.items()}
-            self._lines = rows, cols, means
-        return self._lines
-
     def dense(self) -> np.ndarray:
         """Read-only int8 users x items array of the ratings, -1 where
         unrated; built once on first use."""
@@ -186,17 +190,17 @@ class RatingMatrix:
                                       self._cells, list(self._cells.values()))
         return self._dense
 
-    def user_ratings(self, user: int) -> dict[int, int]:
-        """item -> rating map for one user; treat as read-only (cached)."""
-        return self._index()[0].get(user, {})
-
-    def item_ratings(self, item: int) -> dict[int, int]:
-        """user -> rating map for one item; treat as read-only (cached)."""
-        return self._index()[1].get(item, {})
-
     def user_mean(self, user: int) -> float | None:
-        """Mean of the user's full rating row, or None if the row is empty."""
-        return self._index()[2].get(user)
+        """Mean of the user's full rating row, or None if the row is empty.
+        Raises IndexError for a user outside 0..n_users-1."""
+        if not 0 <= user < self.n_users:
+            raise IndexError(f"user index {user} outside 0..{self.n_users - 1}")
+        if self._means is None:
+            ratings = self.dense()
+            sums = np.maximum(ratings, 0).sum(axis=1, dtype=np.int64).tolist()
+            counts = (ratings >= 0).sum(axis=1).tolist()
+            self._means = [s / c if c else None for s, c in zip(sums, counts)]
+        return self._means[user]
 
     def global_mean(self) -> float | None:
         if not self._cells:

@@ -36,6 +36,7 @@ from .model import (
     SocialRecError,
     N_LEVELS,
     RATING_LEVELS,
+    cell_array,
 )
 
 _SUM_TOLERANCE = 1e-9
@@ -377,7 +378,7 @@ class SnrsPredictor:
         u's prior times item i's bit likelihood per category in index
         order, i's acceptance, and the table columns of the friends who
         rated i (uniform when no friend rated i)."""
-        users, items = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+        users, items = cell_array(cells, self._ratings.shape).T
         bits, likelihoods = self._bits[items], self.preference.likelihoods
         pu = _evidence(self.preference.priors[users],
                        (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))

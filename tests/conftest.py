@@ -19,6 +19,11 @@ def build_dataset(n_users, n_items, n_categories, edges=None, cells=None, member
     )
 
 
+def rating_row(ratings, user):
+    """The user's {item: rating} row, read cell by cell through ``get``."""
+    return {i: r for i in range(ratings.n_items) if (r := ratings.get(user, i)) is not None}
+
+
 def constant_dataset(n_users=100, n_items=10, n_categories=10, rating=3):
     """Every user rates every item the same; ring-plus-chords friendship graph."""
     edges = {}

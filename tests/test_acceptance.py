@@ -33,7 +33,7 @@ from socialrec import (
 from socialrec.cf import CfConfig, pearson_correlation
 from socialrec.evaluate import SECOND_HALF_ITEMS
 from socialrec.model import RatingMatrix, round_rating
-from conftest import constant_dataset
+from conftest import constant_dataset, rating_row
 import reference_grids as grids
 
 
@@ -148,7 +148,7 @@ def test_criterion_3_cf_matches_brute_force():
         for u in range(n_users):  # every user gets at least one rating
             cells[(u, rng.randrange(n_items))] = rng.randint(0, 5)
         matrix = RatingMatrix(n_users, n_items, cells)
-        rows = {u: dict(matrix.user_ratings(u)) for u in range(n_users)}
+        rows = {u: rating_row(matrix, u) for u in range(n_users)}
         cache = SimilarityCache.build(matrix, 2)
         for u in range(n_users):
             for i in range(n_items):

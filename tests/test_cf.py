@@ -21,7 +21,7 @@ from socialrec import (
 )
 import socialrec.cf
 from socialrec.cf import round_rating  # re-exported alongside the predictor
-from conftest import build_dataset
+from conftest import build_dataset, rating_row
 
 
 @st.composite
@@ -44,7 +44,7 @@ def rating_matrices(draw):
 
 def reference_similarity(m, u, n, co_rate_min):
     """pearson_correlation over the co-rated items, None below co_rate_min."""
-    row_u, row_n = m.user_ratings(u), m.user_ratings(n)
+    row_u, row_n = rating_row(m, u), rating_row(m, n)
     co_rated = sorted(row_u.keys() & row_n.keys())
     if len(co_rated) < co_rate_min:
         return None

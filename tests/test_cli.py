@@ -104,6 +104,13 @@ class TestPredict:
         assert result.exit_code == 2
         assert "U99" in result.output
 
+    @pytest.mark.parametrize("label", ["U\u0663", "U\u00b2"])
+    def test_non_ascii_digit_label_usage_error(self, runner, small_data, label):
+        result = runner.invoke(main, ["predict", "--data", str(small_data),
+                                      "--method", "cf", "--user", label, "--item", "I1"])
+        assert result.exit_code == 2, result.output
+        assert "malformed 'U' label" in result.output
+
     def test_malformed_label_usage_error(self, runner, small_data):
         result = runner.invoke(main, ["predict", "--data", str(small_data),
                                       "--method", "cf",

@@ -300,16 +300,6 @@ def reference_fill(graph, seeded, cfg):
     return RatingMatrix(seeded.n_users, seeded.n_items, cells), events
 
 
-def assert_same_fill(filled, reference):
-    """Equal matrices whose rows and columns list their cells in the same
-    order, the order in which the fill added them."""
-    assert filled == reference
-    for u in range(filled.n_users):
-        assert list(filled.user_ratings(u).items()) == list(reference.user_ratings(u).items())
-    for i in range(filled.n_items):
-        assert list(filled.item_ratings(i).items()) == list(reference.item_ratings(i).items())
-
-
 @st.composite
 def fill_cases(draw):
     """A graph, a seed matrix and a config.  Edges may have strength 0 or
@@ -348,7 +338,7 @@ class TestFillAgainstReference:
         graph, seeded, cfg = case
         filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
         reference, reference_events = reference_fill(graph, seeded, cfg)
-        assert_same_fill(filled, reference)
+        assert filled == reference
         assert events == reference_events
 
     @settings(max_examples=100, deadline=None)
@@ -358,7 +348,7 @@ class TestFillAgainstReference:
         graph = reference_relationships(cfg)
         assert list(dataset.graph.edges.items()) == list(graph.edges.items())
         reference, events = reference_fill(graph, seed_ratings(cfg), cfg)
-        assert_same_fill(dataset.ratings, reference)
+        assert dataset.ratings == reference
         sources = [e.source for e in events]
         assert (dataset.meta["cells_propagated"], dataset.meta["cells_random"]) == \
                (sources.count("propagated"), sources.count("random"))
@@ -376,7 +366,7 @@ class TestFillAgainstReference:
             graph, seeded = generate_relationships(cfg), seed_ratings(cfg)
             filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
             reference, reference_events = reference_fill(graph, seeded, cfg)
-            assert_same_fill(filled, reference)
+            assert filled == reference
             assert events == reference_events
             n_random += generate_dataset(cfg).meta["cells_random"]
         if shape.get("fill_passes") == 1:

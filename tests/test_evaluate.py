@@ -11,6 +11,7 @@ from socialrec import (
     mae,
     run_comparison,
     split,
+    train_predictor,
     write_detail_csv,
     write_summary_csv,
 )
@@ -189,6 +190,27 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="unknown method"):
             evaluate_method(tiny_dataset, SplitSpec(test_users=(0,), test_items=(0,)),
                             "svd")
+
+
+class TestCellsOutsideTrainingShape:
+    """Both engines reject a cell outside the training matrix, naming the
+    cell and the shape, rather than answering from a fallback or a wrapped
+    index."""
+
+    @pytest.mark.parametrize("method", ["cf", "snrs"])
+    @pytest.mark.parametrize("cell", [(100, 0), (0, 10), (-1, 0), (0, -1)])
+    def test_rejected(self, default_dataset, method, cell):
+        predictor = train_predictor(method, default_dataset)
+        message = rf"cell \({cell[0]}, {cell[1]}\) outside the 100x10 rating matrix"
+        with pytest.raises(ValueError, match=message):
+            predictor.predict_detailed(*cell)
+        with pytest.raises(ValueError, match=message):
+            predictor.predict_many([(0, 0), cell, (99, 9)])
+
+    @pytest.mark.parametrize("method", ["cf", "snrs"])
+    def test_corners_accepted(self, default_dataset, method):
+        predictor = train_predictor(method, default_dataset)
+        assert len(predictor.predict_many([(0, 0), (99, 9), (0, 9), (99, 0)])) == 4
 
 
 class TestReportCsv:

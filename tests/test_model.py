@@ -36,6 +36,11 @@ class TestLabels:
         with pytest.raises(ValueError):
             parse_label(bad, "U")
 
+    @pytest.mark.parametrize("bad", ["U\u00b2", "U\u0663"])
+    def test_non_ascii_digits_are_malformed(self, bad):
+        with pytest.raises(ValueError, match="malformed 'U' label"):
+            parse_label(bad, "U")
+
     def test_whitespace_tolerated(self):
         assert parse_label(" U7 ", "U") == 6
 
@@ -174,17 +179,17 @@ class TestRatingMatrix:
     def test_fixed_at_construction(self):
         cells = {(0, 0): 1}
         m = RatingMatrix(2, 2, cells)
-        assert m.user_ratings(1) == {}
+        assert m.user_mean(1) is None
         cells[(1, 1)] = 2
         assert m.get(1, 1) is None
-        assert m.user_ratings(1) == {}
+        assert m.user_mean(1) is None
         assert m.n_rated == 1
 
     def test_rows_and_columns(self):
         m = RatingMatrix(3, 2, {(0, 0): 1, (0, 1): 5, (2, 0): 3})
-        assert m.user_ratings(0) == {0: 1, 1: 5}
-        assert m.user_ratings(1) == {}
-        assert m.item_ratings(0) == {0: 1, 2: 3}
+        assert m.dense()[0].tolist() == [1, 5]
+        assert m.dense()[1].tolist() == [-1, -1]
+        assert m.dense()[:, 0].tolist() == [1, -1, 3]
 
     def test_means(self):
         m = RatingMatrix(2, 3, {(0, 0): 1, (0, 1): 3, (0, 2): 5})
@@ -192,6 +197,11 @@ class TestRatingMatrix:
         assert m.user_mean(1) is None
         assert m.global_mean() == 3.0
         assert RatingMatrix(1, 1).global_mean() is None
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_user_mean_rejects_users_out_of_range(self, user):
+        with pytest.raises(IndexError, match=f"user index {user} outside 0..1"):
+            RatingMatrix(2, 3, {(1, 0): 4}).user_mean(user)
 
     def test_mean_is_row_sum_over_row_length(self):
         m = RatingMatrix(1, 3, {(0, 0): 1, (0, 1): 2, (0, 2): 2})

@@ -21,7 +21,7 @@ from socialrec import (
     learn_models,
 )
 from socialrec.evaluate import SplitSpec, split
-from conftest import build_dataset
+from conftest import build_dataset, rating_row
 
 UNIFORM = (1 / 6,) * 6
 
@@ -205,7 +205,7 @@ def dense_train():
 def recount_friend_table(train, u, v, alpha):
     """table[j][k] = (#co-rated items with u at k and v at j + alpha) /
     (#co-rated items with v at j + 6 alpha), counted from scratch."""
-    row_u, row_v = train.ratings.user_ratings(u), train.ratings.user_ratings(v)
+    row_u, row_v = rating_row(train.ratings, u), rating_row(train.ratings, v)
     common = [i for i in range(train.n_items) if i in row_u and i in row_v]
     joint = Counter((row_v[i], row_u[i]) for i in common)
     given = Counter(row_v[i] for i in common)
@@ -253,7 +253,7 @@ class TestLearnedMemory:
 def brute_force_user_preference(dataset, u, i, alpha=1.0):
     """Full enumeration of the naive-Bayes posterior, independent of the
     package's counting code; exact when alpha is a Fraction."""
-    row = dataset.ratings.user_ratings(u)
+    row = rating_row(dataset.ratings, u)
     n_categories = dataset.n_categories
     masses = []
     for k in range(6):
@@ -563,7 +563,7 @@ def scalar_prediction(dataset, cfg, u, i):
         total = sum(weights)
         return [w / total for w in weights]
 
-    row = ratings.user_ratings(u)
+    row = rating_row(ratings, u)
     counts = [sum(1 for r in row.values() if r == k) for k in range(6)]
     preference = []
     for c in range(dataset.n_categories):
@@ -572,12 +572,12 @@ def scalar_prediction(dataset, cfg, u, i):
         preference.append(present if bit(i, c) else [1.0 - p for p in present])
     friends = []
     for v, _ in dataset.graph.friends_of(u, cfg.friend_min_strength):
-        j, other = ratings.get(v, i), ratings.user_ratings(v)
+        j, other = ratings.get(v, i), rating_row(ratings, v)
         if j is not None:
             joint = Counter(r for item, r in row.items() if other.get(item) == j)
             friends.append(smoothed([joint[k] for k in range(6)]))
     pu = product(smoothed(counts), preference)
-    pi = smoothed([sum(1 for r in ratings.item_ratings(i).values() if r == k)
+    pi = smoothed([sum(1 for v in range(dataset.n_users) if ratings.get(v, i) == k)
                    for k in range(6)])
     pff = product([1.0] * 6, friends)
     combined = product([a * b * c for a, b, c in zip(pu, pi, pff)], [])
