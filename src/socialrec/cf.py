@@ -185,9 +185,10 @@ def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
                cfg: CfConfig, graph: RelationshipGraph | None = None) -> float:
     """Predicted (unclamped, unrounded) rating of item i by user u.
 
-    Falls back to the user's mean when no usable neighbor exists; raises
-    ColdStartError when the user has no ratings at all.
+    Falls back to the user's mean when no usable neighbor exists.  Raises
+    ColdStartError for a user with no ratings, ValueError off the matrix.
     """
+    cell_array([(u, i)], ratings.dense().shape)
     return _predict(u, i, ratings, cache, cfg, graph).value
 
 

@@ -83,9 +83,9 @@ def cell_array(cells, shape: tuple[int, int]) -> np.ndarray:
     the users x items ``shape``, negative indices included, raises
     ValueError naming the first such cell and the shape."""
     at = np.array(cells, dtype=np.intp).reshape(-1, 2)
-    outside = ((at < 0) | (at >= shape)).any(axis=1)
+    outside = (at < 0) | (at >= shape)
     if outside.any():
-        u, i = at[outside.argmax()].tolist()
+        u, i = at[outside.any(axis=1).argmax()].tolist()
         raise ValueError(f"cell ({u}, {i}) outside the {shape[0]}x{shape[1]} rating matrix")
     return at
 

@@ -298,6 +298,12 @@ class TestSelectNeighbors:
 
 
 class TestPredictCf:
+    @pytest.mark.parametrize("cell", [(0, -1), (0, 10), (100, 0)])
+    def test_cell_outside_matrix_rejected(self, default_dataset, cell):
+        cache = SimilarityCache.build(default_dataset.ratings)
+        with pytest.raises(ValueError, match="outside the 100x10 rating matrix"):
+            predict_cf(*cell, default_dataset.ratings, cache, CfConfig())
+
     def test_hand_case(self):
         # active mean 2; neighbors (sim .5, r=4, mean 3) and (sim .5, r=2, mean 2)
         m = RatingMatrix(3, 3, {

@@ -207,11 +207,6 @@ class TestCellsOutsideTrainingShape:
         with pytest.raises(ValueError, match=message):
             predictor.predict_many([(0, 0), cell, (99, 9)])
 
-    @pytest.mark.parametrize("method", ["cf", "snrs"])
-    def test_corners_accepted(self, default_dataset, method):
-        predictor = train_predictor(method, default_dataset)
-        assert len(predictor.predict_many([(0, 0), (99, 9), (0, 9), (99, 0)])) == 4
-
 
 class TestReportCsv:
     def test_headers_and_determinism(self, default_dataset, tmp_path):
