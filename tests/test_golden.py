@@ -90,6 +90,13 @@ SNRS_PIN_CONFIGS = [SnrsConfig(laplace_alpha=0.5, friend_min_strength=strength,
 CF_CONFIG_PREDICT_DIGEST = "4ada16e030f2c6317706628f4703a47bec80f599166288ff3e4283c188c53e60"
 CF_PIN_CONFIG = CfConfig(neighbor_k=5, co_rate_min=3, neighbor_scope="friends-only")
 
+# The same hash under the default CfConfig, for every cell of the seed-0
+# dataset at the benchmark's many-items shape (CATALOG_SHAPE), trained on
+# itself: each cell has many co-raters, so neighbour order, truncation to k
+# and the summation order of the weighted average are all exercised.
+CATALOG_SHAPE = dict(n_users=80, n_items=80, n_categories=4, edge_density=0.05)
+CF_DEFAULT_PREDICT_DIGEST = "ad8459f3f3ada2b21f056415d579ffbca6ac11f4510629ae4c1eafbe712937b2"
+
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
 # seeds 5% of the cells on a sparse graph and sweeps once, so most cells come
@@ -214,16 +221,25 @@ def test_snrs_predict_bits_non_default_configs():
     assert digest.hexdigest() == SNRS_CONFIG_PREDICT_DIGEST
 
 
-def test_cf_predict_bits_friends_only():
-    dataset = generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))
-    predictor = CfPredictor(dataset, CF_PIN_CONFIG)
+def cf_predict_digest(dataset, cfg) -> str:
+    predictor = CfPredictor(dataset, cfg)
     digest = hashlib.sha256()
     for u in range(dataset.n_users):
         for i in range(dataset.n_items):
             p = predictor.predict_detailed(u, i)
             neighbors = " ".join(f"{n}:{sim.hex()}" for n, sim in p.neighbors)
             digest.update(f"{p.value.hex()} {p.fallback} {neighbors}\n".encode())
-    assert digest.hexdigest() == CF_CONFIG_PREDICT_DIGEST
+    return digest.hexdigest()
+
+
+def test_cf_predict_bits_friends_only():
+    dataset = generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))
+    assert cf_predict_digest(dataset, CF_PIN_CONFIG) == CF_CONFIG_PREDICT_DIGEST
+
+
+def test_cf_predict_bits_default_config():
+    dataset = generate_dataset(GenConfig(rng_seed=0, **CATALOG_SHAPE))
+    assert cf_predict_digest(dataset, CfConfig()) == CF_DEFAULT_PREDICT_DIGEST
 
 
 @pytest.mark.parametrize("path, seed", [(path, seed) for path in sorted(GEN_PATH_DIGESTS)
