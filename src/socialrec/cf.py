@@ -89,60 +89,105 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | Non
     return uv / math.sqrt(uu * vv)
 
 
+# Rated users per block of SimilarityCache.build.  A block holds about a
+# dozen float64 arrays of block users x rated users, so 512 rows keep a
+# 5000-user build to a few hundred MB.
+_BUILD_BLOCK = 512
+# Padded (cell, candidate neighbour) entries per window of the scoring kernel.
+_CHUNK_ENTRIES = 2 ** 14
+
+
 class SimilarityCache:
     """Precomputed Pearson similarities for every unordered user pair.
 
-    Built once from a rating matrix and immutable afterwards.  Each user's
-    defined similarities are stored as one {other user: similarity} row in
-    neighbour order: similarity descending, ties by ascending user index.
-    A pair missing from the rows has an undefined similarity.
+    Built once from a rating matrix and immutable afterwards.  The defined
+    similarities are one CSR table: user u's row is the int32 user indices
+    ``neighbors[indptr[u]:indptr[u + 1]]`` with the float64 ``similarities``
+    alongside, in neighbour order: similarity descending, ties by ascending
+    user index.  A pair missing from the rows has an undefined similarity.
+    ``positive[u]`` counts the strictly positive similarities, which open
+    u's row.
     """
 
-    def __init__(self, n_users: int, rows: dict[int, dict[int, float]]):
-        self.n_users = n_users
-        self._rows = rows
+    def __init__(self, indptr, neighbors, similarities):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.neighbors = np.asarray(neighbors, dtype=np.int32)
+        self.similarities = np.asarray(similarities, dtype=np.float64)
+        for array in (self.indptr, self.neighbors, self.similarities):
+            array.flags.writeable = False
+        self.n_users = len(self.indptr) - 1
+        # The appended False lets the last row's sum start inside the array,
+        # and an empty row's sum, which reduceat reads as the next row's
+        # first entry, is zeroed.
+        positive = np.append(self.similarities > 0, False)
+        self.positive = (np.add.reduceat(positive, self.indptr[:-1], dtype=np.int64)
+                         * (np.diff(self.indptr) > 0))
 
     @classmethod
     def build(cls, ratings: RatingMatrix, co_rate_min: int = 2) -> "SimilarityCache":
-        """All pairs at once, as integer Gram products over the rated users.
+        """All pairs as Gram products over the rated users, one block of rows
+        at a time.
 
         With R the rated users' ``dense()`` rows (-1 read as 0), M their 0/1
         mask and n = M·Mᵀ the co-rated counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and
         Sxy = R·Rᵀ are each pair's sums over its co-rated items.
         A = n·Sxx − Sx² (``spread``), uv = n·(n·Sxy − Sx·Sxᵀ), uu = n·A and
-        vv = n·Aᵀ = uuᵀ are the exact integers pearson_correlation builds,
-        and float(uu)·float(vv) rounds like float(uu·vv) while both stay
+        vv = n·Aᵀ = uuᵀ are the integers pearson_correlation builds.  The
+        arrays are float64, but every sum, and every product of two sums,
+        is an integer below 2**53 (up to about 10**7 items), so each is exact
+        whatever the BLAS library, summation order or thread count, and uv,
+        uu and vv are the exact integers rounded once, as float() rounds
+        them.  float(uu)·float(vv) rounds like float(uu·vv) while both stay
         below 2**53 (up to about 10**5 co-rated items), so every similarity
-        is bit-identical to it.  The sums stay in integers so that no BLAS
-        library or thread count can change a result.
+        is bit-identical to pearson_correlation.  A block B of rows gets the
+        transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ; a single
+        block reads them off its own Sx and A.
         """
         dense = ratings.dense()
         users = np.flatnonzero((dense >= 0).any(axis=1))
-        rated = np.maximum(dense[users], 0).astype(np.int64)
-        mask = (dense[users] >= 0).astype(np.int64)
-        n = mask @ mask.T
-        sx = rated @ mask.T
-        spread = n * ((rated * rated) @ mask.T) - sx * sx
-        uv = n * (n * (rated @ rated.T) - sx * sx.T)
-        uu = (n * spread).astype(np.float64)
-        defined = (n >= co_rate_min) & (spread != 0) & (spread.T != 0)
-        np.fill_diagonal(defined, False)
-        sims = np.divide(uv, np.sqrt(uu * uu.T), out=np.zeros(uv.shape), where=defined)
-        rows = {}
-        for a, u in enumerate(users.tolist()):
-            (others,) = np.nonzero(defined[a])
-            others = others[np.lexsort((others, -sims[a, others]))]
-            rows[u] = dict(zip(users[others].tolist(), sims[a, others].tolist()))
-        return cls(ratings.n_users, rows)
+        rated = np.maximum(dense[users], 0).astype(np.float64)
+        mask = (dense[users] >= 0).astype(np.float64)
+        squared = rated * rated
+        counts = np.zeros(ratings.n_users, dtype=np.int64)
+        neighbors, similarities = [np.zeros(0, np.int32)], [np.zeros(0)]
+        for start in range(0, len(users), _BUILD_BLOCK):
+            block = slice(start, start + _BUILD_BLOCK)
+            n = mask[block] @ mask.T
+            sx = rated[block] @ mask.T
+            spread = n * (squared[block] @ mask.T) - sx * sx
+            if len(users) <= _BUILD_BLOCK:
+                sy, spread_t = sx.T, spread.T
+            else:
+                sy = mask[block] @ rated.T
+                spread_t = n * (mask[block] @ squared.T) - sy * sy
+            uv = n * (n * (rated[block] @ rated.T) - sx * sy)
+            uu, vv = n * spread, n * spread_t
+            defined = (n >= co_rate_min) & (spread != 0) & (spread_t != 0)
+            own = np.arange(len(n))
+            defined[own, start + own] = False
+            sims = np.divide(uv, np.sqrt(uu * vv), out=np.zeros(uv.shape), where=defined)
+            # a stable sort keeps equal similarities in ascending user order;
+            # the undefined pairs sort last and are cut off
+            order = np.argsort(np.where(defined, -sims, np.inf), axis=1, kind="stable")
+            size = defined.sum(axis=1)
+            col = order[np.arange(len(users)) < size[:, None]]
+            neighbors.append(users[col].astype(np.int32))
+            similarities.append(sims[np.repeat(own, size), col])
+            counts[users[block]] = size
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return cls(indptr, np.concatenate(neighbors), np.concatenate(similarities))
 
     def row(self, u: int) -> dict[int, float]:
-        """u's defined similarities in neighbour order; treat as read-only."""
-        return self._rows.get(u, {})
+        """u's defined similarities in neighbour order, as a new dict."""
+        span = slice(self.indptr[u], self.indptr[u + 1])
+        return dict(zip(self.neighbors[span].tolist(), self.similarities[span].tolist()))
 
     def similarity(self, u: int, n: int) -> float | None:
         if u == n:
             raise ValueError("similarity of a user with themselves is undefined")
-        return self.row(u).get(n)
+        start = self.indptr[u]
+        (at,) = np.nonzero(self.neighbors[start:self.indptr[u + 1]] == n)
+        return float(self.similarities[start + at[0]]) if len(at) else None
 
     def pairs(self):
         """Every ((u, n), similarity) with u < n over all users, None where
@@ -151,6 +196,106 @@ class SimilarityCache:
             row = self.row(u)
             for n in range(u + 1, self.n_users):
                 yield (u, n), row.get(n)
+
+
+def _friend_keys(cfg: CfConfig, graph: RelationshipGraph | None) -> np.ndarray | None:
+    """In friends-only scope, the sorted ``low << 32 | high`` keys of the
+    graph's pairs with strength >= 1, then a sentinel above every key;
+    None in all-users scope."""
+    if cfg.neighbor_scope != SCOPE_FRIENDS:
+        return None
+    if graph is None:
+        raise ValueError("friends-only scope requires the relationship graph")
+    keys = [x << 32 | y for (x, y), s in graph.edges.items() if s >= 1]
+    return np.append(np.sort(np.array(keys, dtype=np.int64)), np.iinfo(np.int64).max)
+
+
+def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
+            friends: np.ndarray | None) -> tuple[list[tuple[tuple[int, float], ...]], list[float]]:
+    """The neighbours each (user, item) row of ``at`` uses, and its mean-
+    centred weighted average: the user's mean plus numerator / denominator,
+    or the mean alone without neighbours (NaN for a user without ratings).
+
+    A cell's candidates are the positive-similarity prefix of its user's
+    row.  An entry is usable when its neighbour rated the item and, given
+    ``friends``, is the user's friend, and the first neighbor_k usable
+    entries are kept.  Cells are scored a chunk at a time, each chunk in
+    windows of the prefixes padded into a cells x width block that holds
+    about _CHUNK_ENTRIES entries; a cell leaves once it has its neighbours
+    or no candidates are left.  Each kept entry's terms go to the column of
+    its rank in a cells x (1 + neighbor_k) block of zeros, and each sum is
+    the last column of a cumsum, which adds left to right from 0.0, so it
+    equals the float that a loop over the kept neighbours in neighbour
+    order gives.
+    """
+    dense, means = ratings.dense(), ratings.means()
+    # no cell has more candidates than the longest prefix, so a larger
+    # neighbor_k keeps the same entries
+    k = max(1, min(cfg.neighbor_k, int(cache.positive.max(initial=0))))
+    # a numpy n_items makes the flat indices of int32 neighbours int64
+    flat, n_items = dense.reshape(-1), np.intp(dense.shape[1])
+    neighbors, values = [], []
+    step = max(1, _CHUNK_ENTRIES // k)
+    for chunk in range(0, len(at), step):
+        user, item = at[chunk:chunk + step].T
+        begin = cache.indptr[user]
+        end = begin + cache.positive[user]
+        found = np.zeros(len(user), dtype=np.int64)
+        kept = [(np.zeros(0, np.intp),) * 3]
+        active = np.flatnonzero(end > begin)
+        while len(active):
+            width = max(k, _CHUNK_ENTRIES // len(active))
+            entry = begin[active, None] + np.arange(width)
+            live = entry < end[active, None]
+            entry = np.minimum(entry, end[active, None] - 1)
+            neighbor = cache.neighbors[entry]
+            usable = live & (flat[neighbor * n_items + item[active, None]] >= 0)
+            if friends is not None:
+                pair = np.minimum(user[active, None], neighbor) << 32 \
+                    | np.maximum(user[active, None], neighbor)
+                usable &= friends[np.searchsorted(friends, pair)] == pair
+            rank = found[active, None] + np.cumsum(usable, axis=1)
+            row, col = np.nonzero(usable & (rank <= k))
+            kept.append((active[row], entry[row, col], rank[row, col]))
+            found[active] = rank[:, -1]
+            begin[active] += width
+            active = active[(found[active] < k) & (begin[active] < end[active])]
+        cell, entry, rank = (np.concatenate(parts) for parts in zip(*kept))
+        # each window lists its cells in ascending order, so a stable sort by
+        # cell leaves each cell's entries in rank order
+        order = np.argsort(cell, kind="stable")
+        cell, entry, rank = cell[order], entry[order], rank[order]
+        neighbor, sim = cache.neighbors[entry], cache.similarities[entry]
+        weight = np.zeros((len(user), k + 1))
+        term = np.zeros_like(weight)
+        weight[cell, rank] = sim
+        term[cell, rank] = sim * (flat[neighbor * n_items + item[cell]] - means[neighbor])
+        used = found > 0
+        ratio = np.divide(np.cumsum(term, axis=1)[:, -1], np.cumsum(weight, axis=1)[:, -1],
+                          out=np.zeros(len(user)), where=used)
+        values.extend(np.where(used, means[user] + ratio, means[user]).tolist())
+        pairs = list(zip(neighbor.tolist(), sim.tolist()))
+        ends = np.cumsum(np.minimum(found, k)).tolist()
+        neighbors.extend(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
+    return neighbors, values
+
+
+def _predict(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
+             friends: np.ndarray | None, global_mean: float | None) -> list[Prediction]:
+    """Predictions for the cells of ``at``: the weighted average with its
+    neighbours, else the user's mean, else ``global_mean``; ColdStartError
+    for a user without ratings when ``global_mean`` is None."""
+    predictions = []
+    for (u, _), neighbors, value in zip(at.tolist(), *_select(at, ratings, cache, cfg, friends)):
+        if neighbors:
+            predictions.append(Prediction(value, None, neighbors))
+        elif not math.isnan(value):
+            predictions.append(Prediction(value, "user-mean"))
+        elif global_mean is None:
+            raise ColdStartError(f"cold start: {user_label(u)} has no ratings")
+        else:
+            predictions.append(Prediction(global_mean, "global-mean"))
+    return predictions
 
 
 def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
@@ -162,23 +307,10 @@ def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCac
     Returns (user, similarity) pairs sorted by similarity descending, ties
     broken by ascending user index, truncated to cfg.neighbor_k.  In
     friends-only scope, candidates must also share a graph edge of
-    strength >= 1 with u.
+    strength >= 1 with u.  Raises ValueError off the matrix.
     """
-    if cfg.neighbor_scope == SCOPE_FRIENDS and graph is None:
-        raise ValueError("friends-only scope requires the relationship graph")
-    column = ratings.dense()[:, i].tolist()
-    neighbors = []
-    for n, sim in cache.row(u).items():
-        if sim <= 0 or len(neighbors) == cfg.neighbor_k:
-            break
-        if column[n] < 0:
-            continue
-        if cfg.neighbor_scope == SCOPE_FRIENDS:
-            strength = graph.strength(u, n)
-            if strength is None or strength < 1:
-                continue
-        neighbors.append((n, sim))
-    return neighbors
+    at = cell_array([(u, i)], ratings.dense().shape)
+    return list(_select(at, ratings, cache, cfg, _friend_keys(cfg, graph))[0][0])
 
 
 def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
@@ -188,36 +320,18 @@ def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
     Falls back to the user's mean when no usable neighbor exists.  Raises
     ColdStartError for a user with no ratings, ValueError off the matrix.
     """
-    cell_array([(u, i)], ratings.dense().shape)
-    return _predict(u, i, ratings, cache, cfg, graph).value
-
-
-def _predict(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
-             cfg: CfConfig, graph: RelationshipGraph | None) -> Prediction:
-    mean_u = ratings.user_mean(u)
-    if mean_u is None:
-        raise ColdStartError(f"cold start: {user_label(u)} has no ratings")
-    neighbors = tuple(select_neighbors(u, i, ratings, cache, cfg, graph))
-    if not neighbors:
-        return Prediction(mean_u, "user-mean")
-    numerator = 0.0
-    denominator = 0.0
-    for n, sim in neighbors:
-        rating = ratings.get(n, i)
-        mean_n = ratings.user_mean(n)
-        numerator += sim * (rating - mean_n)
-        denominator += sim
-    return Prediction(mean_u + numerator / denominator, None, neighbors)
+    at = cell_array([(u, i)], ratings.dense().shape)
+    return _predict(at, ratings, cache, cfg, _friend_keys(cfg, graph), None)[0].value
 
 
 class CfPredictor:
     """Train-once wrapper: builds the similarity cache for a dataset and
-    answers per-cell predictions from it."""
+    answers predictions for batches of cells from it."""
 
     def __init__(self, dataset: Dataset, cfg: CfConfig = CfConfig()):
         self.cfg = cfg
         self._ratings = dataset.ratings
-        self._graph = dataset.graph
+        self._friends = _friend_keys(cfg, dataset.graph)
         self._cache = SimilarityCache.build(dataset.ratings, cfg.co_rate_min)
         self._global_mean = dataset.ratings.global_mean()
 
@@ -239,14 +353,11 @@ class CfPredictor:
         return self.predict_many([(u, i)])[0]
 
     def predict_many(self, cells) -> list[Prediction]:
-        """predict_detailed for each (user, item) cell, in order."""
-        cells = cell_array(cells, self._ratings.dense().shape).tolist()
-        return [self._predict_one(u, i) for u, i in cells]
-
-    def _predict_one(self, u: int, i: int) -> Prediction:
-        if self._ratings.user_mean(u) is None:
-            if self._global_mean is None:
-                raise ColdStartError(f"cold start: {user_label(u)} has no ratings and "
-                                     f"the dataset has no other ratings to average")
-            return Prediction(self._global_mean, "global-mean")
-        return _predict(u, i, self._ratings, self._cache, self.cfg, self._graph)
+        """predict_detailed for each (user, item) cell, in order, scored as
+        one batch."""
+        at = cell_array(cells, self._ratings.dense().shape)
+        if self._global_mean is None and len(at):
+            raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
+                                 f"and the dataset has no other ratings to average")
+        return _predict(at, self._ratings, self._cache, self.cfg, self._friends,
+                        self._global_mean)

@@ -23,6 +23,10 @@ class SocialRecError(Exception):
     """Base class for errors raised by this package."""
 
 
+class TableTooLargeError(SocialRecError):
+    """A table's dense array cannot be allocated at its declared shape."""
+
+
 def user_label(index: int) -> str:
     return f"U{index + 1}"
 
@@ -69,8 +73,13 @@ def round_rating(x: float) -> int:
 def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
     """Read-only int8 array of ``shape`` holding ``values`` at the (row,
     column) ``keys`` and ``fill`` everywhere else.  A key outside the shape,
-    negative ones included, raises ValueError rather than wrapping around."""
-    array = np.full(shape, fill, dtype=np.int8)
+    negative ones included, raises ValueError rather than wrapping around,
+    and a shape too large to allocate raises TableTooLargeError."""
+    try:
+        array = np.full(shape, fill, dtype=np.int8)
+    except MemoryError as exc:
+        raise TableTooLargeError(f"cannot hold a {shape[0]}x{shape[1]} table "
+                                 f"in memory: {exc}") from exc
     if keys:
         at = np.ravel_multi_index(np.array(list(keys), dtype=np.intp).T, shape)
         array.reshape(-1)[at] = values
@@ -172,7 +181,7 @@ class RatingMatrix:
         self.n_items = n_items
         self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
         self._dense: np.ndarray | None = None
-        self._means: list[float | None] | None = None
+        self._means: np.ndarray | None = None
 
     def get(self, user: int, item: int) -> int | None:
         return self._cells.get((user, item))
@@ -190,17 +199,26 @@ class RatingMatrix:
                                       self._cells, list(self._cells.values()))
         return self._dense
 
+    def means(self) -> np.ndarray:
+        """Read-only float64 array of each user's mean rating, NaN where the
+        row is empty; built once on first use.  The integer sum and count
+        are divided once, as Python's int / int does."""
+        if self._means is None:
+            ratings = self.dense()
+            sums = np.maximum(ratings, 0).sum(axis=1, dtype=np.int64)
+            counts = (ratings >= 0).sum(axis=1)
+            self._means = np.divide(sums, counts, out=np.full(self.n_users, np.nan),
+                                    where=counts > 0)
+            self._means.flags.writeable = False
+        return self._means
+
     def user_mean(self, user: int) -> float | None:
         """Mean of the user's full rating row, or None if the row is empty.
         Raises IndexError for a user outside 0..n_users-1."""
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} outside 0..{self.n_users - 1}")
-        if self._means is None:
-            ratings = self.dense()
-            sums = np.maximum(ratings, 0).sum(axis=1, dtype=np.int64).tolist()
-            counts = (ratings >= 0).sum(axis=1).tolist()
-            self._means = [s / c if c else None for s, c in zip(sums, counts)]
-        return self._means[user]
+        mean = float(self.means()[user])
+        return None if math.isnan(mean) else mean
 
     def global_mean(self) -> float | None:
         if not self._cells:

@@ -4,6 +4,7 @@ import random
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -15,13 +16,16 @@ from socialrec import (
     RatingMatrix,
     RelationshipGraph,
     SimilarityCache,
+    SplitSpec,
     pearson_correlation,
     predict_cf,
     select_neighbors,
+    split,
 )
 import socialrec.cf
 from socialrec.cf import round_rating  # re-exported alongside the predictor
 from conftest import build_dataset, rating_row
+from test_acceptance import brute_force_cf
 
 
 @st.composite
@@ -241,16 +245,64 @@ class TestSimilarityCache:
                 predict_cf(u, i, small, small_cache, CfConfig())
 
 
+    def test_build_across_row_blocks(self):
+        # more rated users than one build block: pairs across blocks read the
+        # transposed sums from their own products
+        rng = random.Random(600)
+        m = RatingMatrix(600, 6, {(u, i): rng.randint(0, 5) for u in range(600)
+                                  for i in range(6) if rng.random() < 0.8})
+        assert sum(rating_row(m, u) != {} for u in range(600)) > socialrec.cf._BUILD_BLOCK
+        cache = SimilarityCache.build(m)
+        for u in range(600):
+            row = list(cache.row(u).items())
+            assert row == sorted(row, key=lambda pair: (-pair[1], pair[0]))
+        for _ in range(300):
+            u, n = rng.randrange(600), rng.randrange(600)
+            if u != n:
+                assert cache.similarity(u, n) == reference_similarity(m, u, n, 2)
+        # with six items many similarities are exactly 1.0, where the oracle's
+        # rounding may reorder ties, so every neighbour is used: no truncation
+        rows = {u: rating_row(m, u) for u in range(600)}
+        predictor = CfPredictor(build_dataset(600, 6, 1, cells=dict(
+            ((u, i), r) for u in rows for i, r in rows[u].items())), CfConfig(neighbor_k=600))
+        cells = [(rng.randrange(600), rng.randrange(6)) for _ in range(40)]
+        for (u, i), got in zip(cells, predictor.predict_many(cells)):
+            if rows[u]:
+                assert abs(got.value - brute_force_cf(u, i, rows, neighbor_k=600)) < 1e-9
+
+
+def scalar_prediction(u, i, ratings, cache, cfg, graph):
+    """The per-cell loop the batch kernel replaces: walk u's row in neighbour
+    order to the first neighbor_k positive-similarity raters of i, then sum
+    the weighted deviations left to right."""
+    neighbors = []
+    for n, sim in cache.row(u).items():
+        if sim <= 0 or len(neighbors) == cfg.neighbor_k:
+            break
+        if ratings.get(n, i) is None:
+            continue
+        if cfg.neighbor_scope == "friends-only" and (graph.strength(u, n) or 0) < 1:
+            continue
+        neighbors.append((n, sim))
+    if not neighbors:
+        return Prediction(ratings.user_mean(u), "user-mean")
+    numerator = denominator = 0.0
+    for n, sim in neighbors:
+        numerator += sim * (ratings.get(n, i) - ratings.user_mean(n))
+        denominator += sim
+    return Prediction(ratings.user_mean(u) + numerator / denominator, None, tuple(neighbors))
+
+
 def hand_cache(entries):
     """A cache holding the given pair similarities; None marks an undefined pair."""
-    rows = {}
+    rows = [[] for _ in range(1 + max(max(pair) for pair in entries))]
     for (a, b), s in entries.items():
         if s is not None:
-            rows.setdefault(a, []).append((b, s))
-            rows.setdefault(b, []).append((a, s))
-    ranked = {u: dict(sorted(row, key=lambda pair: (-pair[1], pair[0])))
-              for u, row in rows.items()}
-    return SimilarityCache(1 + max(max(pair) for pair in entries), ranked)
+            rows[a].append((b, s))
+            rows[b].append((a, s))
+    ranked = [pair for row in rows for pair in sorted(row, key=lambda pair: (-pair[1], pair[0]))]
+    return SimilarityCache(np.cumsum([0] + [len(row) for row in rows]),
+                           [n for n, _ in ranked], [s for _, s in ranked])
 
 
 class TestSelectNeighbors:
@@ -290,6 +342,14 @@ class TestSelectNeighbors:
         graph = RelationshipGraph(4, {(0, 2): 3, (0, 3): 0})
         cfg = CfConfig(neighbor_scope="friends-only")
         assert select_neighbors(0, 0, m, cache, cfg, graph) == [(2, 0.8)]
+
+    @pytest.mark.parametrize("cell", [(0, -1), (0, 2), (-1, 0), (4, 0)])
+    def test_cell_outside_matrix_rejected(self, cell):
+        # a column index of -1 would otherwise read the last item's raters
+        m = RatingMatrix(4, 2, {(n, i): 3 for n in range(1, 4) for i in range(2)})
+        cache = hand_cache({(0, n): 0.5 for n in range(1, 4)})
+        with pytest.raises(ValueError, match="outside the 4x2 rating matrix"):
+            select_neighbors(*cell, m, cache, CfConfig())
 
     def test_friends_only_needs_graph(self):
         cfg = CfConfig(neighbor_scope="friends-only")
@@ -403,16 +463,31 @@ class TestCfPredictor:
     def test_selects_neighbors_once_per_cell(self, default_dataset, monkeypatch):
         predictor = CfPredictor(default_dataset)
         calls = []
+        select = socialrec.cf._select
 
-        def counting(*args):
-            calls.append(args[:2])
-            return select_neighbors(*args)
+        def counting(at, *args):
+            calls.extend(map(tuple, at.tolist()))
+            return select(at, *args)
 
-        monkeypatch.setattr(socialrec.cf, "select_neighbors", counting)
+        monkeypatch.setattr(socialrec.cf, "_select", counting)
         cells = [(u, i) for u in range(0, 100, 9) for i in range(10)]
         for u, i in cells:
             predictor.predict_detailed(u, i)
-        assert calls == cells
+        predictor.predict_many(cells)
+        assert calls == cells + cells
+
+    @pytest.mark.parametrize("cfg", [
+        CfConfig(),
+        CfConfig(neighbor_k=1),
+        CfConfig(neighbor_k=5, co_rate_min=3, neighbor_scope="friends-only"),
+    ])
+    def test_batch_equals_scalar_loop(self, default_dataset, cfg):
+        train, _ = split(default_dataset, SplitSpec())
+        predictor = CfPredictor(train, cfg)
+        cells = [(u, i) for u in range(100) for i in range(10)]
+        assert predictor.predict_many(cells) == [
+            scalar_prediction(u, i, train.ratings, predictor.cache, cfg, train.graph)
+            for u, i in cells]
 
     def test_deterministic(self, default_dataset):
         a = CfPredictor(default_dataset)

@@ -255,6 +255,21 @@ class TestCompare:
         assert result.exit_code == 1
         assert "(U3, I2)" in result.output
 
+    def test_unallocatable_shape_is_one_line_error(self, runner, tmp_path):
+        # a valid shape.csv far larger than its rows: the 9 TiB rating array
+        # fails at malloc, so nothing is allocated
+        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})
+        save_dataset(d, tmp_path / "d")
+        (tmp_path / "d" / "shape.csv").write_text(
+            "n_users,n_items,n_categories\n1000000000000,10,10\n")
+        result = runner.invoke(main, ["compare", "--data", str(tmp_path / "d"),
+                                      "--test-users", "1", "--test-items", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith("Error: cannot hold a 1000000000000x10 table in memory")
+
     def test_corrupt_data_fails_with_location(self, runner, tmp_path):
         directory = tmp_path / "d"
         directory.mkdir()
