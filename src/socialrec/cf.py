@@ -93,8 +93,11 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | Non
 # dozen float64 arrays of block users x rated users, so 512 rows keep a
 # 5000-user build to a few hundred MB.
 _BUILD_BLOCK = 512
-# Padded (cell, candidate neighbour) entries per window of the scoring kernel.
-_CHUNK_ENTRIES = 2 ** 14
+# Padded (cell, candidate neighbour) entries per window of the scoring
+# kernel.  Each entry takes about 100 bytes of temporaries; at the 80x80
+# benchmark shape 2**14 entries raised the process peak by 2 MB and 2**12
+# by under 1 MB, at the same speed.
+_CHUNK_ENTRIES = 2 ** 12
 
 
 class SimilarityCache:
@@ -246,17 +249,21 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
         while len(active):
             width = max(k, _CHUNK_ENTRIES // len(active))
             entry = begin[active, None] + np.arange(width)
-            live = entry < end[active, None]
-            entry = np.minimum(entry, end[active, None] - 1)
+            last = end[active, None] - 1
+            usable = entry <= last
+            np.minimum(entry, last, out=entry)
             neighbor = cache.neighbors[entry]
-            usable = live & (flat[neighbor * n_items + item[active, None]] >= 0)
+            at_item = neighbor * n_items
+            at_item += item[active, None]
+            usable &= flat[at_item] >= 0
             if friends is not None:
                 pair = np.minimum(user[active, None], neighbor) << 32 \
                     | np.maximum(user[active, None], neighbor)
                 usable &= friends[np.searchsorted(friends, pair)] == pair
-            rank = found[active, None] + np.cumsum(usable, axis=1)
-            row, col = np.nonzero(usable & (rank <= k))
-            kept.append((active[row], entry[row, col], rank[row, col]))
+            rank = np.cumsum(usable, axis=1)
+            rank += found[active, None]
+            hit = np.flatnonzero(usable & (rank <= k))
+            kept.append((active[hit // width], entry.ravel()[hit], rank.ravel()[hit]))
             found[active] = rank[:, -1]
             begin[active] += width
             active = active[(found[active] < k) & (begin[active] < end[active])]
@@ -274,7 +281,10 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
         ratio = np.divide(np.cumsum(term, axis=1)[:, -1], np.cumsum(weight, axis=1)[:, -1],
                           out=np.zeros(len(user)), where=used)
         values.extend(np.where(used, means[user] + ratio, means[user]).tolist())
-        pairs = list(zip(neighbor.tolist(), sim.tolist()))
+        # cells of one user share their (neighbour, similarity) pairs
+        unique, inverse = np.unique(entry, return_inverse=True)
+        shared = list(zip(cache.neighbors[unique].tolist(), cache.similarities[unique].tolist()))
+        pairs = list(map(shared.__getitem__, inverse.tolist()))
         ends = np.cumsum(np.minimum(found, k)).tolist()
         neighbors.extend(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
     return neighbors, values
