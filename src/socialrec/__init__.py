@@ -29,10 +29,7 @@ from .datagen import (
     FillEvent,
     GenConfig,
     friend_weighted_fill_trace,
-    generate_categories,
     generate_dataset,
-    generate_relationships,
-    seed_ratings,
 )
 from .cf import (
     CfConfig,
@@ -40,20 +37,14 @@ from .cf import (
     ColdStartError,
     SimilarityCache,
     pearson_correlation,
-    predict_cf,
-    select_neighbors,
 )
 from .snrs import (
     DegenerateEvidenceError,
     EmptyTrainingSetError,
-    FriendConditionalTable,
-    ItemAcceptanceModel,
     RatingDistribution,
     SnrsConfig,
     SnrsPredictor,
-    UserPreferenceModel,
     combine,
-    learn_models,
 )
 from .evaluate import (
     CellRecord,

@@ -35,9 +35,7 @@ __all__ = [
     "ColdStartError",
     "SimilarityCache",
     "pearson_correlation",
-    "predict_cf",
     "round_rating",
-    "select_neighbors",
 ]
 
 SCOPE_ALL = "all-users"
@@ -45,7 +43,7 @@ SCOPE_FRIENDS = "friends-only"
 
 
 class ColdStartError(SocialRecError):
-    """The active user has no ratings, so no mean-based prediction exists."""
+    """The training set has no ratings, so no mean-based prediction exists."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +178,22 @@ class SimilarityCache:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return cls(indptr, np.concatenate(neighbors), np.concatenate(similarities))
 
+    def _check_user(self, u: int) -> None:
+        if not 0 <= u < self.n_users:
+            raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
+
     def row(self, u: int) -> dict[int, float]:
-        """u's defined similarities in neighbour order, as a new dict."""
+        """u's defined similarities in neighbour order, as a new dict.
+        Raises IndexError for a user outside 0..n_users-1."""
+        self._check_user(u)
         span = slice(self.indptr[u], self.indptr[u + 1])
         return dict(zip(self.neighbors[span].tolist(), self.similarities[span].tolist()))
 
     def similarity(self, u: int, n: int) -> float | None:
+        """The similarity of users u and n, None where undefined.  Raises
+        IndexError for a user outside 0..n_users-1."""
+        self._check_user(u)
+        self._check_user(n)
         if u == n:
             raise ValueError("similarity of a user with themselves is undefined")
         start = self.indptr[u]
@@ -201,14 +209,12 @@ class SimilarityCache:
                 yield (u, n), row.get(n)
 
 
-def _friend_keys(cfg: CfConfig, graph: RelationshipGraph | None) -> np.ndarray | None:
+def _friend_keys(cfg: CfConfig, graph: RelationshipGraph) -> np.ndarray | None:
     """In friends-only scope, the sorted ``low << 32 | high`` keys of the
     graph's pairs with strength >= 1, then a sentinel above every key;
     None in all-users scope."""
     if cfg.neighbor_scope != SCOPE_FRIENDS:
         return None
-    if graph is None:
-        raise ValueError("friends-only scope requires the relationship graph")
     keys = [x << 32 | y for (x, y), s in graph.edges.items() if s >= 1]
     return np.append(np.sort(np.array(keys, dtype=np.int64)), np.iinfo(np.int64).max)
 
@@ -290,50 +296,6 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
     return neighbors, values
 
 
-def _predict(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
-             friends: np.ndarray | None, global_mean: float | None) -> list[Prediction]:
-    """Predictions for the cells of ``at``: the weighted average with its
-    neighbours, else the user's mean, else ``global_mean``; ColdStartError
-    for a user without ratings when ``global_mean`` is None."""
-    predictions = []
-    for (u, _), neighbors, value in zip(at.tolist(), *_select(at, ratings, cache, cfg, friends)):
-        if neighbors:
-            predictions.append(Prediction(value, None, neighbors))
-        elif not math.isnan(value):
-            predictions.append(Prediction(value, "user-mean"))
-        elif global_mean is None:
-            raise ColdStartError(f"cold start: {user_label(u)} has no ratings")
-        else:
-            predictions.append(Prediction(global_mean, "global-mean"))
-    return predictions
-
-
-def select_neighbors(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
-                     cfg: CfConfig, graph: RelationshipGraph | None = None,
-                     ) -> list[tuple[int, float]]:
-    """Neighbors usable for predicting (u, i): users who rated i with a
-    defined, strictly positive similarity to u.
-
-    Returns (user, similarity) pairs sorted by similarity descending, ties
-    broken by ascending user index, truncated to cfg.neighbor_k.  In
-    friends-only scope, candidates must also share a graph edge of
-    strength >= 1 with u.  Raises ValueError off the matrix.
-    """
-    at = cell_array([(u, i)], ratings.dense().shape)
-    return list(_select(at, ratings, cache, cfg, _friend_keys(cfg, graph))[0][0])
-
-
-def predict_cf(u: int, i: int, ratings: RatingMatrix, cache: SimilarityCache,
-               cfg: CfConfig, graph: RelationshipGraph | None = None) -> float:
-    """Predicted (unclamped, unrounded) rating of item i by user u.
-
-    Falls back to the user's mean when no usable neighbor exists.  Raises
-    ColdStartError for a user with no ratings, ValueError off the matrix.
-    """
-    at = cell_array([(u, i)], ratings.dense().shape)
-    return _predict(at, ratings, cache, cfg, _friend_keys(cfg, graph), None)[0].value
-
-
 class CfPredictor:
     """Train-once wrapper: builds the similarity cache for a dataset and
     answers predictions for batches of cells from it."""
@@ -369,5 +331,13 @@ class CfPredictor:
         if self._global_mean is None and len(at):
             raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
                                  f"and the dataset has no other ratings to average")
-        return _predict(at, self._ratings, self._cache, self.cfg, self._friends,
-                        self._global_mean)
+        predictions = []
+        for neighbors, value in zip(*_select(at, self._ratings, self._cache, self.cfg,
+                                             self._friends)):
+            if neighbors:
+                predictions.append(Prediction(value, None, neighbors))
+            elif not math.isnan(value):
+                predictions.append(Prediction(value, "user-mean"))
+            else:
+                predictions.append(Prediction(self._global_mean, "global-mean"))
+        return predictions

@@ -23,13 +23,12 @@ from .evaluate import (
     SplitSpec,
     evaluate_method,
     run_comparison,
+    split,
     train_predictor,
     write_detail_csv,
     write_summary_csv,
 )
 from .model import (
-    Dataset,
-    RatingMatrix,
     SocialRecError,
     is_number,
     item_label,
@@ -100,8 +99,10 @@ class _FiniteFloatRange(click.FloatRange):
         return value
 
 
-def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
-    """Parse "51-100", "U51-U100" or "I1,I3,I5" into 0-based indices."""
+def _parse_numbers(text: str, kind: str, what: str, limit: int, noun: str,
+                   ) -> tuple[int, ...]:
+    """Parse "51-100", "U51-U100" or "I1,I3,I5" into 0-based indices below
+    ``limit``, checking each range's end before expanding it."""
 
     def one(token: str) -> int:
         token = token.strip()
@@ -112,7 +113,7 @@ def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
                                    f"number or {kind}-label")
         return int(token) - 1
 
-    indices: list[int] = []
+    ranges: list[range] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -122,16 +123,21 @@ def _parse_numbers(text: str, kind: str, what: str) -> tuple[int, ...]:
             lo, hi = one(lo_token), one(hi_token)
             if hi < lo:
                 raise click.UsageError(f"empty {what} range {part!r}")
-            indices.extend(range(lo, hi + 1))
+            ranges.append(range(lo, hi + 1))
         else:
-            indices.append(one(part))
-    if not indices:
+            index = one(part)
+            ranges.append(range(index, index + 1))
+    if not ranges:
         raise click.UsageError(f"no {what} given in {text!r}")
-    return tuple(dict.fromkeys(indices))
+    for indices in ranges:
+        if indices[-1] >= limit:
+            raise click.UsageError(f"{what} {kind}{max(indices.start, limit) + 1} "
+                                   f"outside dataset ({limit} {noun})")
+    return tuple(dict.fromkeys(i for indices in ranges for i in indices))
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    levels: list[int] = []
+    ranges: list[range] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -140,17 +146,18 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             lo, hi = part.split("-", 1)
             if not (is_number(lo.strip()) and is_number(hi.strip())):
                 raise click.UsageError(f"bad rating level range {part!r}")
-            levels.extend(range(int(lo), int(hi) + 1))
+            ranges.append(range(int(lo), int(hi) + 1))
         elif is_number(part):
-            levels.append(int(part))
+            ranges.append(range(int(part), int(part) + 1))
         else:
             raise click.UsageError(f"bad rating level {part!r}")
-    if not levels or any(k not in range(6) for k in levels):
+    # each range's end is checked before the range is expanded
+    if not any(ranges) or any(levels and levels[-1] > 5 for levels in ranges):
         raise click.UsageError(f"prediction levels must be within 0..5, got {text!r}")
-    return tuple(dict.fromkeys(levels))
+    return tuple(dict.fromkeys(k for levels in ranges for k in levels))
 
 
-def _resolve_label(dataset: Dataset, label: str, kind: str) -> int:
+def _resolve_label(dataset, label: str, kind: str) -> int:
     try:
         index = parse_label(label, kind)
     except ValueError as exc:
@@ -245,14 +252,8 @@ def predict(data, method, user_token, item_token, neighbor_k, co_rate_min, scope
     cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
                                        alpha, min_strength, levels)
 
-    held_out = {(user, item): r for user, item, r in dataset.ratings.cells()
-                if (user, item) != (u, i)}
-    train = Dataset(
-        graph=dataset.graph,
-        ratings=RatingMatrix(dataset.n_users, dataset.n_items, held_out),
-        categories=dataset.categories,
-    )
-
+    rated = dataset.ratings.get(u, i) is not None
+    train = split(dataset, SplitSpec((u,), (i,)))[0] if rated else dataset
     prediction = train_predictor(method, train, cf_cfg, snrs_cfg).predict_detailed(u, i)
     value, fallback = prediction.value, prediction.fallback
     marker = f"  [fallback: {fallback}]" if fallback else ""
@@ -279,18 +280,10 @@ def _write_reports(reports: list[EvaluationReport], out: str | None) -> None:
     click.echo(f"wrote {directory / 'detail.csv'} and {directory / 'summary.csv'}")
 
 
-def _split_spec(dataset: Dataset, test_users: str, test_items: str) -> SplitSpec:
-    spec = SplitSpec(test_users=_parse_numbers(test_users, "U", "test user"),
-                     test_items=_parse_numbers(test_items, "I", "test item"))
-    for u in spec.test_users:
-        if u >= dataset.n_users:
-            raise click.UsageError(f"test user {user_label(u)} outside dataset "
-                                   f"({dataset.n_users} users)")
-    for i in spec.test_items:
-        if i >= dataset.n_items:
-            raise click.UsageError(f"test item {item_label(i)} outside dataset "
-                                   f"({dataset.n_items} items)")
-    return spec
+def _split_spec(dataset, test_users: str, test_items: str) -> SplitSpec:
+    return SplitSpec(
+        test_users=_parse_numbers(test_users, "U", "test user", dataset.n_users, "users"),
+        test_items=_parse_numbers(test_items, "I", "test item", dataset.n_items, "items"))
 
 
 @main.command(name="eval")

@@ -19,9 +19,6 @@ from .snrs import SnrsConfig, SnrsPredictor
 METHOD_CF = "cf"
 METHOD_SNRS = "snrs"
 
-FIRST_HALF_ITEMS = (0, 1, 2, 3, 4)
-SECOND_HALF_ITEMS = (5, 6, 7, 8, 9)
-
 DETAIL_HEADER = ["method", "user", "item", "actual", "pred_real", "pred_rounded"]
 SUMMARY_HEADER = ["method", "n", "mae_rounded", "mae_real", "accuracy_percent"]
 
@@ -39,7 +36,7 @@ class SplitSpec:
     """
 
     test_users: tuple[int, ...] = tuple(range(50, 100))
-    test_items: tuple[int, ...] = FIRST_HALF_ITEMS
+    test_items: tuple[int, ...] = tuple(range(5))
 
     def __post_init__(self):
         object.__setattr__(self, "test_users", tuple(self.test_users))

@@ -234,9 +234,6 @@ class RatingMatrix:
         total = self.n_users * self.n_items
         return self.n_rated / total if total else 0.0
 
-    def __contains__(self, cell: tuple[int, int]) -> bool:
-        return cell in self._cells
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatingMatrix):
             return NotImplemented
@@ -260,9 +257,6 @@ class ItemCategoryMatrix:
         self.n_categories = n_categories
         self._members: set[tuple[int, int]] = set(members)
         self._dense: np.ndarray | None = None
-
-    def bit(self, item: int, category: int) -> int:
-        return 1 if (item, category) in self._members else 0
 
     def dense(self) -> np.ndarray:
         """Read-only int8 items x categories array of the bits; built once on

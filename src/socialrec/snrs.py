@@ -80,15 +80,6 @@ class RatingDistribution:
     def __setattr__(self, name, value):
         raise AttributeError("RatingDistribution is immutable")
 
-    @classmethod
-    def from_weights(cls, weights) -> "RatingDistribution":
-        """Normalize non-negative weights; DegenerateEvidenceError if all are 0."""
-        return cls(_normalise(np.array([[float(w) for w in weights]]))[0])
-
-    @classmethod
-    def uniform(cls) -> "RatingDistribution":
-        return cls([1.0 / N_LEVELS] * N_LEVELS)
-
     def __getitem__(self, level: int) -> float:
         return self.probs[level]
 
@@ -181,26 +172,6 @@ class SnrsConfig:
         object.__setattr__(self, "prediction_levels", levels)
 
 
-@dataclass(frozen=True, eq=False)
-class UserPreferenceModel:
-    """Per-user rating priors and per-category bit likelihoods.
-
-    ``priors[u]`` is user u's smoothed distribution over rating levels.
-    ``likelihoods[u, c, b, k]`` is the smoothed probability that an item's
-    category-c bit is b given that user u rates the item at level k.
-    """
-
-    priors: np.ndarray
-    likelihoods: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ItemAcceptanceModel:
-    """``dists[i]`` is the smoothed distribution of the ratings item i received."""
-
-    dists: np.ndarray
-
-
 class FriendConditionalTable:
     """6x6 conditional tables P(R_u = k | R_v = j) per ordered friend pair.
 
@@ -244,7 +215,10 @@ class FriendConditionalTable:
                          self._alpha)
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
-        """P(user u rates k | friend v rated j) for k = 0..5."""
+        """P(user u rates k | friend v rated j) for k = 0..5.  Raises
+        ValueError for a level j outside 0..5."""
+        if not 0 <= j < N_LEVELS:
+            raise ValueError(f"friend level {j} outside 0..{N_LEVELS - 1}")
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
@@ -280,30 +254,6 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     lower = (users < friends).astype(np.intp)[order]
     return FriendConditionalTable(indptr, friends[order], slot_edges, lower, counts,
                                   cfg.laplace_alpha)
-
-
-def learn_models(train: Dataset, cfg: SnrsConfig = SnrsConfig(),
-                 ) -> tuple[UserPreferenceModel, ItemAcceptanceModel, FriendConditionalTable]:
-    """Count-and-smooth all three factor models from training ratings.
-
-    User priors, per-category bit counts and item acceptance counts are
-    integer sums over the one-hot users x items x levels rating array.
-    Friend tables are counted once per unordered friend pair.
-
-    Raises EmptyTrainingSetError when the training set has no ratings at all.
-    """
-    if train.ratings.n_rated == 0:
-        raise EmptyTrainingSetError("empty training set: no ratings to learn from")
-    alpha = cfg.laplace_alpha
-    ratings = train.ratings.dense()
-    one_hot = ratings[:, :, None] == np.arange(N_LEVELS)
-    counts = one_hot.sum(axis=1)
-    ones = np.einsum("uik,ic->uck", one_hot, train.categories.dense(), dtype=np.int64)
-    present = (ones + alpha) / (counts[:, None, :] + 2 * alpha)
-    preference = UserPreferenceModel(_smoothed(counts, alpha),
-                                     np.stack([1.0 - present, present], axis=2))
-    acceptance = ItemAcceptanceModel(_smoothed(one_hot.sum(axis=0), alpha))
-    return preference, acceptance, _friend_tables(ratings, train.graph, cfg)
 
 
 def _evidence(weights: np.ndarray, steps) -> np.ndarray:
@@ -345,14 +295,40 @@ def combine(pu: RatingDistribution, pi: RatingDistribution,
 
 
 class SnrsPredictor:
-    """Train-once wrapper: learns the three factor models for a dataset and
-    predicts batches of cells."""
+    """Train-once engine: counts and smooths the three factor models of a
+    dataset, then predicts batches of cells.
+
+    The models are arrays, Laplace-smoothed with cfg.laplace_alpha:
+
+    * ``priors[u]`` is user u's distribution over the rating levels;
+    * ``likelihoods[u, c, b, k]`` is the probability that an item's
+      category-c bit is b given that user u rates the item at level k;
+    * ``acceptance[i]`` is the distribution of the ratings item i received,
+      an items x 6 array;
+    * ``friend_tables`` is the FriendConditionalTable of the friend pairs
+      whose strength reaches cfg.friend_min_strength.
+
+    Priors, per-category bit counts and item acceptance counts are integer
+    sums over the one-hot users x items x levels rating array; friend tables
+    are counted once per unordered friend pair.  Raises
+    EmptyTrainingSetError when the training set has no ratings at all.
+    """
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
+        if dataset.ratings.n_rated == 0:
+            raise EmptyTrainingSetError("empty training set: no ratings to learn from")
         self.cfg = cfg
         self._ratings = dataset.ratings.dense()
         self._bits = dataset.categories.dense()
-        self.preference, self.acceptance, self.friend_tables = learn_models(dataset, cfg)
+        alpha = cfg.laplace_alpha
+        one_hot = self._ratings[:, :, None] == np.arange(N_LEVELS)
+        counts = one_hot.sum(axis=1)
+        ones = np.einsum("uik,ic->uck", one_hot, self._bits, dtype=np.int64)
+        present = (ones + alpha) / (counts[:, None, :] + 2 * alpha)
+        self.priors = _smoothed(counts, alpha)
+        self.likelihoods = np.stack([1.0 - present, present], axis=2)
+        self.acceptance = _smoothed(one_hot.sum(axis=0), alpha)
+        self.friend_tables = _friend_tables(self._ratings, dataset.graph, cfg)
 
     def _friend_steps(self, users: np.ndarray, items: np.ndarray):
         """The friend-inference columns of each cell, as one n x 6 array per
@@ -379,11 +355,11 @@ class SnrsPredictor:
         order, i's acceptance, and the table columns of the friends who
         rated i (uniform when no friend rated i)."""
         users, items = cell_array(cells, self._ratings.shape).T
-        bits, likelihoods = self._bits[items], self.preference.likelihoods
-        pu = _evidence(self.preference.priors[users],
+        bits, likelihoods = self._bits[items], self.likelihoods
+        pu = _evidence(self.priors[users],
                        (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
         pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items))
-        return pu, self.acceptance.dists[items], pff
+        return pu, self.acceptance[items], pff
 
     def predict_many(self, cells) -> list[Prediction]:
         """One prediction per (user, item) cell of a sequence, in order:

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import pytest
 
 from socialrec import (
+    CfConfig,
+    CfPredictor,
     Dataset,
     GenConfig,
     ItemCategoryMatrix,
     RatingMatrix,
     RelationshipGraph,
+    SimilarityCache,
     generate_dataset,
 )
 
@@ -17,6 +22,15 @@ def build_dataset(n_users, n_items, n_categories, edges=None, cells=None, member
         ratings=RatingMatrix(n_users, n_items, cells or {}),
         categories=ItemCategoryMatrix(n_items, n_categories, members or set()),
     )
+
+
+def cf_predictor(ratings, cache, cfg=CfConfig(), graph=None):
+    """A CfPredictor over ``ratings`` and ``graph`` (no edges by default)
+    that scores with ``cache`` in place of the similarities it would build."""
+    dataset = Dataset(graph=graph or RelationshipGraph(ratings.n_users, {}), ratings=ratings,
+                      categories=ItemCategoryMatrix(ratings.n_items, 0))
+    with mock.patch.object(SimilarityCache, "build", return_value=cache):
+        return CfPredictor(dataset, cfg)
 
 
 def rating_row(ratings, user):

@@ -18,13 +18,11 @@ from socialrec import (
     SimilarityCache,
     SplitSpec,
     pearson_correlation,
-    predict_cf,
-    select_neighbors,
     split,
 )
 import socialrec.cf
 from socialrec.cf import round_rating  # re-exported alongside the predictor
-from conftest import build_dataset, rating_row
+from conftest import build_dataset, cf_predictor, rating_row
 from test_acceptance import brute_force_cf
 
 
@@ -170,6 +168,16 @@ class TestSimilarityCache:
         with pytest.raises(ValueError):
             cache.similarity(1, 1)
 
+    @pytest.mark.parametrize("u, n", [(-1, 3), (100, 3), (3, -1), (3, 100)])
+    def test_user_outside_rejected(self, default_dataset, u, n):
+        # a negative index would otherwise wrap round to the last user
+        cache = SimilarityCache.build(default_dataset.ratings)
+        bad = min(u, n) if min(u, n) < 0 else max(u, n)
+        with pytest.raises(IndexError, match=rf"^user index {bad} outside 0\.\.99$"):
+            cache.similarity(u, n)
+        with pytest.raises(IndexError, match=rf"^user index {bad} outside 0\.\.99$"):
+            cache.row(bad)
+
     @given(rating_matrices(), st.integers(min_value=2, max_value=4))
     @example(RatingMatrix(4, 3, {(0, 0): 2, (0, 1): 2, (0, 2): 2,     # zero variance
                                  (1, 0): 1, (1, 1): 4, (1, 2): 0,
@@ -240,9 +248,9 @@ class TestSimilarityCache:
         # one entry per pair of the 5000 users took ~12.5 million entries
         assert large_s < 5 * small_s + 0.05
         assert large_cache.similarity(4999, 3) is None
+        large_cf, small_cf = cf_predictor(large, large_cache), cf_predictor(small, small_cache)
         for u, i in itertools.product(range(100), range(10)):
-            assert predict_cf(u, i, large, large_cache, CfConfig()) == \
-                predict_cf(u, i, small, small_cache, CfConfig())
+            assert large_cf.predict(u, i) == small_cf.predict(u, i)
 
 
     def test_build_across_row_blocks(self):
@@ -305,22 +313,34 @@ def hand_cache(entries):
                            [n for n, _ in ranked], [s for _, s in ranked])
 
 
+def used_neighbors(u, i, ratings, cache, cfg, graph=None):
+    """The (user, similarity) neighbours CfPredictor uses for (u, i), with
+    ``cache`` in place of the similarities it would build."""
+    return list(cf_predictor(ratings, cache, cfg, graph).predict_detailed(u, i).neighbors)
+
+
+def cf_value(u, i, ratings, cache, cfg):
+    """CfPredictor's value for (u, i), with ``cache`` in place of the
+    similarities it would build."""
+    return cf_predictor(ratings, cache, cfg).predict(u, i)
+
+
 class TestSelectNeighbors:
     def test_no_other_raters(self):
         m = RatingMatrix(3, 2, {(0, 1): 3, (1, 1): 2, (2, 1): 4})
         cache = hand_cache({(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9})
-        assert select_neighbors(0, 0, m, cache, CfConfig()) == []
+        assert used_neighbors(0, 0, m, cache, CfConfig()) == []
 
     def test_keeps_only_positive_similarities(self):
         m = RatingMatrix(4, 1, {(1, 0): 3, (2, 0): 2, (3, 0): 4})
         cache = hand_cache({(0, 1): 0.9, (0, 2): 0.5, (0, 3): -0.2,
                             (1, 2): None, (1, 3): None, (2, 3): None})
-        assert select_neighbors(0, 0, m, cache, CfConfig()) == [(1, 0.9), (2, 0.5)]
+        assert used_neighbors(0, 0, m, cache, CfConfig()) == [(1, 0.9), (2, 0.5)]
 
     def test_undefined_similarity_excluded(self):
         m = RatingMatrix(3, 1, {(1, 0): 3, (2, 0): 2})
         cache = hand_cache({(0, 1): None, (0, 2): 0.4, (1, 2): None})
-        assert select_neighbors(0, 0, m, cache, CfConfig()) == [(2, 0.4)]
+        assert used_neighbors(0, 0, m, cache, CfConfig()) == [(2, 0.4)]
 
     def test_tie_break_by_index(self):
         m = RatingMatrix(10, 1, {(4, 0): 3, (9, 0): 2})
@@ -328,12 +348,12 @@ class TestSelectNeighbors:
         entries[(0, 4)] = 0.7
         entries[(0, 9)] = 0.7
         cache = hand_cache(entries)
-        assert select_neighbors(0, 0, m, cache, CfConfig()) == [(4, 0.7), (9, 0.7)]
+        assert used_neighbors(0, 0, m, cache, CfConfig()) == [(4, 0.7), (9, 0.7)]
 
     def test_truncation_to_k(self):
         m = RatingMatrix(5, 1, {(n, 0): 3 for n in range(1, 5)})
         cache = hand_cache({(0, n): 1.0 - n / 10 for n in range(1, 5)})
-        got = select_neighbors(0, 0, m, cache, CfConfig(neighbor_k=2))
+        got = used_neighbors(0, 0, m, cache, CfConfig(neighbor_k=2))
         assert got == [(1, 0.9), (2, 0.8)]
 
     def test_friends_only_scope(self):
@@ -341,7 +361,7 @@ class TestSelectNeighbors:
         cache = hand_cache({(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7})
         graph = RelationshipGraph(4, {(0, 2): 3, (0, 3): 0})
         cfg = CfConfig(neighbor_scope="friends-only")
-        assert select_neighbors(0, 0, m, cache, cfg, graph) == [(2, 0.8)]
+        assert used_neighbors(0, 0, m, cache, cfg, graph) == [(2, 0.8)]
 
     @pytest.mark.parametrize("cell", [(0, -1), (0, 2), (-1, 0), (4, 0)])
     def test_cell_outside_matrix_rejected(self, cell):
@@ -349,20 +369,15 @@ class TestSelectNeighbors:
         m = RatingMatrix(4, 2, {(n, i): 3 for n in range(1, 4) for i in range(2)})
         cache = hand_cache({(0, n): 0.5 for n in range(1, 4)})
         with pytest.raises(ValueError, match="outside the 4x2 rating matrix"):
-            select_neighbors(*cell, m, cache, CfConfig())
-
-    def test_friends_only_needs_graph(self):
-        cfg = CfConfig(neighbor_scope="friends-only")
-        with pytest.raises(ValueError, match="graph"):
-            select_neighbors(0, 0, RatingMatrix(2, 1), hand_cache({(0, 1): 1.0}), cfg)
+            used_neighbors(*cell, m, cache, CfConfig())
 
 
 class TestPredictCf:
     @pytest.mark.parametrize("cell", [(0, -1), (0, 10), (100, 0)])
     def test_cell_outside_matrix_rejected(self, default_dataset, cell):
-        cache = SimilarityCache.build(default_dataset.ratings)
+        predictor = CfPredictor(default_dataset)
         with pytest.raises(ValueError, match="outside the 100x10 rating matrix"):
-            predict_cf(*cell, default_dataset.ratings, cache, CfConfig())
+            predictor.predict(*cell)
 
     def test_hand_case(self):
         # active mean 2; neighbors (sim .5, r=4, mean 3) and (sim .5, r=2, mean 2)
@@ -372,23 +387,17 @@ class TestPredictCf:
             (2, 0): 2, (2, 1): 2,
         })
         cache = hand_cache({(0, 1): 0.5, (0, 2): 0.5, (1, 2): None})
-        assert predict_cf(0, 0, m, cache, CfConfig()) == 2.5
+        assert cf_value(0, 0, m, cache, CfConfig()) == 2.5
 
     def test_neighbor_at_own_mean_keeps_user_mean(self):
         m = RatingMatrix(2, 3, {(0, 1): 1, (0, 2): 3, (1, 0): 2, (1, 1): 2, (1, 2): 2})
         cache = hand_cache({(0, 1): 1.0})
-        assert predict_cf(0, 0, m, cache, CfConfig()) == 2.0
+        assert cf_value(0, 0, m, cache, CfConfig()) == 2.0
 
     def test_no_neighbors_falls_back_to_user_mean(self):
         m = RatingMatrix(2, 2, {(0, 1): 4})
         cache = hand_cache({(0, 1): None})
-        assert predict_cf(0, 0, m, cache, CfConfig()) == 4.0
-
-    def test_cold_start_raises(self):
-        m = RatingMatrix(2, 2, {(1, 0): 3, (1, 1): 2})
-        cache = hand_cache({(0, 1): None})
-        with pytest.raises(ColdStartError):
-            predict_cf(0, 0, m, cache, CfConfig())
+        assert cf_value(0, 0, m, cache, CfConfig()) == 4.0
 
     def test_normalization_fix(self):
         # every neighbor sits exactly +1 above its mean; prediction must be
@@ -402,7 +411,7 @@ class TestPredictCf:
         for _ in range(25):
             s1, s2 = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
             cache = hand_cache({(0, 1): s1, (0, 2): s2, (1, 2): None})
-            assert abs(predict_cf(0, 0, m, cache, CfConfig()) - 3.0) < 1e-12
+            assert abs(cf_value(0, 0, m, cache, CfConfig()) - 3.0) < 1e-12
 
     def test_never_fails_with_any_rating(self):
         rng = random.Random(17)
@@ -415,7 +424,7 @@ class TestPredictCf:
             m = RatingMatrix(n_users, n_items, cells)
             cache = SimilarityCache.build(m)
             for i in range(n_items):
-                value = predict_cf(0, i, m, cache, CfConfig())
+                value = cf_value(0, i, m, cache, CfConfig())
                 assert math.isfinite(value)
 
 
@@ -436,8 +445,8 @@ class TestCfPredictor:
         cache = SimilarityCache.build(tiny_dataset.ratings)
         for u in range(3):
             for i in range(2):
-                assert predictor.predict(u, i) == predict_cf(
-                    u, i, tiny_dataset.ratings, cache, CfConfig())
+                assert predictor.predict_detailed(u, i) == scalar_prediction(
+                    u, i, tiny_dataset.ratings, cache, CfConfig(), tiny_dataset.graph)
 
     def test_fallback_marker(self):
         d = build_dataset(2, 2, 1, cells={(0, 1): 4, (1, 0): 3, (1, 1): 1})

@@ -297,6 +297,30 @@ class TestCompare:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: ratings.csv:3:"), result.output
 
+class TestHugeRanges:
+    """Each range's end is checked against its bound before the range is
+    expanded, so a range of 10**12 numbers is a usage error, not an attempt
+    to build a list of 10**12 ints."""
+
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--test-users", "U1-U999999999999", "test user U21 outside dataset (20 users)"),
+        ("--test-users", "U15-U30", "test user U21 outside dataset (20 users)"),
+        ("--test-users", "3,25-999999999999,1", "test user U25 outside dataset (20 users)"),
+        ("--test-items", "I1-I999999999999", "test item I6 outside dataset (5 items)"),
+        ("--levels", "0-999999999999",
+         "prediction levels must be within 0..5, got '0-999999999999'"),
+    ])
+    def test_usage_error(self, runner, small_data, command, flag, value, message):
+        args = [command, "--data", str(small_data), "--test-users", "11-20",
+                "--test-items", "I1-I2", flag, value]
+        result = runner.invoke(main, args + (["--method", "cf"] if command == "eval" else []))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1] == f"Error: {message}"
+
+
 class TestEmptyTrainingSet:
     """Holding out every rated cell leaves nothing to train on: a clean
     one-line error, never a traceback."""

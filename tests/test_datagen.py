@@ -10,15 +10,12 @@ from socialrec import (
     RatingMatrix,
     RelationshipGraph,
     friend_weighted_fill_trace,
-    generate_categories,
     generate_dataset,
-    generate_relationships,
     save_dataset,
-    seed_ratings,
     validate_dataset,
 )
 from socialrec import datagen
-from socialrec.datagen import FillEvent
+from socialrec.datagen import FillEvent, generate_categories, generate_relationships, seed_ratings
 from socialrec.model import round_rating
 
 
@@ -81,7 +78,7 @@ class TestGenerateCategories:
         assert (m.n_items, m.n_categories) == (10, 10)
         for i in range(10):
             for c in range(10):
-                assert m.bit(i, c) in (0, 1)
+                assert m.dense()[i, c] in (0, 1)
 
     def test_deterministic(self):
         cfg = GenConfig(rng_seed=21)

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +19,9 @@ from socialrec import (
     SnrsPredictor,
     combine,
     generate_dataset,
-    learn_models,
 )
 from socialrec.evaluate import SplitSpec, split
+from socialrec.snrs import _normalise
 from conftest import build_dataset, rating_row
 
 UNIFORM = (1 / 6,) * 6
@@ -28,6 +29,11 @@ UNIFORM = (1 / 6,) * 6
 
 def close(xs, ys, tol=1e-12):
     return all(abs(a - b) <= tol for a, b in zip(xs, ys))
+
+
+def normalised(weights):
+    """The distribution of non-negative weights, each divided by their sum."""
+    return RatingDistribution(_normalise(np.array([weights], dtype=float))[0])
 
 
 class TestRatingDistribution:
@@ -53,23 +59,20 @@ class TestRatingDistribution:
             d.probs = UNIFORM
 
     def test_from_weights_normalizes(self):
-        d = RatingDistribution.from_weights([1, 1, 3, 3, 1, 1])
+        d = _normalise(np.array([[1, 1, 3, 3, 1, 1]], dtype=float))[0]
         assert close(d, [0.1, 0.1, 0.3, 0.3, 0.1, 0.1])
 
     def test_from_weights_rejects_zero_total(self):
         with pytest.raises(ValueError):
-            RatingDistribution.from_weights([0] * 6)
+            _normalise(np.zeros((1, 6)))
 
     @pytest.mark.parametrize("weights", [[1, 1, 1, 1, 1, math.inf], [math.nan] * 6])
     def test_from_weights_rejects_non_finite(self, weights):
         with pytest.raises(ValueError, match="non-finite"):
-            RatingDistribution.from_weights(weights)
-
-    def test_uniform(self):
-        assert close(RatingDistribution.uniform(), UNIFORM)
+            _normalise(np.array([weights], dtype=float))
 
     def test_expected_level_uniform(self):
-        assert RatingDistribution.uniform().expected_level() == pytest.approx(2.5)
+        assert RatingDistribution(UNIFORM).expected_level() == pytest.approx(2.5)
 
     def test_expected_level_point_mass(self):
         d = RatingDistribution([0, 0, 0, 0, 1.0, 0])
@@ -81,7 +84,7 @@ class TestRatingDistribution:
 
     def test_expected_level_restricted(self):
         # uniform over all six, restricted to 1..5 -> mean of 1..5
-        d = RatingDistribution.uniform()
+        d = RatingDistribution(UNIFORM)
         assert d.expected_level((1, 2, 3, 4, 5)) == pytest.approx(3.0)
 
     def test_expected_level_no_mass(self):
@@ -123,18 +126,16 @@ def history_dataset():
 class TestLearnModels:
     def test_user_prior_counts(self):
         d = build_dataset(1, 3, 1, cells={(0, 0): 2, (0, 1): 2, (0, 2): 4})
-        preference, _, _ = learn_models(d)
-        prior = preference.priors[0]
+        prior = SnrsPredictor(d).priors[0]
         assert close(prior, [1 / 9, 1 / 9, 3 / 9, 1 / 9, 2 / 9, 1 / 9])
 
     def test_unrated_user_uniform_prior(self):
         d = build_dataset(2, 2, 1, cells={(0, 0): 3, (0, 1): 1})
-        preference, _, _ = learn_models(d)
-        assert close(preference.priors[1], UNIFORM)
+        assert close(SnrsPredictor(d).priors[1], UNIFORM)
 
     def test_attribute_conditionals(self):
-        preference, _, _ = learn_models(history_dataset())
-        (absent_0, present_0), (absent_1, present_1), *_ = preference.likelihoods[0]
+        likelihoods = SnrsPredictor(history_dataset()).likelihoods
+        (absent_0, present_0), (absent_1, present_1), *_ = likelihoods[0]
         assert present_0[2] == pytest.approx(3 / 4)   # (2+1)/(2+2)
         assert present_1[2] == pytest.approx(1 / 4)   # (0+1)/(2+2)
         assert present_0[4] == pytest.approx(1 / 3)   # (0+1)/(1+2)
@@ -145,13 +146,12 @@ class TestLearnModels:
 
     def test_item_acceptance_counts(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
-        _, acceptance, _ = learn_models(d)
-        assert close(acceptance.dists[0], [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
+        acceptance = SnrsPredictor(d).acceptance
+        assert close(acceptance[0], [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
 
     def test_unrated_item_uniform(self):
         d = build_dataset(1, 2, 1, cells={(0, 0): 3})
-        _, acceptance, _ = learn_models(d)
-        assert close(acceptance.dists[1], UNIFORM)
+        assert close(SnrsPredictor(d).acceptance[1], UNIFORM)
 
     def test_friend_table_hand_case(self):
         # co-rated levels (u, v): (2,2), (2,2), (3,2); column at j=2
@@ -161,19 +161,26 @@ class TestLearnModels:
             cells={(0, 0): 2, (0, 1): 2, (0, 2): 3,
                    (1, 0): 2, (1, 1): 2, (1, 2): 2, (1, 3): 2},
         )
-        _, _, tables = learn_models(d)
+        tables = SnrsPredictor(d).friend_tables
         column = tables.column(0, 1, 2)
         assert close(column, [1 / 9, 1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9])
 
     def test_friend_table_no_corated_uniform(self):
         d = build_dataset(2, 2, 1, edges={(0, 1): 3},
                           cells={(0, 0): 1, (1, 1): 4})
-        _, _, tables = learn_models(d)
+        tables = SnrsPredictor(d).friend_tables
         for j in range(6):
             assert close(tables.column(0, 1, j), UNIFORM)
 
+    @pytest.mark.parametrize("level", [-1, 6])
+    def test_friend_table_level_outside_rejected(self, level):
+        # -1 would otherwise read level 5's column
+        d = build_dataset(2, 2, 1, edges={(0, 1): 3}, cells={(0, 0): 1, (1, 1): 4})
+        with pytest.raises(ValueError, match=rf"^friend level {level} outside 0\.\.5$"):
+            SnrsPredictor(d).friend_tables.column(0, 1, level)
+
     def test_friend_table_columns_sum_to_one(self, default_dataset):
-        _, _, tables = learn_models(default_dataset)
+        tables = SnrsPredictor(default_dataset).friend_tables
         some_pairs = list(itertools.islice(tables.pairs(), 25))
         for u, v in some_pairs:
             for j in range(6):
@@ -183,13 +190,13 @@ class TestLearnModels:
         d = build_dataset(3, 1, 1,
                           edges={(0, 1): 0, (0, 2): 3},
                           cells={(0, 0): 1, (1, 0): 2, (2, 0): 3})
-        _, _, tables = learn_models(d, SnrsConfig(friend_min_strength=1))
+        tables = SnrsPredictor(d, SnrsConfig(friend_min_strength=1)).friend_tables
         assert (0, 1) not in tables
         assert (0, 2) in tables and (2, 0) in tables
 
     def test_empty_train_rejected(self):
         with pytest.raises(EmptyTrainingSetError, match="empty") as info:
-            learn_models(build_dataset(2, 2, 1))
+            SnrsPredictor(build_dataset(2, 2, 1))
         assert isinstance(info.value, ValueError)
 
 
@@ -218,7 +225,7 @@ class TestFriendTablesOracle:
     @pytest.mark.parametrize("min_strength", [0, 1, 3])
     def test_tables_equal_recount(self, dense_train, alpha, min_strength):
         cfg = SnrsConfig(laplace_alpha=alpha, friend_min_strength=min_strength)
-        _, _, tables = learn_models(dense_train, cfg)
+        tables = SnrsPredictor(dense_train, cfg).friend_tables
         expected_pairs = set()
         for (x, y), s in dense_train.graph.edges.items():
             if s >= min_strength:
@@ -243,27 +250,27 @@ class TestLearnedMemory:
         train, _ = split(generate_dataset(GenConfig(rng_seed=7, **shape)), spec)
         tracemalloc.start()
         try:
-            models = learn_models(train)
+            predictor = SnrsPredictor(train)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert models and retained <= limit_mb * 1e6
+        assert predictor and retained <= limit_mb * 1e6
 
 
 def brute_force_user_preference(dataset, u, i, alpha=1.0):
     """Full enumeration of the naive-Bayes posterior, independent of the
     package's counting code; exact when alpha is a Fraction."""
     row = rating_row(dataset.ratings, u)
-    n_categories = dataset.n_categories
+    n_categories, bits = dataset.n_categories, dataset.categories.dense()
     masses = []
     for k in range(6):
         count_k = sum(1 for r in row.values() if r == k)
         mass = (count_k + alpha) / (len(row) + 6 * alpha)
         for c in range(n_categories):
             ones = sum(1 for item, r in row.items()
-                       if r == k and dataset.categories.bit(item, c))
+                       if r == k and bits[item, c])
             p_one = (ones + alpha) / (count_k + 2 * alpha)
-            mass *= p_one if dataset.categories.bit(i, c) else 1 - p_one
+            mass *= p_one if bits[i, c] else 1 - p_one
         masses.append(mass)
     total = sum(masses)
     return [m / total for m in masses]
@@ -303,8 +310,7 @@ class TestUserPreference:
 class TestItemAcceptance:
     def test_is_the_smoothed_item_distribution(self):
         d = build_dataset(3, 1, 1, cells={(0, 0): 1, (1, 0): 1, (2, 0): 2})
-        _, acceptance, _ = learn_models(d)
-        dist = acceptance.dists[0]
+        dist = SnrsPredictor(d).acceptance[0]
         assert close(dist, [1 / 9, 3 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
 
 
@@ -347,12 +353,12 @@ class TestFriendInference:
 
 class TestCombine:
     def test_uniform_inputs(self):
-        u = RatingDistribution.uniform()
+        u = RatingDistribution(UNIFORM)
         assert close(combine(u, u, u), UNIFORM)
 
     def test_hand_case(self):
         pu = RatingDistribution([0.1, 0.1, 0.3, 0.3, 0.1, 0.1])
-        pi = RatingDistribution.uniform()
+        pi = RatingDistribution(UNIFORM)
         pff = RatingDistribution([0.1, 0.1, 0.1, 0.1, 0.3, 0.3])
         expected = [1 / 14, 1 / 14, 3 / 14, 3 / 14, 3 / 14, 3 / 14]
         assert close(combine(pu, pi, pff), expected)
@@ -360,7 +366,7 @@ class TestCombine:
     def test_point_mass_dominates(self):
         point = RatingDistribution([0, 0, 0, 0, 1.0, 0])
         other = RatingDistribution([0.2, 0.2, 0.1, 0.1, 0.2, 0.2])
-        result = combine(point, other, RatingDistribution.uniform())
+        result = combine(point, other, RatingDistribution(UNIFORM))
         assert result[4] == 1.0
         assert sum(result) == 1.0
 
@@ -368,7 +374,7 @@ class TestCombine:
         a = RatingDistribution([1.0, 0, 0, 0, 0, 0])
         b = RatingDistribution([0, 1.0, 0, 0, 0, 0])
         with pytest.raises(DegenerateEvidenceError):
-            combine(a, b, RatingDistribution.uniform())
+            combine(a, b, RatingDistribution(UNIFORM))
 
     def test_permutation_symmetry_and_brute_force(self):
         rng = random.Random(8)
@@ -376,7 +382,7 @@ class TestCombine:
             dists = []
             for _ in range(3):
                 weights = [rng.uniform(0.01, 1.0) for _ in range(6)]
-                dists.append(RatingDistribution.from_weights(weights))
+                dists.append(normalised(weights))
             a, b, c = dists
             base = combine(a, b, c)
             raw = [a[k] * b[k] * c[k] for k in range(6)]
@@ -390,9 +396,9 @@ class TestCombine:
         # raise the combined mass there
         rng = random.Random(21)
         for _ in range(50):
-            pu = RatingDistribution.from_weights([rng.uniform(0.05, 1) for _ in range(6)])
-            pi = RatingDistribution.from_weights([rng.uniform(0.05, 1) for _ in range(6)])
-            pff = RatingDistribution.from_weights([rng.uniform(0.05, 1) for _ in range(6)])
+            pu = normalised([rng.uniform(0.05, 1) for _ in range(6)])
+            pi = normalised([rng.uniform(0.05, 1) for _ in range(6)])
+            pff = normalised([rng.uniform(0.05, 1) for _ in range(6)])
             k_star = max(range(6), key=lambda k: pu[k] * pi[k])
             delta = rng.uniform(0, 1.0 - pff[k_star])
             shrink = (1.0 - (pff[k_star] + delta)) / (1.0 - pff[k_star])
@@ -547,7 +553,7 @@ def scalar_prediction(dataset, cfg, u, i):
     """One cell predicted in plain Python loops, with the same expressions
     and the same order of operations as the array code: the reference that
     its results must equal bit for bit."""
-    alpha, ratings, bit = cfg.laplace_alpha, dataset.ratings, dataset.categories.bit
+    alpha, ratings, bits = cfg.laplace_alpha, dataset.ratings, dataset.categories.dense()
 
     def smoothed(counts):
         total = sum(counts)
@@ -567,9 +573,9 @@ def scalar_prediction(dataset, cfg, u, i):
     counts = [sum(1 for r in row.values() if r == k) for k in range(6)]
     preference = []
     for c in range(dataset.n_categories):
-        ones = [sum(1 for item, r in row.items() if r == k and bit(item, c)) for k in range(6)]
+        ones = [sum(1 for item, r in row.items() if r == k and bits[item, c]) for k in range(6)]
         present = [(ones[k] + alpha) / (counts[k] + 2 * alpha) for k in range(6)]
-        preference.append(present if bit(i, c) else [1.0 - p for p in present])
+        preference.append(present if bits[i, c] else [1.0 - p for p in present])
     friends = []
     for v, _ in dataset.graph.friends_of(u, cfg.friend_min_strength):
         j, other = ratings.get(v, i), rating_row(ratings, v)
