@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,10 +11,13 @@ from socialrec import (
     SplitSpec,
     accuracy,
     evaluate_method,
+    item_label,
     mae,
+    round_rating,
     run_comparison,
     split,
     train_predictor,
+    user_label,
     write_detail_csv,
     write_summary_csv,
 )
@@ -230,3 +236,22 @@ class TestReportCsv:
         write_detail_csv(reports, tmp_path / "detail.csv")
         first_row = (tmp_path / "detail.csv").read_text().splitlines()[1]
         assert first_row.startswith("cf,U51,I1,")
+
+    def test_detail_bytes_equal_a_row_by_row_writer(self, tmp_path):
+        """The detail file equals csv.writer fed one row per record, quoting
+        a method name that holds a comma or a quote."""
+        values = [1e-05, 0.30000000000000004, -0.5, 5.000000000000001]
+        records = [CellRecord(u, i, 3, v, round_rating(v), None)
+                   for (u, i), v in zip([(0, 0), (0, 11), (9, 2), (12, 0)], values)]
+        reports = [EvaluationReport.from_records(method, records)
+                   for method in ("cf", 'a,b "c"')]
+        write_detail_csv(reports, tmp_path / "detail.csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["method", "user", "item", "actual", "pred_real", "pred_rounded"])
+        for report in reports:
+            for r in report.records:
+                writer.writerow([report.method, user_label(r.user), item_label(r.item),
+                                 r.actual, repr(r.pred_real), r.pred_rounded])
+        assert (tmp_path / "detail.csv").read_bytes() == expected.getvalue().encode()
+        assert '"a,b ""c""",U13,I1,3,5.000000000000001,5\n' in expected.getvalue()

@@ -68,6 +68,16 @@ COMPARE_SHAPE_DIGESTS = {
     ),
 }
 
+# eval --method M --out at the "catalog" shape of COMPARE_SHAPE_DIGESTS, seed 0:
+# {method: {file: digest}}.  eval writes a one-method report through the same
+# path as compare.
+EVAL_CATALOG_DIGESTS = {
+    "cf": {"detail.csv": "999e296245d13855d0ed17b812e240b5e7fcff0f0bc6caca189d35a6c96274ad",
+           "summary.csv": "3af23f291d1335ff45d0bcc6a0f63687fda9809a1c2f3538a399a5aa8d12a328"},
+    "snrs": {"detail.csv": "1b571d479ea0d47ddbed71b1593a1c73bbaca1edca052fb10b19982dd4a904a1",
+             "summary.csv": "0783ff45ad258527b25dd88d6f9d42e7481777265a0301a98d1688d123276a4e"},
+}
+
 # float.hex() of every level of the three snrs factor distributions
 # (preference, acceptance, friend inference), for every cell of the seed-42
 # default dataset and of the seed-0 DENSE_SHAPE dataset, each trained on
@@ -195,6 +205,20 @@ def test_compare_reports_benchmark_shapes(shape, tmp_path):
                                   "--out", str(reports)])
     assert result.exit_code == 0, result.output
     for name, expected in digests.items():
+        assert file_digest(reports / name) == expected, name
+
+
+@pytest.mark.parametrize("method", sorted(EVAL_CATALOG_DIGESTS))
+def test_eval_reports_catalog_shape(method, tmp_path):
+    gen_flags, split_flags, _ = COMPARE_SHAPE_DIGESTS["catalog"]
+    runner = CliRunner()
+    data, reports = tmp_path / "data", tmp_path / "reports"
+    result = runner.invoke(main, ["gen", *gen_flags, "--seed", "0", "--out", str(data)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["eval", "--data", str(data), "--method", method,
+                                  *split_flags, "--out", str(reports)])
+    assert result.exit_code == 0, result.output
+    for name, expected in EVAL_CATALOG_DIGESTS[method].items():
         assert file_digest(reports / name) == expected, name
 
 
