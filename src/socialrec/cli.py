@@ -146,6 +146,8 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             lo, hi = part.split("-", 1)
             if not (is_number(lo.strip()) and is_number(hi.strip())):
                 raise click.UsageError(f"bad rating level range {part!r}")
+            if int(hi) < int(lo):
+                raise click.UsageError(f"empty rating level range {part!r}")
             ranges.append(range(int(lo), int(hi) + 1))
         elif is_number(part):
             ranges.append(range(int(part), int(part) + 1))

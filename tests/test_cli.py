@@ -310,6 +310,8 @@ class TestHugeRanges:
         ("--test-items", "I1-I999999999999", "test item I6 outside dataset (5 items)"),
         ("--levels", "0-999999999999",
          "prediction levels must be within 0..5, got '0-999999999999'"),
+        ("--levels", "5-3", "empty rating level range '5-3'"),
+        ("--levels", "1,5-3", "empty rating level range '5-3'"),
     ])
     def test_usage_error(self, runner, small_data, command, flag, value, message):
         args = [command, "--data", str(small_data), "--test-users", "11-20",
