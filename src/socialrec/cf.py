@@ -220,10 +220,12 @@ def _friend_keys(cfg: CfConfig, graph: RelationshipGraph) -> np.ndarray | None:
 
 
 def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
-            friends: np.ndarray | None) -> tuple[list[tuple[tuple[int, float], ...]], list[float]]:
-    """The neighbours each (user, item) row of ``at`` uses, and its mean-
-    centred weighted average: the user's mean plus numerator / denominator,
-    or the mean alone without neighbours (NaN for a user without ratings).
+            friends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean-centred weighted average of each (user, item) row of ``at``:
+    the user's mean plus numerator / denominator, or the mean alone without
+    neighbours (NaN for a user without ratings).  Also the cache entries of
+    the neighbours the cells use, grouped by cell in rank order, and how
+    many each cell uses.
 
     A cell's candidates are the positive-similarity prefix of its user's
     row.  An entry is usable when its neighbour rated the item and, given
@@ -243,7 +245,7 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
     k = max(1, min(cfg.neighbor_k, int(cache.positive.max(initial=0))))
     # a numpy n_items makes the flat indices of int32 neighbours int64
     flat, n_items = dense.reshape(-1), np.intp(dense.shape[1])
-    neighbors, values = [], []
+    values, entries, counts = [np.zeros(0)], [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     step = max(1, _CHUNK_ENTRIES // k)
     for chunk in range(0, len(at), step):
         user, item = at[chunk:chunk + step].T
@@ -286,14 +288,10 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
         used = found > 0
         ratio = np.divide(np.cumsum(term, axis=1)[:, -1], np.cumsum(weight, axis=1)[:, -1],
                           out=np.zeros(len(user)), where=used)
-        values.extend(np.where(used, means[user] + ratio, means[user]).tolist())
-        # cells of one user share their (neighbour, similarity) pairs
-        unique, inverse = np.unique(entry, return_inverse=True)
-        shared = list(zip(cache.neighbors[unique].tolist(), cache.similarities[unique].tolist()))
-        pairs = list(map(shared.__getitem__, inverse.tolist()))
-        ends = np.cumsum(np.minimum(found, k)).tolist()
-        neighbors.extend(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
-    return neighbors, values
+        values.append(np.where(used, means[user] + ratio, means[user]))
+        entries.append(entry)
+        counts.append(np.minimum(found, k))
+    return np.concatenate(values), np.concatenate(entries), np.concatenate(counts)
 
 
 class CfPredictor:
@@ -324,20 +322,31 @@ class CfPredictor:
         """
         return self.predict_many([(u, i)])[0]
 
-    def predict_many(self, cells) -> list[Prediction]:
-        """predict_detailed for each (user, item) cell, in order, scored as
-        one batch."""
+    def _score(self, cells) -> tuple[np.ndarray, list[str | None], np.ndarray, np.ndarray]:
+        """The values and fallbacks of a batch of (user, item) cells, then
+        the cache entries of the neighbours the cells use, grouped by cell
+        in rank order, and how many each cell uses."""
         at = cell_array(cells, self._ratings.dense().shape)
         if self._global_mean is None and len(at):
             raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
                                  f"and the dataset has no other ratings to average")
-        predictions = []
-        for neighbors, value in zip(*_select(at, self._ratings, self._cache, self.cfg,
-                                             self._friends)):
-            if neighbors:
-                predictions.append(Prediction(value, None, neighbors))
-            elif not math.isnan(value):
-                predictions.append(Prediction(value, "user-mean"))
-            else:
-                predictions.append(Prediction(self._global_mean, "global-mean"))
-        return predictions
+        values, entry, counts = _select(at, self._ratings, self._cache, self.cfg,
+                                        self._friends)
+        unrated = np.isnan(values)
+        fallbacks = np.where(counts > 0, None,
+                             np.where(unrated, "global-mean", "user-mean")).tolist()
+        values[unrated] = self._global_mean
+        return values, fallbacks, entry, counts
+
+    def predict_many(self, cells) -> list[Prediction]:
+        """predict_detailed for each (user, item) cell, in order, scored as
+        one batch."""
+        values, fallbacks, entry, counts = self._score(cells)
+        # cells of one user share their (neighbour, similarity) pairs
+        unique, inverse = np.unique(entry, return_inverse=True)
+        shared = list(zip(self._cache.neighbors[unique].tolist(),
+                          self._cache.similarities[unique].tolist()))
+        pairs = list(map(shared.__getitem__, inverse.tolist()))
+        ends = np.cumsum(counts).tolist()
+        return [Prediction(value, fallback, tuple(pairs[a:b])) for value, fallback, a, b
+                in zip(values.tolist(), fallbacks, [0, *ends], ends)]

@@ -8,12 +8,24 @@ as a secondary diagnostic) and accuracy counts exact integer matches.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .cf import CfConfig, CfPredictor
-from .model import Dataset, RatingMatrix, SocialRecError, item_label, round_rating, user_label
+from .model import (
+    Dataset,
+    RatingMatrix,
+    SocialRecError,
+    RATING_MAX,
+    RATING_MIN,
+    item_label,
+    round_rating,
+    user_label,
+)
 from .snrs import SnrsConfig, SnrsPredictor
 
 METHOD_CF = "cf"
@@ -68,16 +80,17 @@ def split(dataset: Dataset, spec: SplitSpec,
             raise ValueError(f"test item index {i} out of bounds "
                              f"(dataset has {ratings.n_items} items)")
 
-    test_keys = {(u, i) for u in spec.test_users for i in spec.test_items}
+    # the test cells leave one copy of the rating map, in (user, item) order
+    train_cells = ratings._cells.copy()
     test: list[tuple[int, int, int]] = []
-    for u, i in sorted(test_keys):
-        actual = ratings.get(u, i)
-        if actual is None:
-            raise MissingCellError(
-                f"test cell ({user_label(u)}, {item_label(i)}) is not rated")
-        test.append((u, i, actual))
+    for u in sorted(spec.test_users):
+        for i in sorted(spec.test_items):
+            actual = train_cells.pop((u, i), None)
+            if actual is None:
+                raise MissingCellError(
+                    f"test cell ({user_label(u)}, {item_label(i)}) is not rated")
+            test.append((u, i, actual))
 
-    train_cells = {(u, i): r for u, i, r in ratings.cells() if (u, i) not in test_keys}
     train = Dataset(
         graph=dataset.graph,
         ratings=RatingMatrix(ratings.n_users, ratings.n_items, train_cells),
@@ -120,31 +133,50 @@ class CellRecord:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-method evaluation results; header numbers are always recomputable
-    from the per-cell records."""
+    """Per-method evaluation results, one tuple per CellRecord field in
+    test-cell order; the header numbers are computed from these columns."""
 
     method: str
-    records: tuple[CellRecord, ...]
-    n_observations: int
-    mae_rounded: float
-    mae_real: float
-    accuracy_percent: float
-    n_fallback: int
+    users: tuple[int, ...]
+    items: tuple[int, ...]
+    actuals: tuple[int, ...]
+    pred_real: tuple[float, ...]
+    pred_rounded: tuple[int, ...]
+    fallbacks: tuple[str | None, ...]
+    n_observations: int = field(init=False)
+    mae_rounded: float = field(init=False)
+    mae_real: float = field(init=False)
+    accuracy_percent: float = field(init=False)
+    n_fallback: int = field(init=False)
+
+    def __post_init__(self):
+        columns = [f.name for f in fields(self) if f.init and f.name != "method"]
+        for name in columns:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in columns}) > 1:
+            raise ValueError("report columns differ in length")
+        derived = dict(
+            n_observations=len(self.actuals),
+            mae_rounded=mae(self.pred_rounded, self.actuals),
+            mae_real=mae(self.pred_real, self.actuals),
+            accuracy_percent=accuracy(self.pred_rounded, self.actuals),
+            n_fallback=len(self.fallbacks) - self.fallbacks.count(None),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_records(cls, method: str, records: Iterable[CellRecord],
                      ) -> "EvaluationReport":
         records = tuple(records)
-        actuals = [r.actual for r in records]
-        return cls(
-            method=method,
-            records=records,
-            n_observations=len(records),
-            mae_rounded=mae([r.pred_rounded for r in records], actuals),
-            mae_real=mae([r.pred_real for r in records], actuals),
-            accuracy_percent=accuracy([r.pred_rounded for r in records], actuals),
-            n_fallback=sum(1 for r in records if r.fallback is not None),
-        )
+        return cls(method, *(tuple(getattr(r, f.name) for r in records)
+                             for f in fields(CellRecord)))
+
+    @property
+    def records(self) -> tuple[CellRecord, ...]:
+        """The report's rows as CellRecords, built on each access."""
+        return tuple(map(CellRecord, self.users, self.items, self.actuals,
+                         self.pred_real, self.pred_rounded, self.fallbacks))
 
     def summary_line(self) -> str:
         return (f"{self.method:<6} n={self.n_observations:<4} "
@@ -168,9 +200,9 @@ def evaluate_method(dataset: Dataset, spec: SplitSpec, method: str,
                     snrs_cfg: SnrsConfig = SnrsConfig()) -> EvaluationReport:
     """Train one engine on the split's training data and score every test cell.
 
-    Each record carries the engine's fallback flag, so collaborative
-    filtering cold starts (scored with the training global mean) are
-    flagged rather than silently blended in.
+    The report's fallbacks column carries the engine's fallback flags, so
+    collaborative filtering cold starts (scored with the training global
+    mean) are flagged rather than silently blended in.
     """
     train, test = split(dataset, spec)
     return _train_and_score(method, train, test, cf_cfg, snrs_cfg)
@@ -187,13 +219,24 @@ def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
     return cf_report, snrs_report
 
 
+def _round_ratings(values: np.ndarray) -> np.ndarray:
+    """round_rating of each value, as one array step.  The first non-finite
+    value raises round_rating's ValueError."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        round_rating(float(values[finite.argmin()]))
+    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    return np.clip(rounded, RATING_MIN, RATING_MAX).astype(np.int64)
+
+
 def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int]],
                      cf_cfg: CfConfig, snrs_cfg: SnrsConfig) -> EvaluationReport:
-    predictions = train_predictor(method, train, cf_cfg, snrs_cfg).predict_many(
-        [(u, i) for u, i, _ in test])
-    return EvaluationReport.from_records(method, (
-        CellRecord(u, i, actual, p.value, round_rating(p.value), p.fallback)
-        for (u, i, actual), p in zip(test, predictions)))
+    columns = np.array(test, dtype=np.intp).reshape(-1, 3)
+    # cf's batch also returns the neighbour entries it kept, which a report drops
+    values, fallbacks = train_predictor(method, train, cf_cfg, snrs_cfg)._score(
+        columns[:, :2])[:2]
+    return EvaluationReport(method, *columns.T.tolist(), values.tolist(),
+                            _round_ratings(values).tolist(), fallbacks)
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:
@@ -202,9 +245,9 @@ def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> N
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(DETAIL_HEADER)
         for report in reports:
-            for r in report.records:
-                writer.writerow([report.method, user_label(r.user), item_label(r.item),
-                                 r.actual, repr(r.pred_real), r.pred_rounded])
+            writer.writerows(zip(repeat(report.method), map(user_label, report.users),
+                                 map(item_label, report.items), report.actuals,
+                                 map(repr, report.pred_real), report.pred_rounded))
 
 
 def write_summary_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

@@ -361,16 +361,21 @@ class SnrsPredictor:
         pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items))
         return pu, self.acceptance[items], pff
 
+    def _score(self, cells) -> tuple[np.ndarray, list[None]]:
+        """The values and fallbacks of a batch of (user, item) cells: each
+        value is the expected rating level under the combined distribution,
+        taken over cfg.prediction_levels, and no cell falls back."""
+        at = cell_array(cells, self._ratings.shape)
+        values = np.concatenate([np.zeros(0), *(
+            _expected_levels(_combine(*self._factors(at[start:start + _BATCH_CELLS])),
+                             self.cfg.prediction_levels)
+            for start in range(0, len(at), _BATCH_CELLS))])
+        return values, [None] * len(values)
+
     def predict_many(self, cells) -> list[Prediction]:
-        """One prediction per (user, item) cell of a sequence, in order:
-        the expected rating level under the combined distribution, taken
-        over cfg.prediction_levels."""
-        cells = list(cells)
-        return [Prediction(value, None)
-                for start in range(0, len(cells), _BATCH_CELLS)
-                for value in _expected_levels(
-                    _combine(*self._factors(cells[start:start + _BATCH_CELLS])),
-                    self.cfg.prediction_levels).tolist()]
+        """One prediction per (user, item) cell of a sequence, in order."""
+        values, fallbacks = self._score(cells)
+        return list(map(Prediction, values.tolist(), fallbacks))
 
     def components(self, u: int, i: int) -> tuple[RatingDistribution, RatingDistribution,
                                                   RatingDistribution]:

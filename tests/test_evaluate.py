@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,10 @@ class TestSplit:
         d = build_dataset(2, 2, 1, cells={(0, 0): 1, (0, 1): 2, (1, 0): 3})
         with pytest.raises(MissingCellError, match=r"\(U2, I2\)"):
             split(d, SplitSpec(test_users=(1,), test_items=(0, 1)))
+        # an unsorted spec still names the first unrated cell in (user, item) order
+        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (1, 1): 2})
+        with pytest.raises(MissingCellError, match=r"\(U1, I2\)"):
+            split(d, SplitSpec(test_users=(1, 0), test_items=(0, 1)))
 
     def test_out_of_bounds_spec(self, tiny_dataset):
         with pytest.raises(ValueError, match="user index"):
@@ -128,6 +134,35 @@ class TestMetrics:
         assert 0.0 <= acc <= 100.0
         assert (m == 0.0) == (a == b)
         assert (acc == 100.0) == (a == b)
+
+
+# exact halves k + 0.5 for k in -8..8, their float neighbours, values that
+# round across 0 and 5, and any finite float
+rounding_inputs = st.one_of(
+    st.integers(-8, 8).map(lambda k: k + 0.5),
+    st.integers(-8, 8).map(lambda k: math.nextafter(k + 0.5, -math.inf)),
+    st.sampled_from([0.49999999999999994, -0.49999999999999994, -0.5, -0.0, 5.5, 1e300]),
+    st.floats(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRoundRatings:
+    """The report's array rounding equals round_rating, the scalar
+    reference, element by element."""
+
+    @given(st.lists(rounding_inputs, max_size=20))
+    def test_equals_round_rating(self, values):
+        got = evaluate._round_ratings(np.array(values, dtype=np.float64)).tolist()
+        assert got == [round_rating(x) for x in values]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_round_ratings_error(self, bad):
+        with pytest.raises(ValueError) as expected:
+            round_rating(bad)
+        with pytest.raises(ValueError) as got:
+            evaluate._round_ratings(np.array([2.5, bad, math.nan]))
+        assert str(got.value) == str(expected.value)
 
 
 class TestEvaluationReport:
