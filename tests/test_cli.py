@@ -270,6 +270,22 @@ class TestCompare:
         assert len(lines) == 1, result.output
         assert lines[0].startswith("Error: cannot hold a 1000000000000x10 table in memory")
 
+    def test_label_beyond_int64_is_one_line_error(self, runner, tmp_path):
+        # the space keeps the file off the bulk parser; the row walk reads the
+        # label as a Python int that no int64 holds
+        directory = tmp_path / "d"
+        directory.mkdir()
+        (directory / "relationships.csv").write_text(
+            "user_a,user_b,strength\nU1, U100000000000000000000000,3\n")
+        (directory / "ratings.csv").write_text("user,item,rating\n")
+        (directory / "categories.csv").write_text("item,category\n")
+        (directory / "shape.csv").write_text("n_users,n_items,n_categories\n2,1,1\n")
+        result = runner.invoke(main, ["compare", "--data", str(directory)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: edge ('U1', 'U100000000000000000000000') references a user outside 0..1"]
+
     def test_corrupt_data_fails_with_location(self, runner, tmp_path):
         directory = tmp_path / "d"
         directory.mkdir()

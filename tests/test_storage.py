@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from socialrec import (
 )
 from socialrec import storage
 from socialrec.evaluate import SplitSpec
+from socialrec.model import category_label, item_label, user_label
 from conftest import build_dataset
 from test_golden import DENSE_SHAPE
 
@@ -125,6 +127,49 @@ class TestSaveDeterminism:
         bad = build_dataset(3, 1, 1, edges={(0, 1): 9})
         with pytest.raises(ValueError, match="refusing to save"):
             save_dataset(bad, tmp_path / "d")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_files_equal_a_row_by_row_writer(self, data):
+        n_users = data.draw(st.integers(min_value=0, max_value=12))
+        n_items = data.draw(st.integers(min_value=0, max_value=11))
+        n_categories = data.draw(st.integers(min_value=0, max_value=11))
+        pairs = [(x, y) for x in range(n_users) for y in range(x + 1, n_users)]
+        spec = data.draw(st.lists(st.tuples(st.sampled_from(pairs), LEVELS, st.booleans()),
+                                  unique_by=lambda edge: edge[0])) if pairs else []
+        cells = [(u, i) for u in range(n_users) for i in range(n_items)]
+        bits = [(i, c) for i in range(n_items) for c in range(n_categories)]
+        # mappings in draw order: unsorted, and each edge in either orientation
+        dataset = build_dataset(
+            n_users, n_items, n_categories,
+            edges={((y, x) if flip else (x, y)): s for (x, y), s, flip in spec},
+            cells=dict(data.draw(st.lists(st.tuples(st.sampled_from(cells), LEVELS),
+                                          unique_by=lambda cell: cell[0]))) if cells else {},
+            members=data.draw(st.lists(st.sampled_from(bits), unique=True)) if bits else [])
+        tables = {
+            "relationships.csv": (["user_a", "user_b", "strength"],
+                                  [(user_label(a), user_label(b), s)
+                                   for (a, b), s in sorted(dataset.graph.edges.items())]),
+            "ratings.csv": (["user", "item", "rating"],
+                            [(user_label(u), item_label(i), r)
+                             for u, i, r in dataset.ratings.cells()]),
+            "categories.csv": (["item", "category"],
+                               [(item_label(i), category_label(c))
+                                for i, c in dataset.categories.members()]),
+            "shape.csv": (["n_users", "n_items", "n_categories"],
+                          [(n_users, n_items, n_categories)]),
+        }
+        expected = {}
+        for name, (header, rows) in tables.items():
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+            expected[name] = buffer.getvalue().encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(dataset, tmp)
+            assert read_all(tmp) == expected
 
 
 class TestLoadErrors:
