@@ -215,8 +215,9 @@ def _friend_keys(cfg: CfConfig, graph: RelationshipGraph) -> np.ndarray | None:
     None in all-users scope."""
     if cfg.neighbor_scope != SCOPE_FRIENDS:
         return None
-    keys = [x << 32 | y for (x, y), s in graph.edges.items() if s >= 1]
-    return np.append(np.sort(np.array(keys, dtype=np.int64)), np.iinfo(np.int64).max)
+    friends = graph.strengths >= 1
+    keys = graph.low[friends] << 32 | graph.high[friends]
+    return np.append(np.sort(keys), np.iinfo(np.int64).max)
 
 
 def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,

@@ -20,6 +20,7 @@ from .model import (
     RatingMatrix,
     RelationshipGraph,
     RATING_MAX,
+    _too_large,
     round_rating,
 )
 
@@ -88,23 +89,25 @@ def generate_relationships(cfg: GenConfig) -> RelationshipGraph:
     n = cfg.n_users
     n_pairs = n * (n - 1) // 2
     rng = _stream(cfg, _EDGE_STREAM)
-    kept = np.flatnonzero(rng.random(n_pairs) < cfg.edge_density)
-    strengths = rng.integers(0, RATING_MAX + 1, size=n_pairs)[kept]
+    with _too_large(f"the {n_pairs} user pairs of {n} users"):
+        kept = np.flatnonzero(rng.random(n_pairs) < cfg.edge_density)
+        strengths = rng.integers(0, RATING_MAX + 1, size=n_pairs)[kept]
     # Only kept pairs get (x, y) indices: row x starts at pair x * (2n - x - 1) / 2.
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
     x = np.searchsorted(starts, kept, side="right") - 1
     y = kept - starts[x] + x + 1
-    return RelationshipGraph(n, dict(zip(zip(x.tolist(), y.tolist()), strengths.tolist())))
+    return RelationshipGraph._from_arrays(n, x, y, strengths)
 
 
 def generate_categories(cfg: GenConfig) -> ItemCategoryMatrix:
     """Binary item x category table, each entry an independent fair coin."""
     rng = _stream(cfg, _CATEGORY_STREAM)
-    bits = rng.integers(0, 2, size=(cfg.n_items, cfg.n_categories))
-    members = {(i, c) for i in range(cfg.n_items) for c in range(cfg.n_categories)
-               if bits[i, c]}
-    return ItemCategoryMatrix(cfg.n_items, cfg.n_categories, members)
+    with _too_large(f"a {cfg.n_items}x{cfg.n_categories} table"):
+        bits = rng.integers(0, 2, size=(cfg.n_items, cfg.n_categories))
+    items, categories = np.nonzero(bits)
+    return ItemCategoryMatrix(cfg.n_items, cfg.n_categories,
+                              zip(items.tolist(), categories.tolist()))
 
 
 def seed_ratings(cfg: GenConfig) -> RatingMatrix:
@@ -113,8 +116,9 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     n_cells = cfg.n_users * cfg.n_items
     count = max(1, round(cfg.seed_rating_fraction * n_cells))
     rng = _stream(cfg, _SEED_STREAM)
-    chosen = rng.choice(n_cells, size=count, replace=False)
-    values = rng.integers(0, RATING_MAX + 1, size=count)
+    with _too_large(f"a {cfg.n_users}x{cfg.n_items} table"):
+        chosen = rng.choice(n_cells, size=count, replace=False)
+        values = rng.integers(0, RATING_MAX + 1, size=count)
     cells = {divmod(int(flat), cfg.n_items): int(value) for flat, value in zip(chosen, values)}
     return RatingMatrix(cfg.n_users, cfg.n_items, cells)
 
@@ -134,17 +138,21 @@ def _friend_weighted_fill(
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
                          f"{seeded.n_users}")
-    grid = seeded.dense().astype(np.int64)  # -1 where unrated
-    friends = []
-    for u in range(graph.n_users):
-        pairs = graph.friends_of(u, min_strength=1)
-        if pairs:
-            vs, ss = np.array(pairs, dtype=np.int64).T
-            friends.append((u, pairs, vs[:, None], ss))
+    dense = seeded.dense()
+    with _too_large(f"a {seeded.n_users}x{seeded.n_items} table"):
+        grid = dense.astype(np.int64)  # -1 where unrated
+    # User u's friends of strength >= 1 and their strengths, in friends_of
+    # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
+    indptr, neighbours, strengths = graph._csr()
+    friend = strengths >= 1
+    starts = np.concatenate([[0], np.cumsum(friend)])[indptr].tolist()
+    friend_ids, friend_strengths = neighbours[friend], strengths[friend]
+    friends = [(u, friend_ids[lo:hi, None], friend_strengths[lo:hi])
+               for u, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo < hi]
     n_open = (grid < 0).sum(axis=1).tolist()
 
     for sweep in range(1, cfg.fill_passes + 1):
-        for u, pairs, vs, ss in friends:
+        for u, vs, ss in friends:
             if not n_open[u]:
                 continue
             empty = (grid[u] < 0).nonzero()[0]
@@ -160,6 +168,7 @@ def _friend_weighted_fill(
             grid[u, items] = values
             n_open[u] -= len(values)
             if events is not None:
+                pairs = list(zip(vs[:, 0].tolist(), ss.tolist()))
                 for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
                     contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
                                          if r >= 0)

@@ -6,6 +6,7 @@ Ratings and relationship strengths share the same 0..5 integer scale.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -70,16 +71,35 @@ def round_rating(x: float) -> int:
     return min(RATING_MAX, max(RATING_MIN, rounded))
 
 
+@contextmanager
+def _too_large(what: str) -> Iterator[None]:
+    """Raise an array request for ``what`` that numpy cannot meet as
+    TableTooLargeError: a MemoryError, or the ValueError or OverflowError
+    of a size beyond any array.  Wrap only the allocating calls."""
+    try:
+        yield
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise TableTooLargeError(f"cannot hold {what} in memory: {exc}") from exc
+
+
+def _column(values: list) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array holding them as
+    given when they are not all ints within int64."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
     """Read-only int8 array of ``shape`` holding ``values`` at the (row,
     column) ``keys`` and ``fill`` everywhere else.  A key outside the shape,
     negative ones included, raises ValueError rather than wrapping around,
     and a shape too large to allocate raises TableTooLargeError."""
-    try:
+    with _too_large(f"a {shape[0]}x{shape[1]} table"):
         array = np.full(shape, fill, dtype=np.int8)
-    except MemoryError as exc:
-        raise TableTooLargeError(f"cannot hold a {shape[0]}x{shape[1]} table "
-                                 f"in memory: {exc}") from exc
     if keys:
         at = np.ravel_multi_index(np.array(list(keys), dtype=np.intp).T, shape)
         array.reshape(-1)[at] = values
@@ -109,57 +129,103 @@ class RelationshipGraph:
     their (low, high) key; a pair supplied twice with different strengths
     raises ValueError.
 
-    The edge map is fixed at construction: ``edges`` is a read-only view.
-    ``friends_of`` reads a per-user adjacency list built lazily, in one pass
-    over the stored edges, on first use; it costs O(degree) per call.
+    The edges are fixed at construction and held as three read-only arrays
+    in insertion order: ``low`` and ``high`` user indices and ``strengths``.
+    They are int64, or object arrays holding the values as given when some
+    are not ints within int64, for validate_dataset to report.  A CSR index
+    over them, built once on first use, lists each user's neighbours by
+    ascending index; ``friends_of`` and ``strength`` read one user's slice
+    of it.  ``edges`` builds a read-only mapping from the arrays when read.
     """
 
     def __init__(self, n_users: int, edges: Mapping[tuple[int, int], int] | None = None):
+        edges = edges or {}
+        canonical: dict[tuple[int, int], int] = {}
+        for (x, y), s in edges.items():
+            if x <= y:
+                canonical[(x, y)] = s
+            elif (y, x) not in edges:
+                canonical[(y, x)] = s
+            elif edges[(y, x)] != s:
+                raise ValueError(f"conflicting strengths for pair {user_label(y)}/"
+                                 f"{user_label(x)}: {edges[(y, x)]} and {s}")
+        self._hold(n_users, _column([x for x, _ in canonical]),
+                   _column([y for _, y in canonical]), _column(list(canonical.values())))
+
+    @classmethod
+    def _from_arrays(cls, n_users: int, low: np.ndarray, high: np.ndarray,
+                     strengths: np.ndarray) -> "RelationshipGraph":
+        """The graph of distinct edges given as arrays with low <= high, kept
+        as they are (not copied)."""
+        graph = cls.__new__(cls)
+        graph._hold(n_users, low, high, strengths)
+        return graph
+
+    def _hold(self, n_users: int, low: np.ndarray, high: np.ndarray,
+              strengths: np.ndarray) -> None:
         if n_users < 0:
             raise ValueError("n_users must be >= 0")
         self.n_users = n_users
-        self._edges: dict[tuple[int, int], int] = dict(edges or {})
-        for x, y in [key for key in self._edges if key[0] > key[1]]:
-            s = self._edges.pop((x, y))
-            if self._edges.setdefault((y, x), s) != s:
-                raise ValueError(f"conflicting strengths for pair {user_label(y)}/"
-                                 f"{user_label(x)}: {self._edges[(y, x)]} and {s}")
-        self._adjacency: dict[int, list[tuple[int, int]]] | None = None
+        for array in (low, high, strengths):
+            array.flags.writeable = False
+        self.low, self.high, self.strengths = low, high, strengths
+        self._csr_index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, neighbours, strengths): user u's neighbours in ascending
+        order, and their strengths, at ``indptr[u]:indptr[u + 1]``.  A
+        self-edge is listed once."""
+        if self._csr_index is None:
+            other = self.low != self.high
+            users = np.concatenate([self.low, self.high[other]])
+            neighbours = np.concatenate([self.high, self.low[other]])
+            order = np.lexsort((neighbours, users))
+            indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
+            strengths = np.concatenate([self.strengths, self.strengths[other]])[order]
+            self._csr_index = indptr, neighbours[order], strengths
+        return self._csr_index
+
+    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        if not 0 <= u < self.n_users:
+            raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
+        indptr, neighbours, strengths = self._csr()
+        span = slice(indptr[u], indptr[u + 1])
+        return neighbours[span], strengths[span]
 
     @property
     def edges(self) -> Mapping[tuple[int, int], int]:
-        """Read-only view of the edge map, keyed by (low, high) pairs."""
-        return MappingProxyType(self._edges)
+        """Read-only map of the edges, keyed by (low, high) pairs in insertion
+        order; built from the arrays each time it is read."""
+        return MappingProxyType(dict(zip(zip(self.low.tolist(), self.high.tolist()),
+                                         self.strengths.tolist())))
 
     def strength(self, x: int, y: int) -> int | None:
         """Strength of the bond between x and y, or None if they are strangers."""
-        return self._edges.get((x, y) if x <= y else (y, x))
-
-    def _index(self) -> dict[int, list[tuple[int, int]]]:
-        if self._adjacency is None:
-            adjacency: dict[int, list[tuple[int, int]]] = {}
-            for (x, y), s in self._edges.items():
-                adjacency.setdefault(x, []).append((y, s))
-                if y != x:
-                    adjacency.setdefault(y, []).append((x, s))
-            for neighbors in adjacency.values():
-                neighbors.sort()
-            self._adjacency = adjacency
-        return self._adjacency
+        if not 0 <= x < self.n_users:
+            x, y = y, x
+        if not 0 <= x < self.n_users:
+            return None
+        neighbours, strengths = self._row(x)
+        at = int(np.searchsorted(neighbours, y))
+        if at < len(neighbours) and neighbours[at] == y:
+            return strengths[at:at + 1].tolist()[0]
+        return None
 
     def friends_of(self, u: int, min_strength: int = 1) -> list[tuple[int, int]]:
-        """All (neighbor, strength) pairs of u with strength >= min_strength, by index."""
-        return [(v, s) for v, s in self._index().get(u, ()) if s >= min_strength]
+        """All (neighbor, strength) pairs of u with strength >= min_strength,
+        by index.  Raises IndexError for a user outside 0..n_users-1."""
+        neighbours, strengths = self._row(u)
+        keep = strengths >= min_strength
+        return list(zip(neighbours[keep].tolist(), strengths[keep].tolist()))
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return len(self.low)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelationshipGraph):
             return NotImplemented
-        return (self.n_users == other.n_users
-                and self._edges == other._edges)
+        return self.n_users == other.n_users and self.edges == other.edges
 
     def __repr__(self) -> str:
         return f"RelationshipGraph(n_users={self.n_users}, n_edges={self.n_edges})"
@@ -334,17 +400,21 @@ def _all_levels(values) -> bool:
 
 def _is_valid(dataset: Dataset) -> bool:
     """True only when validate_dataset finds no violation, decided in one
-    unsorted pass that formats nothing.  Edge keys are (low, high), as the
-    graph stores them, so ``x < y`` also rules out a self-edge."""
+    unsorted pass that formats nothing.  The graph holds each edge as (low,
+    high), so ``low < high`` also rules out a self-edge; object arrays are
+    left to validate_dataset's message pass."""
     graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
     n_users, n_items = ratings.n_users, ratings.n_items
     n_categories = categories.n_categories
+    low, high, strengths = graph.low, graph.high, graph.strengths
     return (graph.n_users == n_users and categories.n_items == n_items
-            and all(0 <= x < y < n_users for x, y in graph.edges)
+            and object not in (low.dtype, high.dtype, strengths.dtype)
+            and bool(((0 <= low) & (low < high) & (high < n_users)).all())
+            and bool(((RATING_MIN <= strengths) & (strengths <= RATING_MAX)).all())
             and all(0 <= u < n_users and 0 <= i < n_items for u, i in ratings._cells)
             and all(0 <= i < n_items and 0 <= c < n_categories
                     for i, c in categories._members)
-            and _all_levels(graph.edges.values()) and _all_levels(ratings._cells.values()))
+            and _all_levels(ratings._cells.values()))
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:

@@ -232,13 +232,12 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     Each unordered pair is counted once, and both of its ordered pairs read
     that count.
     """
-    edges = np.array([pair for pair, s in graph.edges.items()
-                      if s >= cfg.friend_min_strength], dtype=np.intp).reshape(-1, 2)
-    low, high = edges.T
-    counts = np.empty((len(edges), 2, N_LEVELS, N_LEVELS),
+    kept = graph.strengths >= cfg.friend_min_strength
+    low, high = graph.low[kept], graph.high[kept]
+    counts = np.empty((len(low), 2, N_LEVELS, N_LEVELS),
                       dtype=np.min_scalar_type(ratings.shape[1]))  # no count exceeds the items
     block = max(1, _BLOCK_CELLS // (ratings.shape[1] + N_LEVELS * N_LEVELS))
-    for start in range(0, len(edges), block):
+    for start in range(0, len(low), block):
         a, b = ratings[low[start:start + block]], ratings[high[start:start + block]]
         rows, items = np.nonzero((a >= 0) & (b >= 0))
         keys = N_LEVELS * (N_LEVELS * rows + a[rows, items]) + b[rows, items]
@@ -250,7 +249,7 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     friends = np.concatenate([high, low[mutual]])
     order = np.lexsort((friends, users))
     indptr = np.searchsorted(users[order], np.arange(len(ratings) + 1))
-    slot_edges = np.concatenate([np.arange(len(edges)), np.flatnonzero(mutual)])[order]
+    slot_edges = np.concatenate([np.arange(len(low)), np.flatnonzero(mutual)])[order]
     lower = (users < friends).astype(np.intp)[order]
     return FriendConditionalTable(indptr, friends[order], slot_edges, lower, counts,
                                   cfg.laplace_alpha)

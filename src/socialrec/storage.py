@@ -32,6 +32,7 @@ from .model import (
     SocialRecError,
     RATING_MAX,
     RATING_MIN,
+    _column,
     category_label,
     item_label,
     parse_label,
@@ -93,30 +94,23 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-
-    edge_rows = [
-        [user_label(a), user_label(b), str(s)]
-        for (a, b), s in sorted(dataset.graph.edges.items())
-    ]
-    rating_rows = [
-        [user_label(u), item_label(i), str(r)]
-        for u, i, r in dataset.ratings.cells()
-    ]
-    category_rows = [
-        [item_label(i), category_label(c)]
-        for i, c in dataset.categories.members()
-    ]
-
-    for name, rows in [
-        (RELATIONSHIPS_FILE, edge_rows),
-        (RATINGS_FILE, rating_rows),
-        (CATEGORIES_FILE, category_rows),
-        (SHAPE_FILE, [[str(dataset.n_users), str(dataset.n_items), str(dataset.n_categories)]]),
-    ]:
+    graph, ratings = dataset.graph, dataset.ratings.dense()
+    order = np.lexsort((graph.high, graph.low))
+    # dense() is row-major, so its nonzero cells come in (row, column) order.
+    users, items = np.nonzero(ratings >= 0)
+    tables = {
+        RELATIONSHIPS_FILE: ("U%d,U%d,%d\n", graph.low[order] + 1, graph.high[order] + 1,
+                             graph.strengths[order]),
+        RATINGS_FILE: ("U%d,I%d,%d\n", users + 1, items + 1, ratings[users, items]),
+        CATEGORIES_FILE: ("I%d,C%d\n",
+                          *(ids + 1 for ids in np.nonzero(dataset.categories.dense()))),
+        SHAPE_FILE: ("%d,%d,%d\n", [dataset.n_users], [dataset.n_items],
+                     [dataset.n_categories]),
+    }
+    for name, (row, *columns) in tables.items():
+        body = (row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
         with open(directory / name, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_HEADERS[name])
-            writer.writerows(rows)
+            handle.write(",".join(_HEADERS[name]) + "\n" + body)
 
 
 def load_dataset(path: str | Path, *, n_users: int | None = None,
@@ -136,14 +130,14 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     """
     directory = Path(path)
 
-    edges = _read_relationships(directory)
+    low, high, strengths = _read_relationships(directory)
     cells = _read_ratings(directory)
     members = _read_categories(directory)
 
     shape = _read_shape(directory)
     if shape is None:
         shape = (
-            1 + max([x for pair in edges for x in pair] + [u for u, _ in cells], default=-1),
+            1 + max([int(high.max(initial=-1))] + [u for u, _ in cells]),
             1 + max([i for _, i in cells] + [i for i, _ in members], default=-1),
             1 + max([c for _, c in members], default=-1),
         )
@@ -152,7 +146,7 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     n_categories = n_categories if n_categories is not None else shape[2]
 
     dataset = Dataset(
-        graph=RelationshipGraph(n_users, edges),
+        graph=RelationshipGraph._from_arrays(n_users, low, high, strengths),
         ratings=RatingMatrix(n_users, n_items, cells),
         categories=ItemCategoryMatrix(n_items, n_categories, members),
         meta={"path": str(directory)},
@@ -230,14 +224,17 @@ def _parse_level(name: str, line: int, token: str, what: str) -> int:
     return value
 
 
-def _read_relationships(directory: Path) -> dict[tuple[int, int], int]:
+def _read_relationships(directory: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges as (low, high, strength) columns, in file-row order."""
     name = RELATIONSHIPS_FILE
     text = _read_text(directory, name)
     rows = _bulk_rows(name, text)
-    if rows is not None and not (rows[:, 0] == rows[:, 1]).any():
-        bulk = dict(zip(_pairs(np.sort(rows[:, :2], axis=1) - 1), rows[:, 2].tolist()))
-        if len(bulk) == len(rows):
-            return bulk
+    if rows is not None:
+        low, high = (np.sort(rows[:, :2], axis=1) - 1).T
+        order = np.lexsort((high, low))
+        repeated = (np.diff(low[order]) == 0) & (np.diff(high[order]) == 0)
+        if not (low == high).any() and not repeated.any():
+            return low, high, rows[:, 2]
     edges: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}
     for line, (a_token, b_token, s_token) in _read_rows(name, text):
@@ -258,7 +255,8 @@ def _read_relationships(directory: Path) -> dict[tuple[int, int], int]:
                 name, line, f"duplicate row for pair {pair} (first on line {first_line[key]})")
         edges[key] = strength
         first_line[key] = line
-    return edges
+    return (_column([a for a, _ in edges]), _column([b for _, b in edges]),
+            _column(list(edges.values())))
 
 
 def _read_ratings(directory: Path) -> dict[tuple[int, int], int]:

@@ -65,6 +65,20 @@ class TestGen:
         result = runner.invoke(main, gen_args(tmp_path / "d", edge_density=0.0))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--users", "1000000"], "the 499999500000 user pairs of 1000000 users"),
+        (["--users", "3000000000"], "the 4499999998500000000 user pairs of 3000000000 users"),
+        (["--items", "10000000000000"], "a 10000000000000x10 table"),
+    ], ids=["4-TB-draw", "beyond-any-array", "category-table"])
+    def test_unallocatable_size_is_one_line_error(self, runner, tmp_path, flags, message):
+        # each request fails at once, so nothing is allocated
+        result = runner.invoke(main, ["gen", *flags, "--out", str(tmp_path / "d")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith(f"Error: cannot hold {message} in memory: ")
+
     def test_default_size_writes_1000_rating_rows(self, runner, tmp_path):
         out = tmp_path / "full"
         result = runner.invoke(main, ["gen", "--seed", "42", "--out", str(out)])
@@ -285,6 +299,20 @@ class TestCompare:
         assert isinstance(result.exception, SystemExit)
         assert result.output.strip().splitlines() == [
             "Error: edge ('U1', 'U100000000000000000000000') references a user outside 0..1"]
+
+    def test_shape_beyond_any_array_is_one_line_error(self, runner, tmp_path):
+        # numpy refuses this size with a ValueError, not a MemoryError
+        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})
+        save_dataset(d, tmp_path / "d")
+        (tmp_path / "d" / "shape.csv").write_text(
+            "n_users,n_items,n_categories\n100000000000000000000,10,10\n")
+        result = runner.invoke(main, ["compare", "--data", str(tmp_path / "d"),
+                                      "--test-users", "1", "--test-items", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: cannot hold a 100000000000000000000x10 table in memory: "
+            "Maximum allowed dimension exceeded"]
 
     def test_corrupt_data_fails_with_location(self, runner, tmp_path):
         directory = tmp_path / "d"

@@ -261,14 +261,18 @@ class TestGenerateDataset:
         assert friend_sum / friend_n <= stranger_sum / stranger_n
 
 
-def reference_relationships(cfg):
-    """The edge draw over a Python list of every pair x < y, row-major."""
+def reference_edges(cfg):
+    """The edge draw over a Python list of every pair x < y, row-major, as a
+    {pair: strength} dict in that order."""
     pairs = [(x, y) for x in range(cfg.n_users) for y in range(x + 1, cfg.n_users)]
     rng = np.random.default_rng([1, cfg.rng_seed])
     keep = rng.random(len(pairs)) < cfg.edge_density
     strengths = rng.integers(0, 6, size=len(pairs))
-    return RelationshipGraph(cfg.n_users,
-                             {pair: int(s) for pair, k, s in zip(pairs, keep, strengths) if k})
+    return {pair: int(s) for pair, k, s in zip(pairs, keep, strengths) if k}
+
+
+def reference_relationships(cfg):
+    return RelationshipGraph(cfg.n_users, reference_edges(cfg))
 
 
 def reference_fill(graph, seeded, cfg):

@@ -1,22 +1,31 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from socialrec import (
     Dataset,
     ItemCategoryMatrix,
     RatingMatrix,
     RelationshipGraph,
+    GenConfig,
     category_label,
     item_label,
+    load_dataset,
     parse_label,
     round_rating,
+    save_dataset,
     user_label,
     validate_dataset,
 )
+from socialrec import storage
+from socialrec.datagen import generate_relationships
 from conftest import build_dataset
+from test_datagen import reference_edges
 
 
 class TestLabels:
@@ -145,6 +154,13 @@ class TestRelationshipGraph:
         assert g.friends_of(1) == [(0, 3), (2, 5)]
         assert g.friends_of(0, min_strength=3) == [(1, 3)]
 
+    def test_friends_of_outside_users_raises(self):
+        g = RelationshipGraph(3, {(0, 2): 4})
+        for u in (-1, 3):
+            with pytest.raises(IndexError, match=f"user index {u} outside 0..2"):
+                g.friends_of(u)
+
+    @settings(deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
             st.just(n),
@@ -154,18 +170,42 @@ class TestRelationshipGraph:
                 .filter(lambda pair: pair[0] < pair[1]),
                 st.tuples(st.integers(0, 5), st.booleans()), max_size=3 * n),
         )),
-        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(min_value=0, max_value=2**32),
     )
-    def test_friends_of_matches_edge_scan(self, graph_spec, min_strength):
+    def test_friends_of_matches_edge_scan(self, graph_spec, edge_density, seed):
         n_users, spec = graph_spec
         g = RelationshipGraph(n_users, {((y, x) if flip else (x, y)): s
                                         for (x, y), (s, flip) in spec.items()})
-        canonical = {pair: s for pair, (s, _) in spec.items()}
-        assert dict(g.edges) == canonical
+        canonical = [(pair, s) for pair, (s, _) in spec.items()]
+        assert_reads_edges(g, n_users, canonical)
+        # the array paths: the generator, and a bulk load of a saved file
+        cfg = GenConfig(n_users=n_users, edge_density=edge_density, rng_seed=seed)
+        assert_reads_edges(generate_relationships(cfg), n_users,
+                           list(reference_edges(cfg).items()))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(build_dataset(n_users, 0, 0, edges=dict(canonical)), tmp)
+            Path(tmp, "shape.csv").unlink()  # the one file always walked
+            with mock.patch.object(storage, "_read_rows", side_effect=AssertionError):
+                loaded = load_dataset(tmp, n_users=n_users, n_items=0, n_categories=0)
+        assert_reads_edges(loaded.graph, n_users, sorted(canonical))
+
+
+def assert_reads_edges(g, n_users, items):
+    """``g`` holds the (low, high) ``items`` in their order, and every
+    reader agrees with a scan of them."""
+    canonical = dict(items)
+    assert list(g.edges.items()) == items
+    assert g.n_edges == len(items)
+    assert g == RelationshipGraph(n_users, canonical)
+    for x in range(n_users):
+        for y in range(n_users):
+            assert g.strength(x, y) == canonical.get((min(x, y), max(x, y)))
+    for min_strength in range(7):
         for u in range(n_users):
             expected = sorted(
-                [(y, s) for (x, y), s in canonical.items() if x == u and s >= min_strength]
-                + [(x, s) for (x, y), s in canonical.items() if y == u and s >= min_strength])
+                [(y, s) for (x, y), s in items if x == u and s >= min_strength]
+                + [(x, s) for (x, y), s in items if y == u and s >= min_strength])
             assert g.friends_of(u, min_strength) == expected
 
 
