@@ -200,16 +200,12 @@ class RelationshipGraph:
                                          self.strengths.tolist())))
 
     def strength(self, x: int, y: int) -> int | None:
-        """Strength of the bond between x and y, or None if they are strangers."""
-        if not 0 <= x < self.n_users:
-            x, y = y, x
+        """Strength of the bond between x and y, or None if they are strangers
+        or x is outside 0..n_users-1."""
         if not 0 <= x < self.n_users:
             return None
         neighbours, strengths = self._row(x)
-        at = int(np.searchsorted(neighbours, y))
-        if at < len(neighbours) and neighbours[at] == y:
-            return strengths[at:at + 1].tolist()[0]
-        return None
+        return dict(zip(neighbours.tolist(), strengths.tolist())).get(y)
 
     def friends_of(self, u: int, min_strength: int = 1) -> list[tuple[int, int]]:
         """All (neighbor, strength) pairs of u with strength >= min_strength,

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from socialrec import (
     Dataset,
+    GenConfig,
     ItemCategoryMatrix,
     RatingMatrix,
     RelationshipGraph,
-    GenConfig,
     category_label,
     item_label,
     load_dataset,
