@@ -105,9 +105,7 @@ def generate_categories(cfg: GenConfig) -> ItemCategoryMatrix:
     rng = _stream(cfg, _CATEGORY_STREAM)
     with _too_large(f"a {cfg.n_items}x{cfg.n_categories} table"):
         bits = rng.integers(0, 2, size=(cfg.n_items, cfg.n_categories))
-    items, categories = np.nonzero(bits)
-    return ItemCategoryMatrix(cfg.n_items, cfg.n_categories,
-                              zip(items.tolist(), categories.tolist()))
+    return ItemCategoryMatrix(cfg.n_items, cfg.n_categories, bits)
 
 
 def seed_ratings(cfg: GenConfig) -> RatingMatrix:
@@ -119,8 +117,9 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     with _too_large(f"a {cfg.n_users}x{cfg.n_items} table"):
         chosen = rng.choice(n_cells, size=count, replace=False)
         values = rng.integers(0, RATING_MAX + 1, size=count)
-    cells = {divmod(int(flat), cfg.n_items): int(value) for flat, value in zip(chosen, values)}
-    return RatingMatrix(cfg.n_users, cfg.n_items, cells)
+        grid = np.full(n_cells, -1, dtype=np.int8)
+    grid[chosen] = values
+    return RatingMatrix(cfg.n_users, cfg.n_items, grid.reshape(cfg.n_users, cfg.n_items))
 
 
 def _friend_weighted_fill(
@@ -138,9 +137,7 @@ def _friend_weighted_fill(
     if graph.n_users != seeded.n_users:
         raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
                          f"{seeded.n_users}")
-    dense = seeded.dense()
-    with _too_large(f"a {seeded.n_users}x{seeded.n_items} table"):
-        grid = dense.astype(np.int64)  # -1 where unrated
+    grid = seeded.dense().copy()  # -1 where unrated
     # User u's friends of strength >= 1 and their strengths, in friends_of
     # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
     indptr, neighbours, strengths = graph._csr()
@@ -181,10 +178,8 @@ def _friend_weighted_fill(
         for flat, value in zip(holes.tolist(), values.tolist()):
             events.append(FillEvent(*divmod(flat, seeded.n_items), None, (), value, "random"))
 
-    users, items = np.indices(grid.shape).reshape(2, -1).tolist()
-    cells = dict(zip(zip(users, items), grid.ravel().tolist()))
     n_propagated = grid.size - holes.size - seeded.n_rated
-    return RatingMatrix(seeded.n_users, seeded.n_items, cells), n_propagated, holes.size
+    return RatingMatrix(seeded.n_users, seeded.n_items, grid), n_propagated, holes.size
 
 
 def friend_weighted_fill_trace(

@@ -71,29 +71,32 @@ def split(dataset: Dataset, spec: SplitSpec,
     Raises MissingCellError if a designated test cell is unrated.
     """
     ratings = dataset.ratings
-    for u in spec.test_users:
-        if not 0 <= u < ratings.n_users:
-            raise ValueError(f"test user index {u} out of bounds "
-                             f"(dataset has {ratings.n_users} users)")
-    for i in spec.test_items:
-        if not 0 <= i < ratings.n_items:
-            raise ValueError(f"test item index {i} out of bounds "
-                             f"(dataset has {ratings.n_items} items)")
+    for what, ids, n in (("user", spec.test_users, ratings.n_users),
+                         ("item", spec.test_items, ratings.n_items)):
+        for x in ids:
+            if not 0 <= x < n:
+                raise ValueError(f"test {what} index {x} out of bounds "
+                                 f"(dataset has {n} {what}s)")
 
-    # the test cells leave one copy of the rating map, in (user, item) order
-    train_cells = ratings._cells.copy()
-    test: list[tuple[int, int, int]] = []
-    for u in sorted(spec.test_users):
-        for i in sorted(spec.test_items):
-            actual = train_cells.pop((u, i), None)
-            if actual is None:
-                raise MissingCellError(
-                    f"test cell ({user_label(u)}, {item_label(i)}) is not rated")
-            test.append((u, i, actual))
+    # the test rectangle is cleared in one copy of the rating array
+    grid = ratings.dense()
+    users, items = (np.array(sorted(ids), dtype=np.intp)
+                    for ids in (spec.test_users, spec.test_items))
+    rectangle = np.ix_(users, items)
+    actual = grid[rectangle]
+    missing = np.flatnonzero(actual < 0)  # in (user, item) order
+    if missing.size:
+        u, i = divmod(int(missing[0]), len(items))
+        raise MissingCellError(f"test cell ({user_label(int(users[u]))}, "
+                               f"{item_label(int(items[i]))}) is not rated")
+    test = list(zip(users.repeat(len(items)).tolist(), np.tile(items, len(users)).tolist(),
+                    actual.ravel().tolist()))
+    train_grid = grid.copy()
+    train_grid[rectangle] = -1
 
     train = Dataset(
         graph=dataset.graph,
-        ratings=RatingMatrix(ratings.n_users, ratings.n_items, train_cells),
+        ratings=RatingMatrix(ratings.n_users, ratings.n_items, train_grid),
         categories=dataset.categories,
         meta=dict(dataset.meta),
     )

@@ -16,7 +16,6 @@ import numpy as np
 RATING_MIN = 0
 RATING_MAX = 5
 RATING_LEVELS = tuple(range(RATING_MIN, RATING_MAX + 1))
-_LEVEL_SET = frozenset(RATING_LEVELS)
 N_LEVELS = len(RATING_LEVELS)
 
 
@@ -91,20 +90,6 @@ def _column(values: list) -> np.ndarray:
         except OverflowError:
             pass
     return np.fromiter(values, dtype=object, count=len(values))
-
-
-def _int8_array(shape: tuple[int, int], fill: int, keys, values) -> np.ndarray:
-    """Read-only int8 array of ``shape`` holding ``values`` at the (row,
-    column) ``keys`` and ``fill`` everywhere else.  A key outside the shape,
-    negative ones included, raises ValueError rather than wrapping around,
-    and a shape too large to allocate raises TableTooLargeError."""
-    with _too_large(f"a {shape[0]}x{shape[1]} table"):
-        array = np.full(shape, fill, dtype=np.int8)
-    if keys:
-        at = np.ravel_multi_index(np.array(list(keys), dtype=np.intp).T, shape)
-        array.reshape(-1)[at] = values
-    array.flags.writeable = False
-    return array
 
 
 def cell_array(cells, shape: tuple[int, int]) -> np.ndarray:
@@ -227,39 +212,93 @@ class RelationshipGraph:
         return f"RelationshipGraph(n_users={self.n_users}, n_edges={self.n_edges})"
 
 
-class RatingMatrix:
-    """Sparse user x item matrix of integer ratings 0..5, fixed at construction.
+class _Table:
+    """A table held once, as a read-only int8 array.  The entries given to
+    it that the array cannot hold are kept as given in the sorted ``invalid``
+    tuple; while there are any, reading the array raises ValueError naming
+    the first."""
 
-    Built once from a {(user, item): rating} map; absent cells are unrated.
-    Cells are stored as given so that validate_dataset can report every
-    out-of-range value or index.  ``dense`` is the one index over them.
+    _array: np.ndarray
+    invalid: tuple
+
+    def _hold(self, shape: tuple[int, int], fill: int, high: int, given) -> list:
+        """Hold ``given``, an integer array of ``shape`` with values fill..high
+        or a list of ((row, column), level) entries, ``fill`` elsewhere.
+        Returns the entries outside the shape or without a level."""
+        if shape[0] < 0 or shape[1] < 0:
+            raise ValueError("matrix dimensions must be >= 0")
+        if isinstance(given, np.ndarray):
+            if (given.shape != shape or given.dtype.kind not in "iu"
+                    or not ((fill <= given) & (given <= high)).all()):
+                raise ValueError(f"expected a {shape} integer array of values {fill}..{high}")
+            self._array, bad = given.astype(np.int8), []
+        else:
+            fits = [0 <= row < shape[0] and 0 <= column < shape[1] and _is_level(value)
+                    for (row, column), value in given]
+            good = [entry for entry, ok in zip(given, fits) if ok]
+            bad = [entry for entry, ok in zip(given, fits) if not ok]
+            with _too_large(f"a {shape[0]}x{shape[1]} table"):
+                self._array = np.full(shape, fill, dtype=np.int8)
+            at = np.array([key for key, _ in good], dtype=np.intp).reshape(-1, 2)
+            self._array[tuple(at.T)] = [value for _, value in good]
+        self._array.flags.writeable = False
+        return bad
+
+    def dense(self) -> np.ndarray:
+        """The read-only int8 array; ValueError while an entry is invalid."""
+        if self.invalid:
+            raise ValueError(self._problems()[0])
+        return self._array
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._array, other._array) and self.invalid == other.invalid
+
+
+class RatingMatrix(_Table):
+    """User x item matrix of integer ratings 0..5, fixed at construction.
+
+    Built from a {(user, item): rating} map, where absent cells are unrated,
+    or from the equal users x items integer array with -1 where unrated.
+    ``dense`` is the one store of the ratings.  A map entry outside the
+    shape, or whose rating is not a plain int 0..5, is kept in ``invalid``
+    as a (user, item, rating) triple, in (user, item) order.
     """
 
     def __init__(self, n_users: int, n_items: int,
-                 cells: Mapping[tuple[int, int], int] | None = None):
-        if n_users < 0 or n_items < 0:
-            raise ValueError("matrix dimensions must be >= 0")
+                 cells: Mapping[tuple[int, int], int] | np.ndarray | None = None):
         self.n_users = n_users
         self.n_items = n_items
-        self._cells: dict[tuple[int, int], int] = dict(cells) if cells else {}
-        self._dense: np.ndarray | None = None
+        given = cells if isinstance(cells, np.ndarray) else list((cells or {}).items())
+        bad = self._hold((n_users, n_items), -1, RATING_MAX, given)
+        self.invalid = tuple(sorted((u, i, r) for (u, i), r in bad))
         self._means: np.ndarray | None = None
 
+    def _problems(self) -> list[str]:
+        """validate_dataset's messages for the invalid entries, in order."""
+        problems = []
+        for u, i, r in self.invalid:
+            if not (0 <= u < self.n_users and 0 <= i < self.n_items):
+                problems.append(f"rating cell ({user_label(u)}, {item_label(i)}) out of bounds "
+                                f"for {self.n_users}x{self.n_items} matrix")
+            if not _is_level(r):
+                problems.append(f"rating ({user_label(u)}, {item_label(i)}) value {r!r} outside "
+                                f"{RATING_MIN}..{RATING_MAX}")
+        return problems
+
     def get(self, user: int, item: int) -> int | None:
-        return self._cells.get((user, item))
+        """The rating of (user, item), or None if unrated or outside the matrix."""
+        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
+            return None
+        rating = int(self.dense()[user, item])
+        return rating if rating >= 0 else None
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """All (user, item, rating) triples in (user, item) order."""
-        for (u, i) in sorted(self._cells):
-            yield u, i, self._cells[(u, i)]
-
-    def dense(self) -> np.ndarray:
-        """Read-only int8 users x items array of the ratings, -1 where
-        unrated; built once on first use."""
-        if self._dense is None:
-            self._dense = _int8_array((self.n_users, self.n_items), -1,
-                                      self._cells, list(self._cells.values()))
-        return self._dense
+        ratings = self.dense()
+        users, items = np.nonzero(ratings >= 0)
+        return zip(users.tolist(), items.tolist(), ratings[users, items].tolist())
 
     def means(self) -> np.ndarray:
         """Read-only float64 array of each user's mean rating, NaN where the
@@ -283,64 +322,53 @@ class RatingMatrix:
         return None if math.isnan(mean) else mean
 
     def global_mean(self) -> float | None:
-        if not self._cells:
-            return None
-        return sum(self._cells.values()) / len(self._cells)
+        """Mean of all ratings, the exact integer sum over the count, or None
+        without any."""
+        ratings = self.dense()
+        rated = ratings[ratings >= 0]
+        return int(rated.sum(dtype=np.int64)) / rated.size if rated.size else None
 
     @property
-    def n_rated(self) -> int:
-        return len(self._cells)
+    def n_rated(self) -> int:  # invalid entries included
+        return int(np.count_nonzero(self._array >= 0)) + len(self.invalid)
 
     @property
     def density(self) -> float:
         total = self.n_users * self.n_items
         return self.n_rated / total if total else 0.0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatingMatrix):
-            return NotImplemented
-        return (self.n_users == other.n_users and self.n_items == other.n_items
-                and self._cells == other._cells)
-
     def __repr__(self) -> str:
         return (f"RatingMatrix({self.n_users}x{self.n_items}, "
                 f"{self.n_rated} rated, density={self.density:.3f})")
 
 
-class ItemCategoryMatrix:
+class ItemCategoryMatrix(_Table):
     """Binary item x category membership, fixed at construction from the
-    (item, category) pairs whose bit is 1; validate_dataset checks bounds."""
+    (item, category) pairs whose bit is 1 or from the equal items x
+    categories 0/1 integer array.  ``dense`` is the one store of the bits;
+    a pair outside the shape is kept in ``invalid``, in index order."""
 
     def __init__(self, n_items: int, n_categories: int,
-                 members: Iterable[tuple[int, int]] = ()):
-        if n_items < 0 or n_categories < 0:
-            raise ValueError("matrix dimensions must be >= 0")
+                 members: Iterable[tuple[int, int]] | np.ndarray = ()):
         self.n_items = n_items
         self.n_categories = n_categories
-        self._members: set[tuple[int, int]] = set(members)
-        self._dense: np.ndarray | None = None
+        given = members if isinstance(members, np.ndarray) else [
+            (pair, 1) for pair in dict.fromkeys(members)]
+        bad = self._hold((n_items, n_categories), 0, 1, given)
+        self.invalid = tuple(sorted(pair for pair, _ in bad))
 
-    def dense(self) -> np.ndarray:
-        """Read-only int8 items x categories array of the bits; built once on
-        first use."""
-        if self._dense is None:
-            self._dense = _int8_array((self.n_items, self.n_categories), 0, self._members, 1)
-        return self._dense
+    def _problems(self) -> list[str]:
+        return [f"membership ({item_label(i)}, {category_label(c)}) out of bounds for "
+                f"{self.n_items}x{self.n_categories} matrix" for i, c in self.invalid]
 
     def members(self) -> Iterator[tuple[int, int]]:
         """All (item, category) pairs with membership 1, in index order."""
-        yield from sorted(self._members)
+        items, categories = np.nonzero(self.dense())
+        return zip(items.tolist(), categories.tolist())
 
     @property
-    def n_members(self) -> int:
-        return len(self._members)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ItemCategoryMatrix):
-            return NotImplemented
-        return (self.n_items == other.n_items
-                and self.n_categories == other.n_categories
-                and self._members == other._members)
+    def n_members(self) -> int:  # invalid pairs included
+        return int(np.count_nonzero(self._array)) + len(self.invalid)
 
     def __repr__(self) -> str:
         return (f"ItemCategoryMatrix({self.n_items}x{self.n_categories}, "
@@ -389,28 +417,19 @@ def _is_level(value) -> bool:
     return type(value) is int and RATING_MIN <= value <= RATING_MAX
 
 
-def _all_levels(values) -> bool:
-    """True when every value is a level, as _is_level decides."""
-    return set(map(type, values)) <= {int} and set(values) <= _LEVEL_SET
-
-
 def _is_valid(dataset: Dataset) -> bool:
-    """True only when validate_dataset finds no violation, decided in one
-    unsorted pass that formats nothing.  The graph holds each edge as (low,
+    """True only when validate_dataset finds no violation, decided on whole
+    arrays without formatting anything.  The graph holds each edge as (low,
     high), so ``low < high`` also rules out a self-edge; object arrays are
     left to validate_dataset's message pass."""
     graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
-    n_users, n_items = ratings.n_users, ratings.n_items
-    n_categories = categories.n_categories
+    n_users = ratings.n_users
     low, high, strengths = graph.low, graph.high, graph.strengths
-    return (graph.n_users == n_users and categories.n_items == n_items
+    return (graph.n_users == n_users and categories.n_items == ratings.n_items
             and object not in (low.dtype, high.dtype, strengths.dtype)
             and bool(((0 <= low) & (low < high) & (high < n_users)).all())
             and bool(((RATING_MIN <= strengths) & (strengths <= RATING_MAX)).all())
-            and all(0 <= u < n_users and 0 <= i < n_items for u, i in ratings._cells)
-            and all(0 <= i < n_items and 0 <= c < n_categories
-                    for i, c in categories._members)
-            and _all_levels(ratings._cells.values()))
+            and not ratings.invalid and not categories.invalid)
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
@@ -442,17 +461,4 @@ def validate_dataset(dataset: Dataset) -> list[str]:
             problems.append(f"edge {(user_label(x), user_label(y))} strength {s!r} outside "
                             f"{RATING_MIN}..{RATING_MAX}")
 
-    for u, i, r in ratings.cells():
-        if not (0 <= u < ratings.n_users and 0 <= i < ratings.n_items):
-            problems.append(f"rating cell ({user_label(u)}, {item_label(i)}) out of bounds "
-                            f"for {ratings.n_users}x{ratings.n_items} matrix")
-        if not _is_level(r):
-            problems.append(f"rating ({user_label(u)}, {item_label(i)}) value {r!r} outside "
-                            f"{RATING_MIN}..{RATING_MAX}")
-
-    for i, c in categories.members():
-        if not (0 <= i < categories.n_items and 0 <= c < categories.n_categories):
-            problems.append(f"membership ({item_label(i)}, {category_label(c)}) out of "
-                            f"bounds for {categories.n_items}x{categories.n_categories} matrix")
-
-    return problems
+    return problems + ratings._problems() + categories._problems()

@@ -16,11 +16,11 @@ in bulk; every other file, and every file with an error, goes through the
 csv row walk, which gives the same result and names the line of an error.
 """
 
+import contextlib
 import csv
 import io
 import re
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .model import (
     RATING_MAX,
     RATING_MIN,
     _column,
-    category_label,
-    item_label,
+    _too_large,
+    is_number,
     parse_label,
     user_label,
     validate_dataset,
@@ -131,24 +131,23 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     directory = Path(path)
 
     low, high, strengths = _read_relationships(directory)
-    cells = _read_ratings(directory)
-    members = _read_categories(directory)
+    users, items, ratings = _read_cells(directory, RATINGS_FILE, "UI", "rating for")
+    members = _read_cells(directory, CATEGORIES_FILE, "IC", "membership")
 
     shape = _read_shape(directory)
     if shape is None:
-        shape = (
-            1 + max([int(high.max(initial=-1))] + [u for u, _ in cells]),
-            1 + max([i for _, i in cells] + [i for i, _ in members], default=-1),
-            1 + max([c for _, c in members], default=-1),
-        )
+        shape = tuple(1 + max(int(column.max(initial=-1)) for column in columns)
+                      for columns in ((high, users), (items, members[0]), (members[1],)))
     n_users = n_users if n_users is not None else shape[0]
     n_items = n_items if n_items is not None else shape[1]
     n_categories = n_categories if n_categories is not None else shape[2]
 
     dataset = Dataset(
         graph=RelationshipGraph._from_arrays(n_users, low, high, strengths),
-        ratings=RatingMatrix(n_users, n_items, cells),
-        categories=ItemCategoryMatrix(n_items, n_categories, members),
+        ratings=RatingMatrix(n_users, n_items,
+                             _table_form((n_users, n_items), -1, (users, items), ratings)),
+        categories=ItemCategoryMatrix(n_items, n_categories,
+                                      _table_form((n_items, n_categories), 0, members, 1)),
         meta={"path": str(directory)},
     )
     problems = validate_dataset(dataset)
@@ -180,9 +179,30 @@ def _bulk_rows(name: str, text: str) -> np.ndarray | None:
     return numbers.reshape(-1, len(_HEADERS[name]))
 
 
-def _pairs(columns: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The rows of a two-column array as tuples of Python ints, in row order."""
-    return zip(*columns.T.tolist())
+def _distinct(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when no (a, b) pair of the two columns appears twice."""
+    order = np.lexsort((b, a))
+    return not ((np.diff(a[order]) == 0) & (np.diff(b[order]) == 0)).any()
+
+
+def _key_columns(entries: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) keys of ``entries`` as two columns, in insertion order."""
+    return _column([a for a, _ in entries]), _column([b for _, b in entries])
+
+
+def _table_form(shape: tuple[int, int], fill: int, keys: tuple[np.ndarray, np.ndarray],
+                values) -> np.ndarray | dict:
+    """The cells ``keys`` (row and column indices, all >= 0) holding
+    ``values`` as the ``shape`` array, ``fill`` elsewhere, that a table takes.
+    A cell outside the shape makes it the {cell: value} map instead, whose
+    keys a table keeps and reports."""
+    if not all((column < n).all() for column, n in zip(keys, shape)):
+        values = np.broadcast_to(values, len(keys[0])).tolist()
+        return dict(zip(zip(*(column.tolist() for column in keys)), values))
+    with _too_large(f"a {shape[0]}x{shape[1]} table"):
+        grid = np.full(shape, fill, dtype=np.int8)
+    grid[keys] = values
+    return grid
 
 
 def _read_rows(name: str, text: str) -> list[tuple[int, list[str]]]:
@@ -213,11 +233,17 @@ def _parse_index(name: str, line: int, token: str, kind: str) -> int:
         raise DataFormatError(name, line, str(exc)) from None
 
 
+def _parse_int(name: str, line: int, token: str, what: str) -> int:
+    """An integer field: ASCII digits with an optional "-", whitespace around."""
+    text = token.strip()
+    with contextlib.suppress(ValueError):  # more digits than int() converts
+        if is_number(text.removeprefix("-")):
+            return int(text)
+    raise DataFormatError(name, line, f"{what} {token!r} is not an integer")
+
+
 def _parse_level(name: str, line: int, token: str, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise DataFormatError(name, line, f"{what} {token!r} is not an integer") from None
+    value = _parse_int(name, line, token, what)
     if not RATING_MIN <= value <= RATING_MAX:
         raise DataFormatError(name, line,
                               f"{what} {value} outside {RATING_MIN}..{RATING_MAX}")
@@ -231,9 +257,7 @@ def _read_relationships(directory: Path) -> tuple[np.ndarray, np.ndarray, np.nda
     rows = _bulk_rows(name, text)
     if rows is not None:
         low, high = (np.sort(rows[:, :2], axis=1) - 1).T
-        order = np.lexsort((high, low))
-        repeated = (np.diff(low[order]) == 0) & (np.diff(high[order]) == 0)
-        if not (low == high).any() and not repeated.any():
+        if not (low == high).any() and _distinct(low, high):
             return low, high, rows[:, 2]
     edges: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}
@@ -255,55 +279,30 @@ def _read_relationships(directory: Path) -> tuple[np.ndarray, np.ndarray, np.nda
                 name, line, f"duplicate row for pair {pair} (first on line {first_line[key]})")
         edges[key] = strength
         first_line[key] = line
-    return (_column([a for a, _ in edges]), _column([b for _, b in edges]),
-            _column(list(edges.values())))
+    return (*_key_columns(edges), _column(list(edges.values())))
 
 
-def _read_ratings(directory: Path) -> dict[tuple[int, int], int]:
-    name = RATINGS_FILE
+def _read_cells(directory: Path, name: str, kinds: str, what: str) -> tuple[np.ndarray, ...]:
+    """The rows of the ratings or categories file as columns, in file-row
+    order: the indices of its two ``kinds`` of label, then its levels if it
+    has a level column.  A repeated cell is a duplicate ``what``."""
     text = _read_text(directory, name)
     rows = _bulk_rows(name, text)
-    if rows is not None:
-        bulk = dict(zip(_pairs(rows[:, :2] - 1), rows[:, 2].tolist()))
-        if len(bulk) == len(rows):
-            return bulk
-    cells: dict[tuple[int, int], int] = {}
+    if rows is not None and _distinct(rows[:, 0], rows[:, 1]):
+        return (*(rows[:, :2] - 1).T, *rows[:, 2:].T)
+    cells: dict[tuple[int, int], list[int]] = {}
     first_line: dict[tuple[int, int], int] = {}
-    for line, (u_token, i_token, r_token) in _read_rows(name, text):
-        user = _parse_index(name, line, u_token, "U")
-        item = _parse_index(name, line, i_token, "I")
-        rating = _parse_level(name, line, r_token, "rating")
-        key = (user, item)
+    for line, (a_token, b_token, *r_tokens) in _read_rows(name, text):
+        key = (_parse_index(name, line, a_token, kinds[0]),
+               _parse_index(name, line, b_token, kinds[1]))
+        levels = [_parse_level(name, line, token, "rating") for token in r_tokens]
         if key in cells:
             raise DataFormatError(
-                name, line,
-                f"duplicate rating for ({user_label(user)}, {item_label(item)}) "
+                name, line, f"duplicate {what} ({kinds[0]}{key[0] + 1}, {kinds[1]}{key[1] + 1}) "
                 f"(first on line {first_line[key]})")
-        cells[key] = rating
-        first_line[key] = line
-    return cells
-
-
-def _read_categories(directory: Path) -> list[tuple[int, int]]:
-    name = CATEGORIES_FILE
-    text = _read_text(directory, name)
-    rows = _bulk_rows(name, text)
-    if rows is not None:
-        bulk_members = dict.fromkeys(_pairs(rows - 1))
-        if len(bulk_members) == len(rows):
-            return list(bulk_members)
-    members: dict[tuple[int, int], int] = {}
-    for line, (i_token, c_token) in _read_rows(name, text):
-        item = _parse_index(name, line, i_token, "I")
-        category = _parse_index(name, line, c_token, "C")
-        key = (item, category)
-        if key in members:
-            raise DataFormatError(
-                name, line,
-                f"duplicate membership ({item_label(item)}, {category_label(category)}) "
-                f"(first on line {members[key]})")
-        members[key] = line
-    return list(members)
+        cells[key], first_line[key] = levels, line
+    return (*_key_columns(cells), *(_column([row[k] for row in cells.values()])
+                                    for k in range(len(_HEADERS[name]) - 2)))
 
 
 def _read_shape(directory: Path) -> tuple[int, int, int] | None:
@@ -318,10 +317,7 @@ def _read_shape(directory: Path) -> tuple[int, int, int] | None:
     line, fields = rows[0]
     counts = []
     for what, token in zip(_HEADERS[name], fields):
-        try:
-            count = int(token)
-        except ValueError:
-            raise DataFormatError(name, line, f"{what} {token!r} is not an integer") from None
+        count = _parse_int(name, line, token, what)
         if count < 0:
             raise DataFormatError(name, line, f"{what} {count} is negative")
         counts.append(count)

@@ -89,6 +89,30 @@ class TestSplit:
         with pytest.raises(MissingCellError, match=r"\(U1, I2\)"):
             split(d, SplitSpec(test_users=(1, 0), test_items=(0, 1)))
 
+    @pytest.mark.parametrize("spec", [SplitSpec(test_users=(), test_items=()),
+                                      SplitSpec(test_users=()),
+                                      SplitSpec(test_users=(5, 9), test_items=())])
+    def test_empty_spec_is_identity(self, default_dataset, spec):
+        train, test = split(default_dataset, spec)
+        assert test == []
+        assert train == default_dataset
+
+    def test_unsorted_spec_equals_sorted(self, default_dataset):
+        unsorted = split(default_dataset, SplitSpec(test_users=(99, 50, 72, 51),
+                                                    test_items=(4, 0, 2)))
+        assert unsorted == split(default_dataset, SplitSpec(test_users=(50, 51, 72, 99),
+                                                            test_items=(0, 2, 4)))
+        assert [cell[:2] for cell in unsorted[1]] == [
+            (u, i) for u in (50, 51, 72, 99) for i in (0, 2, 4)]
+
+    def test_missing_cell_named_in_user_item_order(self):
+        # in the spec's own order (U3, I2) comes first; in (user, item) order
+        # (U1, I3) does, behind a rated (U1, I2)
+        d = build_dataset(3, 3, 1, cells={(u, i): 3 for u in range(3) for i in range(3)
+                                          if (u, i) not in {(2, 1), (0, 2)}})
+        with pytest.raises(MissingCellError, match=r"\(U1, I3\)"):
+            split(d, SplitSpec(test_users=(2, 0), test_items=(2, 1)))
+
     def test_out_of_bounds_spec(self, tiny_dataset):
         with pytest.raises(ValueError, match="user index"):
             split(tiny_dataset, SplitSpec(test_users=(5,), test_items=(0,)))

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from socialrec import (
+    CfPredictor,
     Dataset,
     GenConfig,
     ItemCategoryMatrix,
@@ -19,6 +22,7 @@ from socialrec import (
     parse_label,
     round_rating,
     save_dataset,
+    SnrsPredictor,
     user_label,
     validate_dataset,
 )
@@ -264,6 +268,96 @@ class TestRatingMatrix:
     def test_dense_rejects_cells_out_of_bounds(self, cell):
         with pytest.raises(ValueError):
             RatingMatrix(2, 3, {cell: 1}).dense()
+
+
+    @pytest.mark.parametrize("cell, value, message", [
+        ((1, 0), 7, "rating (U2, I1) value 7 outside 0..5"),
+        ((1, 0), "3", "rating (U2, I1) value '3' outside 0..5"),
+        ((1, 0), 3.7, "rating (U2, I1) value 3.7 outside 0..5"),
+        ((1, 0), True, "rating (U2, I1) value True outside 0..5"),
+        ((1, 0), 300, "rating (U2, I1) value 300 outside 0..5"),
+        ((2, 0), 3, "rating cell (U3, I1) out of bounds for 2x2 matrix"),
+    ])
+    def test_invalid_entry_is_never_scored(self, cell, value, message):
+        # each of these once reached the engines as a coerced number or a
+        # numpy error unrelated to the cell
+        d = build_dataset(2, 2, 1, edges={(0, 1): 3},
+                          cells={(0, 0): 1, (0, 1): 4, (1, 1): 2, cell: value})
+        assert d.ratings.invalid == ((*cell, value),)
+        for read in (d.ratings.dense, lambda: CfPredictor(d), lambda: SnrsPredictor(d)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read()
+        assert validate_dataset(d) == [message]
+
+    @pytest.mark.parametrize("array", [np.full((2, 3), 6), np.full((2, 3), -2),
+                                       np.full((3, 2), 1), np.full((2, 3), 1.0)])
+    def test_array_form_must_fit(self, array):
+        with pytest.raises(ValueError, match="expected a"):
+            RatingMatrix(2, 3, array)
+
+
+LEVELS = st.integers(0, 5)
+
+
+@st.composite
+def equal_forms(draw):
+    """A rating map and member pairs with the equal arrays, each of some
+    integer dtype."""
+    n_users, n_items, n_categories = (draw(st.integers(0, 5)) for _ in range(3))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, n_users - 1),
+                                           st.integers(0, n_items - 1)), LEVELS)
+                 if n_users and n_items else st.just({}))
+    members = draw(st.sets(st.tuples(st.integers(0, n_items - 1),
+                                     st.integers(0, n_categories - 1)))
+                   if n_items and n_categories else st.just(set()))
+    grid = np.full((n_users, n_items), -1,
+                   dtype=draw(st.sampled_from([np.int8, np.int16, np.int64])))
+    bits = np.zeros((n_items, n_categories),
+                    dtype=draw(st.sampled_from([np.uint8, np.int32, np.int64])))
+    for (u, i), r in cells.items():
+        grid[u, i] = r
+    for i, c in members:
+        bits[i, c] = 1
+    return n_users, n_items, n_categories, cells, members, grid, bits
+
+
+class TestTableForms:
+    """Each table is read the same whether it was built from its map or
+    pairs or from its array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(forms=equal_forms())
+    def test_every_reader_agrees(self, forms):
+        n_users, n_items, n_categories, cells, members, grid, bits = forms
+        from_map = RatingMatrix(n_users, n_items, cells)
+        from_array = RatingMatrix(n_users, n_items, grid)
+        expected = sorted((u, i, r) for (u, i), r in cells.items())
+        mean = sum(cells.values()) / len(cells) if cells else None
+        for m in (from_map, from_array):
+            assert m.invalid == ()
+            assert [m.get(u, i) for u in range(-1, n_users + 1)
+                    for i in range(-1, n_items + 1)] == [
+                cells.get((u, i)) for u in range(-1, n_users + 1)
+                for i in range(-1, n_items + 1)]
+            assert list(m.cells()) == expected
+            assert m.n_rated == len(cells)
+            assert (m.global_mean() is None) == (mean is None)
+            if mean is not None:
+                assert float.hex(m.global_mean()) == float.hex(mean)
+            assert m.dense().tolist() == grid.tolist()
+        assert np.array_equal(from_map.means(), from_array.means(), equal_nan=True)
+        assert from_map == from_array
+        assert repr(from_map) == repr(from_array)
+
+        pairs = ItemCategoryMatrix(n_items, n_categories, members)
+        array = ItemCategoryMatrix(n_items, n_categories, bits)
+        for m in (pairs, array):
+            assert m.invalid == ()
+            assert list(m.members()) == sorted(members)
+            assert m.n_members == len(members)
+            assert m.dense().tolist() == bits.tolist()
+        assert pairs == array
+        assert repr(pairs) == repr(array)
 
 
 class TestItemCategoryMatrix:

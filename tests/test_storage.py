@@ -200,6 +200,33 @@ class TestLoadErrors:
         assert err.value.file == "ratings.csv"
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("table, row, reason", [
+        ("relationships", "U2,U3,\u0663", "strength '\u0663' is not an integer"),
+        ("ratings", "U2,I1,+4", "rating '+4' is not an integer"),
+        ("ratings", "U2,I1,\u0665", "rating '\u0665' is not an integer"),
+        ("ratings", "U2,I1,4.0", "rating '4.0' is not an integer"),
+        ("ratings", "U2,I1, -1", "rating -1 outside 0..5"),
+    ])
+    def test_level_not_in_ascii_digits_names_line(self, tmp_path, table, row, reason):
+        header = {"relationships": "user_a,user_b,strength", "ratings": "user,item,rating"}
+        first = {"relationships": "U1,U2,3", "ratings": "U1,I1,3"}
+        directory = write_dir(tmp_path / "d",
+                              **{table: f"{header[table]}\n{first[table]}\n{row}\n"})
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(directory)
+        assert (err.value.file, err.value.line) == (f"{table}.csv", 3)
+        assert err.value.reason == reason
+
+    def test_levels_and_counts_may_carry_whitespace(self, tmp_path):
+        directory = write_dir(tmp_path / "d",
+                              relationships="user_a,user_b,strength\nU1,U2, 3\t\n",
+                              ratings="user,item,rating\nU1,I1, 04 \n")
+        (directory / "shape.csv").write_text("n_users,n_items,n_categories\n 2,1\t, 0\n")
+        loaded = load_dataset(directory)
+        assert loaded.graph.strength(0, 1) == 3
+        assert loaded.ratings.get(0, 0) == 4
+        assert (loaded.n_users, loaded.n_items, loaded.n_categories) == (2, 1, 0)
+
     def test_conflicting_pair_strengths(self, tmp_path):
         directory = write_dir(
             tmp_path / "d",
@@ -283,6 +310,11 @@ class TestLoadErrors:
         ("n_users,n_items,n_categories\n4,3,2\n4,3,2\n", 3,
          "expected one row of counts, got 2"),
         ("n_users,n_items\n4,3\n", 1, "expected header"),
+        ("n_users,n_items,n_categories\n2_0,1,1\n", 2, "n_users '2_0' is not an integer"),
+        ("n_users,n_items,n_categories\n4,+1,2\n", 2, "n_items '+1' is not an integer"),
+        ("n_users,n_items,n_categories\n4,3,\u0663\n", 2,
+         "n_categories '\u0663' is not an integer"),
+        ("n_users,n_items,n_categories\n4, -1 ,2\n", 2, "n_items -1 is negative"),
     ])
     def test_malformed_shape_file_names_line(self, text, line, reason, tmp_path):
         directory = write_dir(tmp_path / "d")
