@@ -210,14 +210,14 @@ class SimilarityCache:
 
 
 def _friend_keys(cfg: CfConfig, graph: RelationshipGraph) -> np.ndarray | None:
-    """In friends-only scope, the sorted ``low << 32 | high`` keys of the
-    graph's pairs with strength >= 1, then a sentinel above every key;
-    None in all-users scope."""
+    """In friends-only scope, the ``user << 32 | friend`` keys of the
+    graph's index over strength >= 1, sorted as the index lists them, then
+    a sentinel above every key; None in all-users scope."""
     if cfg.neighbor_scope != SCOPE_FRIENDS:
         return None
-    friends = graph.strengths >= 1
-    keys = graph.low[friends] << 32 | graph.high[friends]
-    return np.append(np.sort(keys), np.iinfo(np.int64).max)
+    indptr, friends, _ = graph._csr(1)
+    users = np.repeat(np.arange(graph.n_users), np.diff(indptr))
+    return np.append(users << 32 | friends, np.iinfo(np.int64).max)
 
 
 def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
@@ -266,8 +266,7 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
             at_item += item[active, None]
             usable &= flat[at_item] >= 0
             if friends is not None:
-                pair = np.minimum(user[active, None], neighbor) << 32 \
-                    | np.maximum(user[active, None], neighbor)
+                pair = user[active, None] << 32 | neighbor
                 usable &= friends[np.searchsorted(friends, pair)] == pair
             rank = np.cumsum(usable, axis=1)
             rank += found[active, None]

@@ -140,10 +140,8 @@ def _friend_weighted_fill(
     grid = seeded.dense().copy()  # -1 where unrated
     # User u's friends of strength >= 1 and their strengths, in friends_of
     # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
-    indptr, neighbours, strengths = graph._csr()
-    friend = strengths >= 1
-    starts = np.concatenate([[0], np.cumsum(friend)])[indptr].tolist()
-    friend_ids, friend_strengths = neighbours[friend], strengths[friend]
+    indptr, friend_ids, edges = graph._csr(1)
+    starts, friend_strengths = indptr.tolist(), graph.strengths[edges]
     friends = [(u, friend_ids[lo:hi, None], friend_strengths[lo:hi])
                for u, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo < hi]
     n_open = (grid < 0).sum(axis=1).tolist()

@@ -175,18 +175,6 @@ class EvaluationReport:
         return cls(method, *(tuple(getattr(r, f.name) for r in records)
                              for f in fields(CellRecord)))
 
-    @property
-    def records(self) -> tuple[CellRecord, ...]:
-        """The report's rows as CellRecords, built on each access."""
-        return tuple(map(CellRecord, self.users, self.items, self.actuals,
-                         self.pred_real, self.pred_rounded, self.fallbacks))
-
-    def summary_line(self) -> str:
-        return (f"{self.method:<6} n={self.n_observations:<4} "
-                f"mae={self.mae_rounded:.4f} mae_real={self.mae_real:.4f} "
-                f"accuracy={self.accuracy_percent:.1f}% "
-                f"fallbacks={self.n_fallback}")
-
 
 def train_predictor(method: str, train: Dataset, cf_cfg: CfConfig = CfConfig(),
                     snrs_cfg: SnrsConfig = SnrsConfig()) -> CfPredictor | SnrsPredictor:

@@ -119,8 +119,10 @@ class RelationshipGraph:
     They are int64, or object arrays holding the values as given when some
     are not ints within int64, for validate_dataset to report.  A CSR index
     over them, built once on first use, lists each user's neighbours by
-    ascending index; ``friends_of`` and ``strength`` read one user's slice
-    of it.  ``edges`` builds a read-only mapping from the arrays when read.
+    ascending index with the positions of their edges.  It is the one
+    friendship index: ``friends_of``, ``strength``, snrs, cf's friends-only
+    scope and the generator's fill all read it.  ``edges`` builds a
+    read-only mapping from the arrays when read.
     """
 
     def __init__(self, n_users: int, edges: Mapping[tuple[int, int], int] | None = None):
@@ -156,26 +158,33 @@ class RelationshipGraph:
         self.low, self.high, self.strengths = low, high, strengths
         self._csr_index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, neighbours, strengths): user u's neighbours in ascending
-        order, and their strengths, at ``indptr[u]:indptr[u + 1]``.  A
-        self-edge is listed once."""
+    def _csr(self, min_strength: int | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, neighbours, edges): user u's neighbours in ascending
+        order, and the positions of their edges in ``low``/``high``/
+        ``strengths``, at ``indptr[u]:indptr[u + 1]``.  A self-edge is
+        listed once.  Given ``min_strength``, only the slots of edges that
+        strong, with indptr re-based over them."""
         if self._csr_index is None:
             other = self.low != self.high
             users = np.concatenate([self.low, self.high[other]])
             neighbours = np.concatenate([self.high, self.low[other]])
             order = np.lexsort((neighbours, users))
             indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
-            strengths = np.concatenate([self.strengths, self.strengths[other]])[order]
-            self._csr_index = indptr, neighbours[order], strengths
-        return self._csr_index
+            edges = np.concatenate([np.arange(self.n_edges), np.flatnonzero(other)])[order]
+            self._csr_index = indptr, neighbours[order], edges
+        if min_strength is None:
+            return self._csr_index
+        indptr, neighbours, edges = self._csr_index
+        keep = self.strengths[edges] >= min_strength
+        return np.concatenate([[0], np.cumsum(keep)])[indptr], neighbours[keep], edges[keep]
 
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= u < self.n_users:
             raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
-        indptr, neighbours, strengths = self._csr()
+        indptr, neighbours, edges = self._csr()
         span = slice(indptr[u], indptr[u + 1])
-        return neighbours[span], strengths[span]
+        return neighbours[span], self.strengths[edges[span]]
 
     @property
     def edges(self) -> Mapping[tuple[int, int], int]:

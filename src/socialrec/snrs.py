@@ -230,8 +230,12 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     """Co-rating counts of every friend pair, one bincount per block of edges.
 
     Each unordered pair is counted once, and both of its ordered pairs read
-    that count.
+    that count.  The slots are those of the graph's index, so a graph must
+    have the rating matrix's users.
     """
+    if graph.n_users != len(ratings):
+        raise ValueError(f"graph has {graph.n_users} users but rating matrix has "
+                         f"{len(ratings)}")
     kept = graph.strengths >= cfg.friend_min_strength
     low, high = graph.low[kept], graph.high[kept]
     counts = np.empty((len(low), 2, N_LEVELS, N_LEVELS),
@@ -244,14 +248,11 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
         counts[start:start + len(a), 0] = np.bincount(
             keys, minlength=len(a) * N_LEVELS * N_LEVELS).reshape(-1, N_LEVELS, N_LEVELS)
     counts[:, 1] = counts[:, 0].transpose(0, 2, 1)
-    mutual = low != high
-    users = np.concatenate([low, high[mutual]])
-    friends = np.concatenate([high, low[mutual]])
-    order = np.lexsort((friends, users))
-    indptr = np.searchsorted(users[order], np.arange(len(ratings) + 1))
-    slot_edges = np.concatenate([np.arange(len(low)), np.flatnonzero(mutual)])[order]
-    lower = (users < friends).astype(np.intp)[order]
-    return FriendConditionalTable(indptr, friends[order], slot_edges, lower, counts,
+    indptr, friends, edges = graph._csr(cfg.friend_min_strength)
+    slot_edges = (np.cumsum(kept) - 1)[edges]
+    # a slot's user is its edge's lower index when the friend is above it
+    lower = (friends > graph.low[edges]).astype(np.intp)
+    return FriendConditionalTable(indptr, friends, slot_edges, lower, counts,
                                   cfg.laplace_alpha)
 
 

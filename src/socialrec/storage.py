@@ -11,9 +11,10 @@ All files are UTF-8 with LF line endings and display labels ("U1", "I5",
 "C3").  Saves are byte-deterministic: rows are sorted by index, so equal
 datasets always produce identical files.
 
-A table file whose body is exactly the form ``save_dataset`` writes parses
-in bulk; every other file, and every file with an error, goes through the
-csv row walk, which gives the same result and names the line of an error.
+A table file whose body is exactly the form ``save_dataset`` writes, rows
+in its order, parses in bulk; every other file, and every file with an
+error, goes through the csv row walk, which gives the same result and
+names the line of an error.
 """
 
 import contextlib
@@ -113,15 +114,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             handle.write(",".join(_HEADERS[name]) + "\n" + body)
 
 
-def load_dataset(path: str | Path, *, n_users: int | None = None,
-                 n_items: int | None = None,
-                 n_categories: int | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     Dimensions come from ``shape.csv``.  A directory without that file gets
     one past the highest index mentioned in any file, so trailing
-    users/items/categories that appear in no row are lost unless passed
-    explicitly.  Explicit arguments always win.
+    users/items/categories that appear in no row are lost.
 
     Raises DataFormatError for a missing file, a file that is not UTF-8 or
     a malformed row (with file and line number) and DatasetValidationError
@@ -138,9 +136,7 @@ def load_dataset(path: str | Path, *, n_users: int | None = None,
     if shape is None:
         shape = tuple(1 + max(int(column.max(initial=-1)) for column in columns)
                       for columns in ((high, users), (items, members[0]), (members[1],)))
-    n_users = n_users if n_users is not None else shape[0]
-    n_items = n_items if n_items is not None else shape[1]
-    n_categories = n_categories if n_categories is not None else shape[2]
+    n_users, n_items, n_categories = shape
 
     dataset = Dataset(
         graph=RelationshipGraph._from_arrays(n_users, low, high, strengths),
@@ -179,10 +175,11 @@ def _bulk_rows(name: str, text: str) -> np.ndarray | None:
     return numbers.reshape(-1, len(_HEADERS[name]))
 
 
-def _distinct(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when no (a, b) pair of the two columns appears twice."""
-    order = np.lexsort((b, a))
-    return not ((np.diff(a[order]) == 0) & (np.diff(b[order]) == 0)).any()
+def _ascending(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when the (a, b) rows strictly increase, as save_dataset writes
+    them, so that no pair appears twice."""
+    step = np.diff(a)
+    return bool(((step > 0) | ((step == 0) & (np.diff(b) > 0))).all())
 
 
 def _key_columns(entries: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +253,8 @@ def _read_relationships(directory: Path) -> tuple[np.ndarray, np.ndarray, np.nda
     text = _read_text(directory, name)
     rows = _bulk_rows(name, text)
     if rows is not None:
-        low, high = (np.sort(rows[:, :2], axis=1) - 1).T
-        if not (low == high).any() and _distinct(low, high):
+        low, high = (rows[:, :2] - 1).T
+        if (low < high).all() and _ascending(low, high):
             return low, high, rows[:, 2]
     edges: dict[tuple[int, int], int] = {}
     first_line: dict[tuple[int, int], int] = {}
@@ -288,7 +285,7 @@ def _read_cells(directory: Path, name: str, kinds: str, what: str) -> tuple[np.n
     has a level column.  A repeated cell is a duplicate ``what``."""
     text = _read_text(directory, name)
     rows = _bulk_rows(name, text)
-    if rows is not None and _distinct(rows[:, 0], rows[:, 1]):
+    if rows is not None and _ascending(rows[:, 0], rows[:, 1]):
         return (*(rows[:, :2] - 1).T, *rows[:, 2:].T)
     cells: dict[tuple[int, int], list[int]] = {}
     first_line: dict[tuple[int, int], int] = {}

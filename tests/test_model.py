@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 import tempfile
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -189,10 +188,15 @@ class TestRelationshipGraph:
                            list(reference_edges(cfg).items()))
         with tempfile.TemporaryDirectory() as tmp:
             save_dataset(build_dataset(n_users, 0, 0, edges=dict(canonical)), tmp)
-            Path(tmp, "shape.csv").unlink()  # the one file always walked
-            with mock.patch.object(storage, "_read_rows", side_effect=AssertionError):
-                loaded = load_dataset(tmp, n_users=n_users, n_items=0, n_categories=0)
+            with mock.patch.object(storage, "_read_rows", side_effect=shape_rows_only):
+                loaded = load_dataset(tmp)
         assert_reads_edges(loaded.graph, n_users, sorted(canonical))
+
+
+def shape_rows_only(name, text, read_rows=storage._read_rows):
+    """storage._read_rows for shape.csv, the one file always walked."""
+    assert name == "shape.csv", f"{name} was walked row by row"
+    return read_rows(name, text)
 
 
 def assert_reads_edges(g, n_users, items):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from socialrec import (
     GenConfig,
     Prediction,
     RatingDistribution,
+    RelationshipGraph,
     SnrsConfig,
     SnrsPredictor,
     combine,
@@ -198,6 +200,17 @@ class TestLearnModels:
         with pytest.raises(EmptyTrainingSetError, match="empty") as info:
             SnrsPredictor(build_dataset(2, 2, 1))
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("graph_users", [2, 5])
+    def test_graph_of_other_users_rejected(self, graph_users):
+        # the friend tables are slots of the graph's own index, so a graph
+        # without the rating matrix's users cannot serve them
+        d = build_dataset(4, 2, 1, cells={(u, i): (u + i) % 6 for u in range(4)
+                                          for i in range(2)})
+        d = dataclasses.replace(d, graph=RelationshipGraph(graph_users, {(0, 1): 3}))
+        with pytest.raises(ValueError, match=f"^graph has {graph_users} users but rating "
+                                             f"matrix has 4$"):
+            SnrsPredictor(d)
 
 
 @pytest.fixture(scope="module")

@@ -53,12 +53,6 @@ class TestRoundTrip:
         assert loaded == default_dataset
         assert loaded.ratings.n_rated == 1000
 
-    def test_sparse_with_explicit_dims(self, tmp_path):
-        d = build_dataset(4, 3, 2, edges={(0, 1): 2}, cells={(0, 0): 3})
-        save_dataset(d, tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d", n_users=4, n_items=3, n_categories=2)
-        assert loaded == d
-
     def test_shape_file_keeps_dims_in_no_row(self, tmp_path):
         # the last user/item/category appear in no row; shape.csv keeps them
         d = build_dataset(4, 3, 2, edges={(0, 1): 2}, cells={(0, 0): 3})
@@ -66,11 +60,6 @@ class TestRoundTrip:
         assert (tmp_path / "d" / "shape.csv").read_text() == \
             "n_users,n_items,n_categories\n4,3,2\n"
         assert load_dataset(tmp_path / "d") == d
-
-    def test_explicit_dims_win_over_shape_file(self, tmp_path):
-        save_dataset(build_dataset(2, 1, 1, cells={(0, 0): 3}), tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d", n_users=5, n_categories=3)
-        assert (loaded.n_users, loaded.n_items, loaded.n_categories) == (5, 1, 3)
 
     @pytest.mark.parametrize("shape, seed", [*[("default", s) for s in range(10)],
                                              *[("dense", s) for s in range(10)],
@@ -324,23 +313,34 @@ class TestLoadErrors:
         assert (err.value.file, err.value.line) == ("shape.csv", line)
         assert err.value.reason.startswith(reason)
 
-    def test_explicit_dims_smaller_than_data_fail_validation(self, tmp_path):
+    def test_shape_smaller_than_data_fails_validation(self, tmp_path):
         d = build_dataset(4, 2, 1, cells={(3, 0): 2, (0, 1): 1})
         save_dataset(d, tmp_path / "d")
+        (tmp_path / "d" / "shape.csv").write_text("n_users,n_items,n_categories\n2,2,1\n",
+                                                 encoding="utf-8")
         with pytest.raises(DatasetValidationError, match="out of bounds"):
-            load_dataset(tmp_path / "d", n_users=2)
+            load_dataset(tmp_path / "d")
 
 
 class TestLoadSemantics:
-    def test_row_order_does_not_matter(self, tmp_path):
+    @pytest.mark.parametrize("relationships, ratings, categories", [
+        # rows swapped and pairs reversed
+        ("U3,U1,1\nU2,U1,3\n", "U3,I2,4\nU1,I1,2\n", "I2,C2\nI1,C1\n"),
+        # rows swapped, pairs as saved
+        ("U1,U3,1\nU1,U2,3\n", "U3,I2,4\nU1,I1,2\n", "I2,C2\nI1,C1\n"),
+        # rows as saved, pairs reversed
+        ("U2,U1,3\nU3,U1,1\n", "U1,I1,2\nU3,I2,4\n", "I1,C1\nI2,C2\n"),
+    ])
+    def test_row_order_does_not_matter(self, relationships, ratings, categories, tmp_path):
+        # only save_dataset's row order parses in bulk; the rest is walked
         a = write_dir(tmp_path / "a",
                       relationships="user_a,user_b,strength\nU1,U2,3\nU1,U3,1\n",
                       ratings="user,item,rating\nU1,I1,2\nU3,I2,4\n",
                       categories="item,category\nI1,C1\nI2,C2\n")
         b = write_dir(tmp_path / "b",
-                      relationships="user_a,user_b,strength\nU3,U1,1\nU2,U1,3\n",
-                      ratings="user,item,rating\nU3,I2,4\nU1,I1,2\n",
-                      categories="item,category\nI2,C2\nI1,C1\n")
+                      relationships="user_a,user_b,strength\n" + relationships,
+                      ratings="user,item,rating\n" + ratings,
+                      categories="item,category\n" + categories)
         assert load_dataset(a) == load_dataset(b)
 
     def test_reversed_orientation_accepted(self, tmp_path):
@@ -360,9 +360,7 @@ class TestLoadSemantics:
                         edge_density=0.4, rng_seed=5)
         d = generate_dataset(cfg)
         save_dataset(d, tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d",
-                              n_users=12, n_items=4, n_categories=3)
-        assert loaded == d
+        assert load_dataset(tmp_path / "d") == d
 
 
 TABLES = ["relationships.csv", "ratings.csv", "categories.csv"]
