@@ -15,6 +15,7 @@ from socialrec import (CfConfig, CfPredictor, GenConfig, SnrsConfig, SnrsPredict
                        generate_dataset, save_dataset)
 from socialrec.cli import main
 from conftest import build_dataset
+import test_snrs
 
 DATASET_FILES = ("relationships.csv", "ratings.csv", "categories.csv")
 
@@ -92,6 +93,23 @@ SNRS_CONFIG_PREDICT_DIGEST = "5e4753d087c626654cdac7a2a28c11eb2e494e5ad8014636e2
 SNRS_PIN_CONFIGS = [SnrsConfig(laplace_alpha=0.5, friend_min_strength=strength,
                                prediction_levels=(1, 2, 3, 4, 5))
                     for strength in (0, 3)]
+
+# float.hex() of every level of components(0, 0) and of predict(0, 0) on
+# the long products of test_snrs.TestLongProducts: the star datasets of 300,
+# 800 and 2000 friends and the 1100- and 2000-category datasets.  Their
+# friend or preference evidence falls below 2**-500 and is rescaled, so
+# these pin the rescale path's bits, which those tests check only to a
+# tolerance.
+SNRS_LONG_PRODUCT_DIGEST = "136cf1e94cc0d1aa176fca893e11744e182842a0fc2adbaf902b7743c89a7213"
+
+# float.hex() of the three factor rows and the value of every cell of one
+# batch over three hubs of 300, 800 and 2000 friends mixed with few-friend
+# cells.  The hubs' friend evidence is rescaled at different steps (216 and
+# 276 first), and the few-friend rows are never rescaled.
+SNRS_RESCALE_BATCH_DIGEST = "e62bb262a858f368714a456f2fa60c9a74f442fc80271af5f0c9262148bad82e"
+RESCALE_BATCH_HUBS = [(300, (3, 1), True), (800, (5, 0), False), (2000, (2, 4), True)]
+RESCALE_BATCH_CELLS = [(0, 0), (301, 0), (1102, 0), (1, 1), (5, 2), (302, 1), (3103, 0),
+                       (0, 1), (1103, 1), (2, 0)]
 
 # float.hex() of the value, the fallback and the (neighbour, float.hex()
 # similarity) list of CfPredictor(dataset, cfg).predict_detailed(u, i) for
@@ -243,6 +261,58 @@ def test_snrs_predict_bits_non_default_configs():
             digest.update(" ".join(predictor.predict(u, i).hex()
                                    for i in range(dataset.n_items)).encode() + b"\n")
     assert digest.hexdigest() == SNRS_CONFIG_PREDICT_DIGEST
+
+
+def many_categories_dataset(n_categories):
+    """test_snrs.TestLongProducts.test_many_categories's dataset."""
+    members = ({(0, c) for c in range(0, n_categories, 2)}
+               | {(1, c) for c in range(0, n_categories, 3)}
+               | {(2, c) for c in range(0, n_categories, 5)})
+    return build_dataset(2, 3, n_categories, edges={(0, 1): 2},
+                         cells={(0, 1): 2, (0, 2): 4, (1, 0): 3, (1, 1): 1},
+                         members=members)
+
+
+def hubs_dataset(hubs):
+    """Hubs of (n_friends, (ratings of I2 and I3), alternate), each with its
+    own friends in test_snrs.TestLongProducts.star_dataset's pattern.  A
+    friend rates I1 like I2, or, when ``alternate``, like I3 on even
+    friends, so the hub's friend evidence falls at a rate of its own."""
+    edges, cells = {}, {}
+    hub = 0
+    for n_friends, (r2, r3), alternate in hubs:
+        cells.update({(hub, 1): r2, (hub, 2): r3})
+        for v in range(1, n_friends + 1):
+            a, b = v % 6, (v + 1) % 6
+            edges[(hub, hub + v)] = 3
+            cells.update({(hub + v, 1): a, (hub + v, 2): b,
+                          (hub + v, 0): b if alternate and v % 2 == 0 else a})
+        hub += n_friends + 1
+    return build_dataset(hub + 1, 3, 1, edges, cells, {(0, 0)})
+
+
+def hex_rows(rows) -> bytes:
+    return b"".join(" ".join(float(p).hex() for p in row).encode() + b"\n" for row in rows)
+
+
+def test_snrs_long_product_bits():
+    long_products = test_snrs.TestLongProducts()
+    digest = hashlib.sha256()
+    for dataset in ([long_products.star_dataset(n) for n in (300, 800, 2000)]
+                    + [many_categories_dataset(n) for n in (1100, 2000)]):
+        predictor = SnrsPredictor(dataset)
+        digest.update(hex_rows(predictor.components(0, 0)))
+        digest.update(predictor.predict(0, 0).hex().encode() + b"\n")
+    assert digest.hexdigest() == SNRS_LONG_PRODUCT_DIGEST
+
+
+def test_snrs_rescale_batch_bits():
+    predictor = SnrsPredictor(hubs_dataset(RESCALE_BATCH_HUBS))
+    digest = hashlib.sha256()
+    for rows in predictor._factors(RESCALE_BATCH_CELLS):
+        digest.update(hex_rows(rows))
+    digest.update(hex_rows([[p.value for p in predictor.predict_many(RESCALE_BATCH_CELLS)]]))
+    assert digest.hexdigest() == SNRS_RESCALE_BATCH_DIGEST
 
 
 def cf_predict_digest(dataset, cfg) -> str:
