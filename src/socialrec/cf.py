@@ -24,6 +24,7 @@ from .model import (
     RatingMatrix,
     RelationshipGraph,
     SocialRecError,
+    _check_graph_users,
     cell_array,
     round_rating,
     user_label,
@@ -209,12 +210,14 @@ class SimilarityCache:
                 yield (u, n), row.get(n)
 
 
-def _friend_keys(cfg: CfConfig, graph: RelationshipGraph) -> np.ndarray | None:
+def _friend_keys(cfg: CfConfig, graph: RelationshipGraph, n_users: int) -> np.ndarray | None:
     """In friends-only scope, the ``user << 32 | friend`` keys of the
     graph's index over strength >= 1, sorted as the index lists them, then
-    a sentinel above every key; None in all-users scope."""
+    a sentinel above every key; None in all-users scope.  In friends-only
+    scope the graph must have the rating matrix's ``n_users`` users."""
     if cfg.neighbor_scope != SCOPE_FRIENDS:
         return None
+    _check_graph_users(graph, n_users)
     indptr, friends, _ = graph._csr(1)
     users = np.repeat(np.arange(graph.n_users), np.diff(indptr))
     return np.append(users << 32 | friends, np.iinfo(np.int64).max)
@@ -301,7 +304,7 @@ class CfPredictor:
     def __init__(self, dataset: Dataset, cfg: CfConfig = CfConfig()):
         self.cfg = cfg
         self._ratings = dataset.ratings
-        self._friends = _friend_keys(cfg, dataset.graph)
+        self._friends = _friend_keys(cfg, dataset.graph, dataset.ratings.n_users)
         self._cache = SimilarityCache.build(dataset.ratings, cfg.co_rate_min)
         self._global_mean = dataset.ratings.global_mean()
 

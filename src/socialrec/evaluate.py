@@ -8,8 +8,8 @@ as a secondary diagnostic) and accuracy counts exact integer matches.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -104,13 +104,15 @@ def split(dataset: Dataset, spec: SplitSpec,
 
 
 def mae(pred: Sequence[float], actual: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length rating lists."""
+    """Mean absolute error between two equal-length rating lists.  The
+    errors are added left to right from 0, as the built-in sum adds: the
+    last entry of their cumsum."""
     if len(pred) != len(actual):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs "
                          f"{len(actual)} actuals")
-    if not pred:
+    if not len(pred):
         raise ValueError("cannot compute MAE of empty lists")
-    return sum(abs(p - a) for p, a in zip(pred, actual)) / len(pred)
+    return float(np.cumsum(np.abs(np.subtract(pred, actual)))[-1] / len(pred))
 
 
 def accuracy(pred: Sequence[int], actual: Sequence[int]) -> float:
@@ -118,9 +120,9 @@ def accuracy(pred: Sequence[int], actual: Sequence[int]) -> float:
     if len(pred) != len(actual):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs "
                          f"{len(actual)} actuals")
-    if not pred:
+    if not len(pred):
         raise ValueError("cannot compute accuracy of empty lists")
-    hits = sum(1 for p, a in zip(pred, actual) if p == a)
+    hits = int(np.count_nonzero(np.equal(pred, actual)))
     return 100.0 * hits / len(pred)
 
 
@@ -231,14 +233,21 @@ def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:
-    """One row per (method, test cell): method,user,item,actual,pred_real,pred_rounded."""
+    """One row per (method, test cell): method,user,item,actual,pred_real,pred_rounded.
+
+    The "method,user," and "item," prefixes are built once per user and
+    item, the method quoted by csv, and each row is one format of them."""
     with open(Path(path), "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(DETAIL_HEADER)
+        csv.writer(handle, lineterminator="\n").writerow(DETAIL_HEADER)
         for report in reports:
-            writer.writerows(zip(repeat(report.method), map(user_label, report.users),
-                                 map(item_label, report.items), report.actuals,
-                                 map(repr, report.pred_real), report.pred_rounded))
+            method = io.StringIO()  # "method,\n", quoted as in a row of the file
+            csv.writer(method, lineterminator="\n").writerow([report.method, ""])
+            users = {u: f"{method.getvalue()[:-1]}{user_label(u)},"
+                     for u in dict.fromkeys(report.users)}
+            items = {i: f"{item_label(i)}," for i in dict.fromkeys(report.items)}
+            handle.write("".join(map("%s%s%s,%r,%s\n".__mod__, zip(
+                map(users.__getitem__, report.users), map(items.__getitem__, report.items),
+                report.actuals, report.pred_real, report.pred_rounded))))
 
 
 def write_summary_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

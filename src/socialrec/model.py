@@ -221,6 +221,15 @@ class RelationshipGraph:
         return f"RelationshipGraph(n_users={self.n_users}, n_edges={self.n_edges})"
 
 
+def _check_graph_users(graph: RelationshipGraph, n_users: int) -> None:
+    """ValueError unless ``graph`` has the rating matrix's ``n_users``
+    users: an engine reads a user's friends from the graph's index by the
+    user's row in the rating matrix."""
+    if graph.n_users != n_users:
+        raise ValueError(f"graph has {graph.n_users} users but rating matrix has "
+                         f"{n_users}")
+
+
 class _Table:
     """A table held once, as a read-only int8 array.  The entries given to
     it that the array cannot hold are kept as given in the sorted ``invalid``

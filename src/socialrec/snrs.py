@@ -15,13 +15,16 @@ All counts are Laplace-smoothed, so every learned probability is strictly
 positive.  A product over many categories or friends would still underflow,
 so its six level weights are rescaled by a power of two whenever the
 largest falls below 2**-500; the rescale is exact and leaves every
-normalized result unchanged.  The final prediction is the expectation of
+normalized result unchanged.  The friend product reads its largest weights
+only at steps where, by the least entry a smoothed column can have, they
+could have fallen that far.  The final prediction is the expectation of
 the combined distribution.
 
-Models are numpy arrays, and a batch of cells is predicted at once: each
-product steps through its factors in a fixed order for all cells together,
-and every sum runs left to right, so a cell's result has the same bits
-whatever batch it is in.
+Models are numpy arrays, learned with one mask of the ratings per level
+and no one-hot array.  A batch of cells is predicted at once: its friend
+columns are gathered with one index, each product steps through its
+factors in a fixed order for all cells together, and every sum runs left
+to right, so a cell's result has the same bits whatever batch it is in.
 """
 
 import math
@@ -36,11 +39,15 @@ from .model import (
     SocialRecError,
     N_LEVELS,
     RATING_LEVELS,
+    _check_graph_users,
+    _too_large,
     cell_array,
 )
 
 _SUM_TOLERANCE = 1e-9
 _RESCALE_BELOW = 2.0 ** -500
+# Each product of a weight and a step's entry rounds by at most 2**-53 of it.
+_ROUNDING_MARGIN = 1 - 2.0 ** -40
 # Entries of one block of the friend co-rating count: edges x (items + 36).
 _BLOCK_CELLS = 2 ** 16
 # Cells predicted together: the arrays of a batch grow with its cells times
@@ -161,6 +168,8 @@ class SnrsConfig:
         if not (self.laplace_alpha > 0 and math.isfinite(N_LEVELS * self.laplace_alpha)):
             raise ValueError(f"laplace_alpha must be > 0 and {N_LEVELS} * laplace_alpha "
                              f"finite, got {self.laplace_alpha!r}")
+        # a float, so that count + alpha cannot wrap in a count's unsigned type
+        object.__setattr__(self, "laplace_alpha", float(self.laplace_alpha))
         if self.friend_min_strength < 0:
             raise ValueError("friend_min_strength must be >= 0")
         levels = tuple(self.prediction_levels)
@@ -233,9 +242,7 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
     that count.  The slots are those of the graph's index, so a graph must
     have the rating matrix's users.
     """
-    if graph.n_users != len(ratings):
-        raise ValueError(f"graph has {graph.n_users} users but rating matrix has "
-                         f"{len(ratings)}")
+    _check_graph_users(graph, len(ratings))
     kept = graph.strengths >= cfg.friend_min_strength
     low, high = graph.low[kept], graph.high[kept]
     counts = np.empty((len(low), 2, N_LEVELS, N_LEVELS),
@@ -256,21 +263,34 @@ def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
                                   cfg.laplace_alpha)
 
 
-def _evidence(weights: np.ndarray, steps) -> np.ndarray:
+def _evidence(weights: np.ndarray, steps, floor: float = 0.0) -> np.ndarray:
     """Normalized product of each row of ``weights`` with the matching row
     of every step, in order.
 
     Whenever a row's largest weight falls below 2**-500, the row is scaled
     by the power of two that brings it into [0.5, 1); the rescale is exact,
-    so the normalized distribution does not change.
+    so the normalized distribution does not change.  ``floor`` is a lower
+    bound on every entry of every step, so a step takes each row's largest
+    weight to at least ``floor`` times it, less a margin for rounding.  The
+    largest weights are read only at a step where that bound, carried from
+    the last read, could be below 2**-500: at every step when ``floor`` is
+    0.  So every rescale happens at the step where a read at every step
+    would make it.
     """
+    shrink = floor * _ROUNDING_MARGIN
+    least = 0.0  # a lower bound on every row's largest weight
     for step in steps:
         weights = weights * step
+        least *= shrink
+        if least >= _RESCALE_BELOW:
+            continue
         top = weights.max(axis=1)
         low = top < _RESCALE_BELOW
         if low.any():
             _, exponent = np.frexp(top[low])
             weights[low] = np.ldexp(weights[low], -exponent[:, None])
+            top[low] = np.ldexp(top[low], -exponent)
+        least = top.min(initial=np.inf)
     return _normalise(weights)
 
 
@@ -309,9 +329,10 @@ class SnrsPredictor:
       whose strength reaches cfg.friend_min_strength.
 
     Priors, per-category bit counts and item acceptance counts are integer
-    sums over the one-hot users x items x levels rating array; friend tables
+    sums over each level's users x items mask of the ratings; friend tables
     are counted once per unordered friend pair.  Raises
-    EmptyTrainingSetError when the training set has no ratings at all.
+    EmptyTrainingSetError when the training set has no ratings at all, and
+    TableTooLargeError when numpy cannot allocate the models.
     """
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
@@ -321,20 +342,31 @@ class SnrsPredictor:
         self._ratings = dataset.ratings.dense()
         self._bits = dataset.categories.dense()
         alpha = cfg.laplace_alpha
-        one_hot = self._ratings[:, :, None] == np.arange(N_LEVELS)
-        counts = one_hot.sum(axis=1)
-        ones = np.einsum("uik,ic->uck", one_hot, self._bits, dtype=np.int64)
-        present = (ones + alpha) / (counts[:, None, :] + 2 * alpha)
-        self.priors = _smoothed(counts, alpha)
-        self.likelihoods = np.stack([1.0 - present, present], axis=2)
-        self.acceptance = _smoothed(one_hot.sum(axis=0), alpha)
+        (n_users, n_items), n_categories = self._ratings.shape, self._bits.shape[1]
+        with _too_large(f"the snrs models of {n_users} users, {n_items} items and "
+                        f"{n_categories} categories"):
+            counts = np.empty((n_users, N_LEVELS), dtype=np.int64)
+            accepted = np.empty((n_items, N_LEVELS), dtype=np.int64)
+            ones = np.empty((n_users, n_categories, N_LEVELS))
+            bits = self._bits.astype(np.float64)
+            for k in range(N_LEVELS):
+                rated_k = self._ratings == k
+                counts[:, k] = rated_k.sum(axis=1)
+                accepted[:, k] = rated_k.sum(axis=0)
+                ones[:, :, k] = rated_k @ bits  # exact: integer sums below 2**53
+            present = (ones + alpha) / (counts[:, None, :] + 2 * alpha)
+            self.priors = _smoothed(counts, alpha)
+            self.likelihoods = np.stack([1.0 - present, present], axis=2)
+            self.acceptance = _smoothed(accepted, alpha)
         self.friend_tables = _friend_tables(self._ratings, dataset.graph, cfg)
+        # no smoothed friend column has an entry below this
+        self._friend_floor = alpha / (n_items + N_LEVELS * alpha)
 
     def _friend_steps(self, users: np.ndarray, items: np.ndarray):
-        """The friend-inference columns of each cell, as one n x 6 array per
-        step: step t holds each cell's t-th column, or 1.0 once a cell has
-        no more.  A cell's columns are those of its friends who rated the
-        item, in ``friends_of`` order."""
+        """The friend-inference columns of each cell, gathered at once as a
+        steps x n x 6 array: step t holds each cell's t-th column, or 1.0
+        once a cell has no more.  A cell's columns are those of its friends
+        who rated the item, in ``friends_of`` order."""
         tables = self.friend_tables
         degrees = np.diff(tables.indptr)[users]
         cells = np.repeat(np.arange(len(users)), degrees)
@@ -345,9 +377,9 @@ class SnrsPredictor:
         cells, slots, levels = cells[rated], slots[rated], levels[rated]
         columns = np.vstack([tables.columns(slots, levels), np.ones(N_LEVELS)])
         per_cell = np.bincount(cells, minlength=len(users))
-        index = np.full((len(users), per_cell.max(initial=0)), len(cells))  # the 1.0 row
-        index[cells, _ranks(cells, per_cell)] = np.arange(len(cells))
-        return (columns[step] for step in index.T)
+        index = np.full((per_cell.max(initial=0), len(users)), len(cells))  # the 1.0 row
+        index[_ranks(cells, per_cell), cells] = np.arange(len(cells))
+        return columns[index]
 
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Preference, acceptance and friend-inference rows for each cell:
@@ -358,7 +390,8 @@ class SnrsPredictor:
         bits, likelihoods = self._bits[items], self.likelihoods
         pu = _evidence(self.priors[users],
                        (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
-        pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items))
+        pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items),
+                        self._friend_floor)
         return pu, self.acceptance[items], pff
 
     def _score(self, cells) -> tuple[np.ndarray, list[None]]:

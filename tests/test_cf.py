@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -497,6 +498,22 @@ class TestCfPredictor:
         assert predictor.predict_many(cells) == [
             scalar_prediction(u, i, train.ratings, predictor.cache, cfg, train.graph)
             for u, i in cells]
+
+    @pytest.mark.parametrize("graph_users", [2, 5])
+    def test_friends_only_rejects_a_graph_of_other_users(self, graph_users):
+        # U4's one friend is U3; a 2-user graph would leave U4 without friends
+        # and score (U4, I1) from its own mean with no error
+        cells = {(0, 0): 5, (0, 1): 1, (0, 2): 3, (1, 0): 1, (1, 1): 5, (1, 2): 3,
+                 (2, 0): 4, (2, 1): 2, (2, 2): 5, (3, 1): 1, (3, 2): 4}
+        d = build_dataset(4, 3, 1, edges={(0, 1): 3, (2, 3): 3}, cells=cells)
+        friends_only = CfConfig(neighbor_scope="friends-only")
+        assert [n for n, _ in CfPredictor(d, friends_only).predict_detailed(3, 0).neighbors] \
+            == [2]
+        d = dataclasses.replace(d, graph=RelationshipGraph(graph_users, {(0, 1): 3}))
+        with pytest.raises(ValueError, match=f"^graph has {graph_users} users but rating "
+                                             f"matrix has 4$"):
+            CfPredictor(d, friends_only)
+        assert CfPredictor(d).predict_detailed(3, 0).neighbors  # all-users scope reads no graph
 
     def test_deterministic(self, default_dataset):
         a = CfPredictor(default_dataset)

@@ -300,6 +300,24 @@ class TestCompare:
         assert result.output.strip().splitlines() == [
             "Error: edge ('U1', 'U100000000000000000000000') references a user outside 0..1"]
 
+    def test_snrs_models_out_of_memory_is_one_line_error(self, runner, tmp_path,
+                                                         monkeypatch):
+        # the snrs models of a shape such as 20 000 000 users fail at an
+        # allocation; the stand-in fails as numpy would, allocating nothing
+        def unable(counts, alpha):
+            raise MemoryError("Unable to allocate 915. MiB")
+
+        d = build_dataset(2, 2, 1, cells={(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})
+        save_dataset(d, tmp_path / "d")
+        monkeypatch.setattr("socialrec.snrs._smoothed", unable)
+        result = runner.invoke(main, ["eval", "--data", str(tmp_path / "d"), "--method", "snrs",
+                                      "--test-users", "1", "--test-items", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: cannot hold the snrs models of 2 users, 2 items and 1 categories in "
+            "memory: Unable to allocate 915. MiB"]
+
     def test_shape_beyond_any_array_is_one_line_error(self, runner, tmp_path):
         # numpy refuses this size with a ValueError, not a MemoryError
         d = build_dataset(2, 2, 1, cells={(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})

@@ -24,7 +24,7 @@ from socialrec import (
     write_summary_csv,
 )
 from socialrec import evaluate
-from socialrec.evaluate import CellRecord
+from socialrec.evaluate import DETAIL_HEADER, CellRecord
 from conftest import build_dataset, constant_dataset
 import reference_grids as grids
 
@@ -146,6 +146,17 @@ class TestMetrics:
     def test_empty(self, metric):
         with pytest.raises(ValueError):
             metric([], [])
+
+    @given(st.one_of(st.lists(st.floats(-10, 10), min_size=1, max_size=60),
+                     st.lists(st.integers(-1, 6), min_size=1, max_size=60)), st.data())
+    def test_equal_a_python_sum(self, pred, data):
+        """The array sums keep the bits of the built-in sum over the cells."""
+        actual = data.draw(st.lists(st.integers(0, 5), min_size=len(pred), max_size=len(pred)))
+        expected_mae = sum(abs(p - a) for p, a in zip(pred, actual)) / len(pred)
+        expected_accuracy = 100.0 * sum(1 for p, a in zip(pred, actual) if p == a) / len(pred)
+        assert type(mae(pred, actual)) is type(accuracy(pred, actual)) is float
+        assert mae(pred, actual).hex() == expected_mae.hex()
+        assert accuracy(pred, actual).hex() == expected_accuracy.hex()
 
     @given(rating_list_pairs())
     def test_identities(self, pair):
@@ -306,3 +317,18 @@ class TestReportCsv:
                                  r.actual, repr(r.pred_real), r.pred_rounded])
         assert (tmp_path / "detail.csv").read_bytes() == expected.getvalue().encode()
         assert '"a,b ""c""",U13,I1,3,5.000000000000001,5\n' in expected.getvalue()
+
+    @pytest.mark.parametrize("method", ["", " ", "a\nb", "a\rb", "a\r\n", "é;\t"])
+    def test_detail_quotes_a_method_as_csv_does_in_a_row(self, method, tmp_path):
+        """The method prefix is quoted as a row of the file would quote it:
+        an empty method stays bare, a line break is quoted."""
+        report = EvaluationReport(method, (0, 0, 9), (1, 0, 1), (3, 0, 5),
+                                  (2.5, float("nan"), -0.0), (3, 0, 0), (None,) * 3)
+        write_detail_csv([report], tmp_path / "detail.csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(DETAIL_HEADER)
+        writer.writerows([method, user_label(u), item_label(i), a, repr(p), r]
+                         for u, i, a, p, r in zip(report.users, report.items, report.actuals,
+                                                  report.pred_real, report.pred_rounded))
+        assert (tmp_path / "detail.csv").read_bytes() == expected.getvalue().encode()

@@ -22,8 +22,10 @@ from socialrec import (
     combine,
     generate_dataset,
 )
+import socialrec.snrs
 from socialrec.evaluate import SplitSpec, split
-from socialrec.snrs import _normalise
+from socialrec.model import TableTooLargeError
+from socialrec.snrs import _evidence, _normalise
 from conftest import build_dataset, rating_row
 
 UNIFORM = (1 / 6,) * 6
@@ -113,6 +115,16 @@ class TestSnrsConfig:
 
     def test_levels_normalized_to_tuple(self):
         assert SnrsConfig(prediction_levels=[1, 2, 3]).prediction_levels == (1, 2, 3)
+
+    def test_integer_alpha_smooths_as_its_float(self):
+        # 255 co-rated items fill a uint8 count, and an int alpha of 1 added
+        # to it wrapped to 0, a zero probability in the friend column
+        cells = {(0, i): 3 for i in range(255)} | {(1, i): 2 for i in range(255)}
+        d = build_dataset(2, 255, 1, edges={(0, 1): 3}, cells=cells)
+        assert SnrsConfig(laplace_alpha=1) == SnrsConfig()
+        column = SnrsPredictor(d, SnrsConfig(laplace_alpha=1)).friend_tables.column(0, 1, 2)
+        assert column == SnrsPredictor(d).friend_tables.column(0, 1, 2)
+        assert column[3] == 256 / 261
 
 
 def history_dataset():
@@ -231,6 +243,21 @@ def recount_friend_table(train, u, v, alpha):
     given = Counter(row_v[i] for i in common)
     return [tuple((joint[j, k] + alpha) / (given[j] + 6 * alpha) for k in range(6))
             for j in range(6)]
+
+
+class TestLearnOutOfMemory:
+    def test_models_too_large_is_typed(self, monkeypatch):
+        # numpy's _ArrayMemoryError is a MemoryError; the first smoothing
+        # stands in for any allocation of the learn, so nothing large is made
+        def unable(counts, alpha):
+            raise MemoryError("Unable to allocate 1.12 GiB")
+
+        monkeypatch.setattr(socialrec.snrs, "_smoothed", unable)
+        d = build_dataset(3, 2, 1, cells={(0, 0): 1, (1, 1): 4})
+        with pytest.raises(TableTooLargeError, match="^cannot hold the snrs models of 3 users, "
+                                                     "2 items and 1 categories in memory: "
+                                                     "Unable to allocate 1.12 GiB$"):
+            SnrsPredictor(d)
 
 
 class TestFriendTablesOracle:
@@ -535,6 +562,74 @@ class TestLongProducts:
         assert len(predictor.predict_many([(0, 0), (1, 6)])) == 2
         with pytest.raises(DegenerateEvidenceError):
             predictor.predict_many([(0, 0), (1, 6), (0, 6), (1, 6)])
+
+
+def per_step_evidence(weights, steps):
+    """_evidence with the largest weights read at every step: the reference
+    that the guarded loop must equal bit for bit."""
+    for step in steps:
+        weights = weights * step
+        top = weights.max(axis=1)
+        low = top < 2.0 ** -500
+        if low.any():
+            _, exponent = np.frexp(top[low])
+            weights[low] = np.ldexp(weights[low], -exponent[:, None])
+    return _normalise(weights)
+
+
+@st.composite
+def evidence_cases(draw):
+    """A floor, steps whose entries are at it, a few ulps above it, 1.0 or
+    anything between, and rows whose largest weight is within a few ulps of
+    2**-500 / floor**k.  A row whose steps all sit at the floor then falls
+    below 2**-500 at about step k, where the guard's bound is tightest."""
+    floor = draw(st.one_of(st.sampled_from([1 / 22, 1 / 56, 1 / 6, 2.0 ** -4]),
+                           st.floats(2.0 ** -40, 1 / 6)))
+    n_rows, n_steps = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    ulps = st.integers(-4, 4).map(lambda n: 1 + n * 2.0 ** -52)
+    entries = draw(st.lists(st.one_of(st.just(floor), st.integers(1, 4).map(
+        lambda n: floor * (1 + n * 2.0 ** -52)), st.just(1.0), st.floats(floor, 1.0)),
+        min_size=1, max_size=8))
+    # mostly the first entry, so that some rows stay at the floor throughout
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        -len(entries), len(entries), size=(n_steps, n_rows, 6)).clip(0)
+    steps = np.array(entries)[pick]
+    rows = []
+    for _ in range(n_rows):
+        k = draw(st.integers(0, min(n_steps, int(499 / -math.log2(floor)))))
+        top = 2.0 ** -500 / floor ** k * draw(ulps)
+        row = [top * u for u in draw(st.lists(st.floats(0, 1), min_size=6, max_size=6))]
+        row[draw(st.integers(0, 5))] = top
+        rows.append(row)
+    return np.array(rows), steps, floor
+
+
+class TestEvidenceGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases())
+    def test_equals_a_read_at_every_step(self, case):
+        weights, steps, floor = case
+        got, expected = _evidence(weights, steps, floor), per_step_evidence(weights, steps)
+        assert [[p.hex() for p in row] for row in got.tolist()] == \
+               [[p.hex() for p in row] for row in expected.tolist()]
+
+    def test_reads_the_largest_weights_only_near_the_threshold(self, monkeypatch):
+        # 1/22 shrinks a top by at most 2**-4.46 a step, so 45 steps from
+        # 1.0 stay above 2**-500 after the first read
+        reads = []
+        maximum = np.ndarray.max
+
+        class Counting(np.ndarray):
+            def max(self, *args, **kwargs):
+                reads.append(1)
+                return maximum(np.asarray(self), *args, **kwargs)
+
+        weights = np.ones((3, 6)).view(Counting)
+        _evidence(weights, np.full((45, 3, 6), 1 / 22), 1 / 22)
+        assert len(reads) == 1
+        reads.clear()
+        _evidence(weights, np.full((45, 3, 6), 1 / 22))
+        assert len(reads) == 45
 
 
 @st.composite
