@@ -21,7 +21,12 @@ could have fallen that far.  The final prediction is the expectation of
 the combined distribution.
 
 Models are numpy arrays, learned with one mask of the ratings per level
-and no one-hot array.  A batch of cells is predicted at once: its friend
+and no one-hot array.  A friend pair's co-ratings are counted when a
+scored cell or a column first reads them, so a one-cell ``predict`` costs
+O(the user's friend pairs x items) for its friend tables, and scoring
+fills the counts in place: a predictor is not for concurrent scoring.
+The counts are exact integers, so no result depends on which pairs were
+counted first.  A batch of cells is predicted at once: its friend
 columns are gathered with one index, each product steps through its
 factors in a fixed order for all cells together, and every sum runs left
 to right, so a cell's result has the same bits whatever batch it is in.
@@ -184,21 +189,37 @@ class SnrsConfig:
 class FriendConditionalTable:
     """6x6 conditional tables P(R_u = k | R_v = j) per ordered friend pair.
 
-    Tables exist only for pairs whose edge strength reaches the configured
-    friendship threshold.  User u's friends are
+    Tables exist only for pairs whose edge strength reaches
+    ``min_strength``.  User u's friends are
     ``friends[indptr[u]:indptr[u + 1]]``, in ``friends_of`` order, one slot
-    per ordered pair.  Both orders of a pair read the same 6x6 co-rating
-    count of its edge, kept as integers and smoothed as a column is read,
-    so every column is a smoothed distribution over k.
+    per ordered pair: the slots of the graph's CSR index, so the graph must
+    have the rating matrix's users.  Both orders of a pair read the same
+    6x6 co-rating count of its edge, kept as integers and smoothed as a
+    column is read, so every column is a smoothed distribution over k.
+
+    A pair is counted when it is first read: ``column`` counts its own
+    pair, and a predictor counts the pairs of the users it scores before it
+    scores them.  The counts are exact integers, so no result depends on
+    which pairs were counted first.  They are filled in place, so a table
+    is not for concurrent use.
     """
 
-    def __init__(self, indptr: np.ndarray, friends: np.ndarray, edges: np.ndarray,
-                 lower: np.ndarray, counts: np.ndarray, alpha: float):
-        self.indptr, self.friends = indptr, friends
-        # Slot -> edge, and 1 if the slot's user is the edge's lower index,
-        # else 0.  counts[edge, 0, j, k] counts the items the lower user rated
-        # j and the higher user rated k; counts[edge, 1] is its transpose.
-        self._edges, self._lower, self._counts, self._alpha = edges, lower, counts, alpha
+    def __init__(self, ratings: np.ndarray, graph: RelationshipGraph, min_strength: int,
+                 alpha: float):
+        kept = graph.strengths >= min_strength
+        n_kept = int(np.count_nonzero(kept))
+        self._ratings, self._alpha = ratings, alpha
+        # counts[edge, 0, j, k] counts the items the lower user rated j and
+        # the higher user rated k, counts[edge, 1] is its transpose, and no
+        # count exceeds the items; an edge's entries are set when it is counted
+        self._counts = np.empty((n_kept, 2, N_LEVELS, N_LEVELS),
+                                dtype=np.min_scalar_type(ratings.shape[1]))
+        self._counted = np.zeros(n_kept, dtype=bool)
+        self.indptr, self.friends, edges = graph._csr(min_strength)
+        # Slot -> kept edge, and 1 if the slot's user is the edge's lower
+        # index (its friend is above it), else 0.
+        self._edges = (np.cumsum(kept) - 1)[edges]
+        self._lower = (self.friends > graph.low[edges]).astype(np.intp)
 
     def _slot(self, u: int, v: int) -> int | None:
         if not 0 <= u < len(self.indptr) - 1:
@@ -218,8 +239,48 @@ class FriendConditionalTable:
         users = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
         return list(zip(users.tolist(), self.friends.tolist()))
 
-    def columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Row r is the column of pair ``slots[r]`` at friend level ``levels[r]``."""
+    def _slots(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot of each of ``users`` in turn, and the position in
+        ``users`` of each slot's user."""
+        starts = self.indptr[users]
+        degrees = self.indptr[users + 1] - starts
+        owners = np.repeat(np.arange(len(users)), degrees)
+        return owners, _ranks(owners, degrees) + starts[owners]
+
+    def _count(self, slots: np.ndarray, users: np.ndarray) -> None:
+        """Count the co-ratings of the edges of ``slots``, whose users are
+        ``users`` and which name no edge twice, that are not counted yet:
+        one bincount per block of edges, and only then mark them counted."""
+        edges = self._edges[slots]
+        new = ~self._counted[edges]
+        edges, users, friends = edges[new], users[new], self.friends[slots[new]]
+        low, high = np.minimum(users, friends), np.maximum(users, friends)
+        block = max(1, _BLOCK_CELLS // (self._ratings.shape[1] + N_LEVELS * N_LEVELS))
+        for start in range(0, len(edges), block):
+            part = slice(start, start + block)
+            a, b = self._ratings[low[part]], self._ratings[high[part]]
+            rows, items = np.nonzero((a >= 0) & (b >= 0))
+            keys = N_LEVELS * (N_LEVELS * rows + a[rows, items]) + b[rows, items]
+            table = np.bincount(keys, minlength=len(a) * N_LEVELS * N_LEVELS
+                                ).reshape(-1, N_LEVELS, N_LEVELS)
+            self._counts[edges[part], 0] = table
+            self._counts[edges[part], 1] = table.transpose(0, 2, 1)
+        self._counted[edges] = True
+
+    def _count_users(self, users: np.ndarray) -> None:
+        """Count every pair of the slots of ``users``.  A pair of two of
+        them is taken once, from its lower user's slot."""
+        wanted = np.zeros(len(self.indptr) - 1, dtype=bool)
+        wanted[users] = True
+        distinct = np.flatnonzero(wanted)
+        owners, slots = self._slots(distinct)
+        users, friends = distinct[owners], self.friends[slots]
+        once = ~wanted[friends] | (friends >= users)
+        self._count(slots[once], users[once])
+
+    def _columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Row r is the column of pair ``slots[r]``, counted already, at
+        friend level ``levels[r]``."""
         return _smoothed(self._counts[self._edges[slots], self._lower[slots], levels],
                          self._alpha)
 
@@ -231,36 +292,8 @@ class FriendConditionalTable:
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
-        return tuple(self.columns(np.array([slot]), np.array([j]))[0].tolist())
-
-
-def _friend_tables(ratings: np.ndarray, graph: RelationshipGraph,
-                   cfg: SnrsConfig) -> FriendConditionalTable:
-    """Co-rating counts of every friend pair, one bincount per block of edges.
-
-    Each unordered pair is counted once, and both of its ordered pairs read
-    that count.  The slots are those of the graph's index, so a graph must
-    have the rating matrix's users.
-    """
-    _check_graph_users(graph, len(ratings))
-    kept = graph.strengths >= cfg.friend_min_strength
-    low, high = graph.low[kept], graph.high[kept]
-    counts = np.empty((len(low), 2, N_LEVELS, N_LEVELS),
-                      dtype=np.min_scalar_type(ratings.shape[1]))  # no count exceeds the items
-    block = max(1, _BLOCK_CELLS // (ratings.shape[1] + N_LEVELS * N_LEVELS))
-    for start in range(0, len(low), block):
-        a, b = ratings[low[start:start + block]], ratings[high[start:start + block]]
-        rows, items = np.nonzero((a >= 0) & (b >= 0))
-        keys = N_LEVELS * (N_LEVELS * rows + a[rows, items]) + b[rows, items]
-        counts[start:start + len(a), 0] = np.bincount(
-            keys, minlength=len(a) * N_LEVELS * N_LEVELS).reshape(-1, N_LEVELS, N_LEVELS)
-    counts[:, 1] = counts[:, 0].transpose(0, 2, 1)
-    indptr, friends, edges = graph._csr(cfg.friend_min_strength)
-    slot_edges = (np.cumsum(kept) - 1)[edges]
-    # a slot's user is its edge's lower index when the friend is above it
-    lower = (friends > graph.low[edges]).astype(np.intp)
-    return FriendConditionalTable(indptr, friends, slot_edges, lower, counts,
-                                  cfg.laplace_alpha)
+        self._count(np.array([slot]), np.array([u]))
+        return tuple(self._columns(np.array([slot]), np.array([j]))[0].tolist())
 
 
 def _evidence(weights: np.ndarray, steps, floor: float = 0.0) -> np.ndarray:
@@ -329,10 +362,15 @@ class SnrsPredictor:
       whose strength reaches cfg.friend_min_strength.
 
     Priors, per-category bit counts and item acceptance counts are integer
-    sums over each level's users x items mask of the ratings; friend tables
-    are counted once per unordered friend pair.  Raises
-    EmptyTrainingSetError when the training set has no ratings at all, and
-    TableTooLargeError when numpy cannot allocate the models.
+    sums over each level's users x items mask of the ratings.  Friend tables
+    are counted once per unordered friend pair, when a scored cell first
+    reads the pair: each scoring call first counts the pairs of its users
+    that are not counted yet, so ``predict`` costs O(the user's friend
+    pairs x items) there and the counts fill in place (a predictor is not
+    for concurrent scoring).  Raises EmptyTrainingSetError when the
+    training set has no ratings at all, ValueError when the graph does not
+    have the rating matrix's users, and TableTooLargeError when numpy
+    cannot allocate the models or the friend pair counts.
     """
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
@@ -343,6 +381,7 @@ class SnrsPredictor:
         self._bits = dataset.categories.dense()
         alpha = cfg.laplace_alpha
         (n_users, n_items), n_categories = self._ratings.shape, self._bits.shape[1]
+        _check_graph_users(dataset.graph, n_users)
         with _too_large(f"the snrs models of {n_users} users, {n_items} items and "
                         f"{n_categories} categories"):
             counts = np.empty((n_users, N_LEVELS), dtype=np.int64)
@@ -358,7 +397,8 @@ class SnrsPredictor:
             self.priors = _smoothed(counts, alpha)
             self.likelihoods = np.stack([1.0 - present, present], axis=2)
             self.acceptance = _smoothed(accepted, alpha)
-        self.friend_tables = _friend_tables(self._ratings, dataset.graph, cfg)
+            self.friend_tables = FriendConditionalTable(self._ratings, dataset.graph,
+                                                        cfg.friend_min_strength, alpha)
         # no smoothed friend column has an entry below this
         self._friend_floor = alpha / (n_items + N_LEVELS * alpha)
 
@@ -368,25 +408,34 @@ class SnrsPredictor:
         once a cell has no more.  A cell's columns are those of its friends
         who rated the item, in ``friends_of`` order."""
         tables = self.friend_tables
-        degrees = np.diff(tables.indptr)[users]
-        cells = np.repeat(np.arange(len(users)), degrees)
-        slots = _ranks(cells, degrees)
-        slots += tables.indptr[users][cells]
+        cells, slots = tables._slots(users)
         levels = self._ratings[tables.friends[slots], items[cells]]
         rated = levels >= 0
         cells, slots, levels = cells[rated], slots[rated], levels[rated]
-        columns = np.vstack([tables.columns(slots, levels), np.ones(N_LEVELS)])
+        columns = np.vstack([tables._columns(slots, levels), np.ones(N_LEVELS)])
         per_cell = np.bincount(cells, minlength=len(users))
         index = np.full((per_cell.max(initial=0), len(users)), len(cells))  # the 1.0 row
         index[_ranks(cells, per_cell), cells] = np.arange(len(cells))
         return columns[index]
 
+    def _cells(self, cells) -> np.ndarray:
+        """The (user, item) cells as an n x 2 index array, with every friend
+        pair of their users counted."""
+        at = cell_array(cells, self._ratings.shape)
+        self.friend_tables._count_users(at[:, 0])
+        return at
+
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Preference, acceptance and friend-inference rows for each cell:
-        u's prior times item i's bit likelihood per category in index
-        order, i's acceptance, and the table columns of the friends who
-        rated i (uniform when no friend rated i)."""
-        users, items = cell_array(cells, self._ratings.shape).T
+        """Preference, acceptance and friend-inference rows for each
+        (user, item) cell, as ``_factor_rows``."""
+        return self._factor_rows(self._cells(cells))
+
+    def _factor_rows(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Preference, acceptance and friend-inference rows for each cell
+        of an array from ``_cells``: u's prior times item i's bit likelihood
+        per category in index order, i's acceptance, and the table columns
+        of the friends who rated i (uniform when no friend rated i)."""
+        users, items = at.T
         bits, likelihoods = self._bits[items], self.likelihoods
         pu = _evidence(self.priors[users],
                        (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
@@ -398,9 +447,9 @@ class SnrsPredictor:
         """The values and fallbacks of a batch of (user, item) cells: each
         value is the expected rating level under the combined distribution,
         taken over cfg.prediction_levels, and no cell falls back."""
-        at = cell_array(cells, self._ratings.shape)
+        at = self._cells(cells)
         values = np.concatenate([np.zeros(0), *(
-            _expected_levels(_combine(*self._factors(at[start:start + _BATCH_CELLS])),
+            _expected_levels(_combine(*self._factor_rows(at[start:start + _BATCH_CELLS])),
                              self.cfg.prediction_levels)
             for start in range(0, len(at), _BATCH_CELLS))])
         return values, [None] * len(values)

@@ -1,6 +1,7 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -317,6 +318,29 @@ class TestCompare:
         assert result.output.strip().splitlines() == [
             "Error: cannot hold the snrs models of 2 users, 2 items and 1 categories in "
             "memory: Unable to allocate 915. MiB"]
+
+    def test_snrs_friend_counts_out_of_memory_is_one_line_error(self, runner, tmp_path,
+                                                                monkeypatch):
+        # the friend pair counts (72 bytes per kept edge) fail at their
+        # allocation; the stand-in refuses only that shape, allocating nothing
+        empty = np.empty
+
+        def unable(shape, *args, **kwargs):
+            if np.ndim(shape) and tuple(shape)[1:] == (2, 6, 6):
+                raise MemoryError("Unable to allocate 85.9 MiB")
+            return empty(shape, *args, **kwargs)
+
+        d = build_dataset(2, 2, 1, edges={(0, 1): 3},
+                          cells={(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})
+        save_dataset(d, tmp_path / "d")
+        monkeypatch.setattr(np, "empty", unable)
+        result = runner.invoke(main, ["predict", "--data", str(tmp_path / "d"),
+                                      "--method", "snrs", "--user", "U1", "--item", "I1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: cannot hold the snrs models of 2 users, 2 items and 1 categories in "
+            "memory: Unable to allocate 85.9 MiB"]
 
     def test_shape_beyond_any_array_is_one_line_error(self, runner, tmp_path):
         # numpy refuses this size with a ValueError, not a MemoryError

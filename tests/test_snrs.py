@@ -277,6 +277,85 @@ class TestFriendTablesOracle:
             assert [tables.column(u, v, j) for j in range(6)] == expected
 
 
+@st.composite
+def lazy_cases(draw):
+    """A small dataset whose graph has self-edges, pairs given under either
+    orientation and strengths 0-5; a friend threshold of 0-3; cells to
+    score, an order to score them in and cuts that group that order; and
+    the pairs whose columns are read before scoring."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 5))
+    users, items = range(n_users), range(n_items)
+    pairs = [(x, y) for x in users for y in users if x <= y]
+    chosen = draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 5)))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = {((y, x) if flip else (x, y)): s
+             for ((x, y), s), flip in zip(chosen.items(), flips)}
+    ratings = draw(st.dictionaries(st.tuples(st.sampled_from(users), st.sampled_from(items)),
+                                   st.integers(0, 5), min_size=1))
+    cfg = SnrsConfig(laplace_alpha=draw(st.sampled_from([0.5, 1.0, 2.5])),
+                     friend_min_strength=draw(st.integers(0, 3)))
+    cells = draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(items)),
+                          min_size=1, max_size=12))
+    order = draw(st.permutations(range(len(cells))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(cells)), max_size=3)))
+    read_first = draw(st.sets(st.tuples(st.sampled_from(users), st.sampled_from(users))))
+    return build_dataset(n_users, n_items, 0, edges, ratings), cfg, cells, order, cuts, \
+        read_first
+
+
+def kept_edges(graph, min_strength):
+    """The (low, high) arrays of the edges that reach ``min_strength``, in
+    the order that the tables number them."""
+    kept = graph.strengths >= min_strength
+    return graph.low[kept], graph.high[kept]
+
+
+class TestLazyCounting:
+    """A pair is counted when first read; no result depends on that order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lazy_cases())
+    def test_results_do_not_depend_on_what_was_counted_first(self, case):
+        dataset, cfg, cells, order, cuts, read_first = case
+        one_at_a_time = SnrsPredictor(dataset, cfg)
+        singles = [one_at_a_time.predict(u, i).hex() for u, i in cells]
+        grouped, values = SnrsPredictor(dataset, cfg), {}
+        for start, stop in zip([0, *cuts], [*cuts, len(cells)]):
+            group = order[start:stop]
+            for k, p in zip(group, grouped.predict_many([cells[k] for k in group])):
+                values[k] = p.value.hex()
+        batch = [p.value.hex() for p in SnrsPredictor(dataset, cfg).predict_many(cells)]
+        assert singles == [values[k] for k in range(len(cells))] == batch
+
+        read_before = SnrsPredictor(dataset, cfg)
+        tables = read_before.friend_tables
+        expected = {(u, v): recount_friend_table(dataset, u, v, cfg.laplace_alpha)
+                    for u, v in tables.pairs()}
+        for u, v in read_first & set(expected):
+            assert [tables.column(u, v, j) for j in range(6)] == expected[u, v]
+        assert [p.value.hex() for p in read_before.predict_many(cells)] == batch
+        for predictor in (read_before, grouped, one_at_a_time):
+            tables = predictor.friend_tables
+            assert {(u, v): [tables.column(u, v, j) for j in range(6)]
+                    for u, v in tables.pairs()} == expected
+
+    def test_one_cell_counts_exactly_the_users_pairs(self, dense_train):
+        predictor = SnrsPredictor(dense_train)
+        low, high = kept_edges(dense_train.graph, predictor.cfg.friend_min_strength)
+        assert not predictor.friend_tables._counted.any()
+        predictor.predict(70, 3)
+        assert (predictor.friend_tables._counted == ((low == 70) | (high == 70))).all()
+
+    def test_rectangle_counts_no_pair_outside_it(self, dense_train):
+        predictor = SnrsPredictor(dense_train)
+        low, high = kept_edges(dense_train.graph, predictor.cfg.friend_min_strength)
+        predictor._score([(u, i) for u in range(60, 90) for i in range(8)])
+        inside = np.zeros(dense_train.n_users, dtype=bool)
+        inside[60:90] = True
+        assert (predictor.friend_tables._counted == (inside[low] | inside[high])).all()
+
+
 class TestLearnedMemory:
     """The learned arrays retain no more than the earlier dict-and-tuple
     models did at these shapes (0.724 MB and 2.988 MB)."""
