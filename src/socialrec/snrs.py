@@ -259,9 +259,9 @@ class FriendConditionalTable:
         for start in range(0, len(edges), block):
             part = slice(start, start + block)
             a, b = self._ratings[low[part]], self._ratings[high[part]]
-            rows, items = np.nonzero((a >= 0) & (b >= 0))
-            keys = N_LEVELS * (N_LEVELS * rows + a[rows, items]) + b[rows, items]
-            table = np.bincount(keys, minlength=len(a) * N_LEVELS * N_LEVELS
+            keys = N_LEVELS * (N_LEVELS * np.arange(len(a))[:, None] + a) + b
+            table = np.bincount(keys[(a >= 0) & (b >= 0)],
+                                minlength=len(a) * N_LEVELS * N_LEVELS
                                 ).reshape(-1, N_LEVELS, N_LEVELS)
             self._counts[edges[part], 0] = table
             self._counts[edges[part], 1] = table.transpose(0, 2, 1)
