@@ -216,6 +216,8 @@ class FriendConditionalTable:
                                 dtype=np.min_scalar_type(ratings.shape[1]))
         self._counted = np.zeros(n_kept, dtype=bool)
         self.indptr, self.friends, edges = graph._csr(min_strength)
+        # users all of whose pairs are counted, so a repeated user costs no slot walk
+        self._users_counted = np.zeros(len(self.indptr) - 1, dtype=bool)
         # Slot -> kept edge, and 1 if the slot's user is the edge's lower
         # index (its friend is above it), else 0.
         self._edges = (np.cumsum(kept) - 1)[edges]
@@ -270,6 +272,9 @@ class FriendConditionalTable:
     def _count_users(self, users: np.ndarray) -> None:
         """Count every pair of the slots of ``users``.  A pair of two of
         them is taken once, from its lower user's slot."""
+        users = users[~self._users_counted[users]]
+        if not len(users):
+            return
         wanted = np.zeros(len(self.indptr) - 1, dtype=bool)
         wanted[users] = True
         distinct = np.flatnonzero(wanted)
@@ -277,6 +282,7 @@ class FriendConditionalTable:
         users, friends = distinct[owners], self.friends[slots]
         once = ~wanted[friends] | (friends >= users)
         self._count(slots[once], users[once])
+        self._users_counted[distinct] = True
 
     def _columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Row r is the column of pair ``slots[r]``, counted already, at
