@@ -216,12 +216,12 @@ class FriendConditionalTable:
                                 dtype=np.min_scalar_type(ratings.shape[1]))
         self._counted = np.zeros(n_kept, dtype=bool)
         self.indptr, self.friends, edges = graph._csr(min_strength)
-        # users all of whose pairs are counted, so a repeated user costs no slot walk
-        self._users_counted = np.zeros(len(self.indptr) - 1, dtype=bool)
         # Slot -> kept edge, and 1 if the slot's user is the edge's lower
         # index (its friend is above it), else 0.
         self._edges = (np.cumsum(kept) - 1)[edges]
         self._lower = (self.friends > graph.low[edges]).astype(np.intp)
+        # users all of whose pairs are counted, so a repeated user costs no slot walk
+        self._users_counted = np.zeros(len(self.indptr) - 1, dtype=bool)
 
     def _slot(self, u: int, v: int) -> int | None:
         if not 0 <= u < len(self.indptr) - 1:
