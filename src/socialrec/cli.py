@@ -276,9 +276,12 @@ def _write_reports(reports: list[EvaluationReport], out: str | None) -> None:
     if out is None:
         return
     directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_detail_csv(reports, directory / "detail.csv")
-    write_summary_csv(reports, directory / "summary.csv")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        write_detail_csv(reports, directory / "detail.csv")
+        write_summary_csv(reports, directory / "summary.csv")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out}: {exc}") from exc
     click.echo(f"wrote {directory / 'detail.csv'} and {directory / 'summary.csv'}")
 
 

@@ -21,11 +21,12 @@ could have fallen that far.  The final prediction is the expectation of
 the combined distribution.
 
 Models are numpy arrays, learned with one mask of the ratings per level
-and no one-hot array.  A friend pair's co-ratings are counted when a
-scored cell or a column first reads them, so a one-cell ``predict`` costs
+and no one-hot array.  Friend co-ratings are kept per slot of the graph's
+CSR index, and a user's slots are counted when the user is first read:
+36 bytes per slot, one flag per user.  So a one-cell ``predict`` costs
 O(the user's friend pairs x items) for its friend tables, and scoring
 fills the counts in place: a predictor is not for concurrent scoring.
-The counts are exact integers, so no result depends on which pairs were
+The counts are exact integers, so no result depends on which users were
 counted first.  A batch of cells is predicted at once: its friend
 columns are gathered with one index, each product steps through its
 factors in a fixed order for all cells together, and every sum runs left
@@ -53,7 +54,7 @@ _SUM_TOLERANCE = 1e-9
 _RESCALE_BELOW = 2.0 ** -500
 # Each product of a weight and a step's entry rounds by at most 2**-53 of it.
 _ROUNDING_MARGIN = 1 - 2.0 ** -40
-# Entries of one block of the friend co-rating count: edges x (items + 36).
+# Entries of one block of the friend co-rating count: slots x (items + 36).
 _BLOCK_CELLS = 2 ** 16
 # Cells predicted together: the arrays of a batch grow with its cells times
 # the users' friend counts, so a long batch runs in parts of this size.
@@ -193,35 +194,27 @@ class FriendConditionalTable:
     ``min_strength``.  User u's friends are
     ``friends[indptr[u]:indptr[u + 1]]``, in ``friends_of`` order, one slot
     per ordered pair: the slots of the graph's CSR index, so the graph must
-    have the rating matrix's users.  Both orders of a pair read the same
-    6x6 co-rating count of its edge, kept as integers and smoothed as a
-    column is read, so every column is a smoothed distribution over k.
+    have the rating matrix's users.  Each slot keeps the 6x6 co-rating
+    count of its pair as integers, smoothed as a column is read, so every
+    column is a smoothed distribution over k.
 
-    A pair is counted when it is first read: ``column`` counts its own
-    pair, and a predictor counts the pairs of the users it scores before it
-    scores them.  The counts are exact integers, so no result depends on
-    which pairs were counted first.  They are filled in place, so a table
-    is not for concurrent use.
+    A user's slots are counted when the user is first read: 36 bytes per
+    slot, one flag per user.  ``column`` counts its user, and a predictor
+    counts the users it scores before it scores them.  The counts are exact
+    integers, so no result depends on which users were counted first.  They
+    are filled in place, so a table is not for concurrent use.
     """
 
     def __init__(self, ratings: np.ndarray, graph: RelationshipGraph, min_strength: int,
                  alpha: float):
-        kept = graph.strengths >= min_strength
-        n_kept = int(np.count_nonzero(kept))
         self._ratings, self._alpha = ratings, alpha
-        # counts[edge, 0, j, k] counts the items the lower user rated j and
-        # the higher user rated k, counts[edge, 1] is its transpose, and no
-        # count exceeds the items; an edge's entries are set when it is counted
-        self._counts = np.empty((n_kept, 2, N_LEVELS, N_LEVELS),
+        self.indptr, self.friends, _ = graph._csr(min_strength)
+        # counts[slot, j, k] counts the items the slot's friend rated j and
+        # its user rated k, so no count exceeds the items; a slot's entries
+        # are set when its user is counted
+        self._counts = np.empty((len(self.friends), N_LEVELS, N_LEVELS),
                                 dtype=np.min_scalar_type(ratings.shape[1]))
-        self._counted = np.zeros(n_kept, dtype=bool)
-        self.indptr, self.friends, edges = graph._csr(min_strength)
-        # Slot -> kept edge, and 1 if the slot's user is the edge's lower
-        # index (its friend is above it), else 0.
-        self._edges = (np.cumsum(kept) - 1)[edges]
-        self._lower = (self.friends > graph.low[edges]).astype(np.intp)
-        # users all of whose pairs are counted, so a repeated user costs no slot walk
-        self._users_counted = np.zeros(len(self.indptr) - 1, dtype=bool)
+        self._counted = np.zeros(len(self.indptr) - 1, dtype=bool)
 
     def _slot(self, u: int, v: int) -> int | None:
         if not 0 <= u < len(self.indptr) - 1:
@@ -249,46 +242,27 @@ class FriendConditionalTable:
         owners = np.repeat(np.arange(len(users)), degrees)
         return owners, _ranks(owners, degrees) + starts[owners]
 
-    def _count(self, slots: np.ndarray, users: np.ndarray) -> None:
-        """Count the co-ratings of the edges of ``slots``, whose users are
-        ``users`` and which name no edge twice, that are not counted yet:
-        one bincount per block of edges, and only then mark them counted."""
-        edges = self._edges[slots]
-        new = ~self._counted[edges]
-        edges, users, friends = edges[new], users[new], self.friends[slots[new]]
-        low, high = np.minimum(users, friends), np.maximum(users, friends)
-        block = max(1, _BLOCK_CELLS // (self._ratings.shape[1] + N_LEVELS * N_LEVELS))
-        for start in range(0, len(edges), block):
-            part = slice(start, start + block)
-            a, b = self._ratings[low[part]], self._ratings[high[part]]
-            keys = N_LEVELS * (N_LEVELS * np.arange(len(a))[:, None] + a) + b
-            table = np.bincount(keys[(a >= 0) & (b >= 0)],
-                                minlength=len(a) * N_LEVELS * N_LEVELS
-                                ).reshape(-1, N_LEVELS, N_LEVELS)
-            self._counts[edges[part], 0] = table
-            self._counts[edges[part], 1] = table.transpose(0, 2, 1)
-        self._counted[edges] = True
-
-    def _count_users(self, users: np.ndarray) -> None:
-        """Count every pair of the slots of ``users``.  A pair of two of
-        them is taken once, from its lower user's slot."""
-        users = users[~self._users_counted[users]]
+    def _count(self, users: np.ndarray) -> None:
+        """Count the slots of each of ``users`` not counted yet: one
+        bincount per block of slots, and only then mark the users counted."""
+        users = np.unique(users[~self._counted[users]])
         if not len(users):
             return
-        wanted = np.zeros(len(self.indptr) - 1, dtype=bool)
-        wanted[users] = True
-        distinct = np.flatnonzero(wanted)
-        owners, slots = self._slots(distinct)
-        users, friends = distinct[owners], self.friends[slots]
-        once = ~wanted[friends] | (friends >= users)
-        self._count(slots[once], users[once])
-        self._users_counted[distinct] = True
+        owners, slots = self._slots(users)
+        block = max(1, _BLOCK_CELLS // (self._ratings.shape[1] + N_LEVELS * N_LEVELS))
+        for start in range(0, len(slots), block):
+            part = slice(start, start + block)
+            a, b = self._ratings[self.friends[slots[part]]], self._ratings[users[owners[part]]]
+            keys = N_LEVELS * (N_LEVELS * np.arange(len(a))[:, None] + a) + b
+            self._counts[slots[part]] = np.bincount(
+                keys[(a >= 0) & (b >= 0)], minlength=len(a) * N_LEVELS * N_LEVELS
+            ).reshape(-1, N_LEVELS, N_LEVELS)
+        self._counted[users] = True
 
     def _columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Row r is the column of pair ``slots[r]``, counted already, at
-        friend level ``levels[r]``."""
-        return _smoothed(self._counts[self._edges[slots], self._lower[slots], levels],
-                         self._alpha)
+        """Row r is the column of slot ``slots[r]``, whose user is counted
+        already, at friend level ``levels[r]``."""
+        return _smoothed(self._counts[slots, levels], self._alpha)
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
         """P(user u rates k | friend v rated j) for k = 0..5.  Raises
@@ -298,7 +272,7 @@ class FriendConditionalTable:
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
-        self._count(np.array([slot]), np.array([u]))
+        self._count(np.array([u]))
         return tuple(self._columns(np.array([slot]), np.array([j]))[0].tolist())
 
 
@@ -368,12 +342,12 @@ class SnrsPredictor:
       whose strength reaches cfg.friend_min_strength.
 
     Priors, per-category bit counts and item acceptance counts are integer
-    sums over each level's users x items mask of the ratings.  Friend tables
-    are counted once per unordered friend pair, when a scored cell first
-    reads the pair: each scoring call first counts the pairs of its users
-    that are not counted yet, so ``predict`` costs O(the user's friend
-    pairs x items) there and the counts fill in place (a predictor is not
-    for concurrent scoring).  Raises EmptyTrainingSetError when the
+    sums over each level's users x items mask of the ratings.  A user's
+    friend table slots are counted when the user is first read: 36 bytes
+    per slot, one flag per user.  Each scoring call first counts those of
+    its users that are not counted yet, so ``predict`` costs O(the user's
+    friend pairs x items) there and the counts fill in place (a predictor
+    is not for concurrent scoring).  Raises EmptyTrainingSetError when the
     training set has no ratings at all, ValueError when the graph does not
     have the rating matrix's users, and TableTooLargeError when numpy
     cannot allocate the models or the friend pair counts.
@@ -425,10 +399,10 @@ class SnrsPredictor:
         return columns[index]
 
     def _cells(self, cells) -> np.ndarray:
-        """The (user, item) cells as an n x 2 index array, with every friend
-        pair of their users counted."""
+        """The (user, item) cells as an n x 2 index array, with the friend
+        table slots of their users counted."""
         at = cell_array(cells, self._ratings.shape)
-        self.friend_tables._count_users(at[:, 0])
+        self.friend_tables._count(at[:, 0])
         return at
 
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

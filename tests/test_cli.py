@@ -321,12 +321,12 @@ class TestCompare:
 
     def test_snrs_friend_counts_out_of_memory_is_one_line_error(self, runner, tmp_path,
                                                                 monkeypatch):
-        # the friend pair counts (72 bytes per kept edge) fail at their
-        # allocation; the stand-in refuses only that shape, allocating nothing
+        # the friend counts (36 bytes per slot) fail at their allocation;
+        # the stand-in refuses only that shape, allocating nothing
         empty = np.empty
 
         def unable(shape, *args, **kwargs):
-            if np.ndim(shape) and tuple(shape)[1:] == (2, 6, 6):
+            if np.ndim(shape) and tuple(shape)[1:] == (6, 6):
                 raise MemoryError("Unable to allocate 85.9 MiB")
             return empty(shape, *args, **kwargs)
 
@@ -382,6 +382,21 @@ class TestCompare:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: ratings.csv:3:"), result.output
+
+    @pytest.mark.parametrize("command", [["eval", "--method", "snrs"], ["compare"]],
+                             ids=["eval", "compare"])
+    def test_unwritable_out_is_one_line_error(self, runner, small_data, tmp_path, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        result = runner.invoke(main, [*command, "--data", str(small_data),
+                                      "--test-users", "11-20", "--test-items", "I1-I2",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"Error: cannot write {out}: ")
+
 
 class TestHugeRanges:
     """Each range's end is checked against its bound before the range is

@@ -304,15 +304,9 @@ def lazy_cases(draw):
         read_first
 
 
-def kept_edges(graph, min_strength):
-    """The (low, high) arrays of the edges that reach ``min_strength``, in
-    the order that the tables number them."""
-    kept = graph.strengths >= min_strength
-    return graph.low[kept], graph.high[kept]
-
-
 class TestLazyCounting:
-    """A pair is counted when first read; no result depends on that order."""
+    """A user's slots are counted when the user is first read; no result
+    depends on that order."""
 
     @settings(max_examples=150, deadline=None)
     @given(lazy_cases())
@@ -340,20 +334,23 @@ class TestLazyCounting:
             assert {(u, v): [tables.column(u, v, j) for j in range(6)]
                     for u, v in tables.pairs()} == expected
 
-    def test_one_cell_counts_exactly_the_users_pairs(self, dense_train):
+    def test_one_cell_counts_exactly_its_user(self, dense_train):
         predictor = SnrsPredictor(dense_train)
-        low, high = kept_edges(dense_train.graph, predictor.cfg.friend_min_strength)
-        assert not predictor.friend_tables._counted.any()
+        tables = predictor.friend_tables
+        assert not tables._counted.any()
         predictor.predict(70, 3)
-        assert (predictor.friend_tables._counted == ((low == 70) | (high == 70))).all()
+        assert np.flatnonzero(tables._counted).tolist() == [70]
+        friends = tables.friends[tables.indptr[70]:tables.indptr[71]].tolist()
+        assert friends
+        for v in friends:
+            assert [tables.column(70, v, j) for j in range(6)] == recount_friend_table(
+                dense_train, 70, v, predictor.cfg.laplace_alpha)
+        assert np.flatnonzero(tables._counted).tolist() == [70]
 
-    def test_rectangle_counts_no_pair_outside_it(self, dense_train):
+    def test_rectangle_counts_exactly_its_users(self, dense_train):
         predictor = SnrsPredictor(dense_train)
-        low, high = kept_edges(dense_train.graph, predictor.cfg.friend_min_strength)
         predictor._score([(u, i) for u in range(60, 90) for i in range(8)])
-        inside = np.zeros(dense_train.n_users, dtype=bool)
-        inside[60:90] = True
-        assert (predictor.friend_tables._counted == (inside[low] | inside[high])).all()
+        assert np.flatnonzero(predictor.friend_tables._counted).tolist() == list(range(60, 90))
 
 
 class TestLearnedMemory:
