@@ -345,11 +345,8 @@ class CfPredictor:
         """predict_detailed for each (user, item) cell, in order, scored as
         one batch."""
         values, fallbacks, entry, counts = self._score(cells)
-        # cells of one user share their (neighbour, similarity) pairs
-        unique, inverse = np.unique(entry, return_inverse=True)
-        shared = list(zip(self._cache.neighbors[unique].tolist(),
-                          self._cache.similarities[unique].tolist()))
-        pairs = list(map(shared.__getitem__, inverse.tolist()))
+        pairs = list(zip(self._cache.neighbors[entry].tolist(),
+                         self._cache.similarities[entry].tolist()))
         ends = np.cumsum(counts).tolist()
         return [Prediction(value, fallback, tuple(pairs[a:b])) for value, fallback, a, b
                 in zip(values.tolist(), fallbacks, [0, *ends], ends)]

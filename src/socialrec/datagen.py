@@ -140,8 +140,8 @@ def _friend_weighted_fill(
     grid = seeded.dense().copy()  # -1 where unrated
     # User u's friends of strength >= 1 and their strengths, in friends_of
     # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
-    indptr, friend_ids, edges = graph._csr(1)
-    starts, friend_strengths = indptr.tolist(), graph.strengths[edges]
+    indptr, friend_ids, friend_strengths = graph._csr(1)
+    starts = indptr.tolist()
     friends = [(u, friend_ids[lo:hi, None], friend_strengths[lo:hi])
                for u, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo < hi]
     n_open = (grid < 0).sum(axis=1).tolist()

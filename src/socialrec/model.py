@@ -6,6 +6,7 @@ Ratings and relationship strengths share the same 0..5 integer scale.
 """
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -93,15 +94,23 @@ def _column(values: list) -> np.ndarray:
 
 
 def cell_array(cells, shape: tuple[int, int]) -> np.ndarray:
-    """The (user, item) ``cells`` as an n x 2 index array.  A cell outside
-    the users x items ``shape``, negative indices included, raises
+    """The (user, item) ``cells`` as an n x 2 index array.  A cell with an
+    index that is not an integer raises ValueError naming the cell, and a
+    cell outside the users x items ``shape``, negative indices included,
     ValueError naming the first such cell and the shape."""
-    at = np.array(cells, dtype=np.intp).reshape(-1, 2)
+    at = np.asarray(cells)
+    if at.size and at.dtype.kind not in "iu":
+        # floats, strings, or ints beyond int64: each index is checked as given
+        for cell in cells:
+            if not all(isinstance(index, numbers.Integral) for index in cell):
+                raise ValueError(f"cell {tuple(cell)!r} has an index that is not an integer")
+        at = np.array(cells, dtype=object)
+    at = at.reshape(-1, 2)
     outside = (at < 0) | (at >= shape)
     if outside.any():
         u, i = at[outside.any(axis=1).argmax()].tolist()
         raise ValueError(f"cell ({u}, {i}) outside the {shape[0]}x{shape[1]} rating matrix")
-    return at
+    return at.astype(np.intp)
 
 
 class RelationshipGraph:
@@ -119,7 +128,7 @@ class RelationshipGraph:
     They are int64, or object arrays holding the values as given when some
     are not ints within int64, for validate_dataset to report.  A CSR index
     over them, built once on first use, lists each user's neighbours by
-    ascending index with the positions of their edges.  It is the one
+    ascending index with the strengths of their edges.  It is the one
     friendship index: ``friends_of``, ``strength``, snrs, cf's friends-only
     scope and the generator's fill all read it.  ``edges`` builds a
     read-only mapping from the arrays when read.
@@ -160,31 +169,31 @@ class RelationshipGraph:
 
     def _csr(self, min_strength: int | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, neighbours, edges): user u's neighbours in ascending
-        order, and the positions of their edges in ``low``/``high``/
-        ``strengths``, at ``indptr[u]:indptr[u + 1]``.  A self-edge is
-        listed once.  Given ``min_strength``, only the slots of edges that
-        strong, with indptr re-based over them."""
+        """(indptr, neighbours, strengths): user u's neighbours in ascending
+        order and the strengths of their edges, at
+        ``indptr[u]:indptr[u + 1]``.  A self-edge is listed once.  Given
+        ``min_strength``, only the slots of edges that strong, with indptr
+        re-based over them."""
         if self._csr_index is None:
             other = self.low != self.high
             users = np.concatenate([self.low, self.high[other]])
             neighbours = np.concatenate([self.high, self.low[other]])
             order = np.lexsort((neighbours, users))
             indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
-            edges = np.concatenate([np.arange(self.n_edges), np.flatnonzero(other)])[order]
-            self._csr_index = indptr, neighbours[order], edges
+            strengths = np.concatenate([self.strengths, self.strengths[other]])[order]
+            self._csr_index = indptr, neighbours[order], strengths
         if min_strength is None:
             return self._csr_index
-        indptr, neighbours, edges = self._csr_index
-        keep = self.strengths[edges] >= min_strength
-        return np.concatenate([[0], np.cumsum(keep)])[indptr], neighbours[keep], edges[keep]
+        indptr, neighbours, strengths = self._csr_index
+        keep = strengths >= min_strength
+        return np.concatenate([[0], np.cumsum(keep)])[indptr], neighbours[keep], strengths[keep]
 
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= u < self.n_users:
             raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
-        indptr, neighbours, edges = self._csr()
+        indptr, neighbours, strengths = self._csr()
         span = slice(indptr[u], indptr[u + 1])
-        return neighbours[span], self.strengths[edges[span]]
+        return neighbours[span], strengths[span]
 
     @property
     def edges(self) -> Mapping[tuple[int, int], int]:

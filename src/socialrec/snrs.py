@@ -21,13 +21,11 @@ could have fallen that far.  The final prediction is the expectation of
 the combined distribution.
 
 Models are numpy arrays, learned with one mask of the ratings per level
-and no one-hot array.  Friend co-ratings are kept per slot of the graph's
-CSR index, and a user's slots are counted when the user is first read:
-36 bytes per slot, one flag per user.  So a one-cell ``predict`` costs
-O(the user's friend pairs x items) for its friend tables, and scoring
-fills the counts in place: a predictor is not for concurrent scoring.
-The counts are exact integers, so no result depends on which users were
-counted first.  A batch of cells is predicted at once: its friend
+and no one-hot array, and a predictor is read-only once learned.  Friend
+co-ratings are counted per scoring call, for the slots of the graph's CSR
+index that belong to the call's distinct users: 36 bytes per slot.  So a
+one-cell ``predict`` costs O(the user's friend pairs x items) for its
+friend tables.  A batch of cells is predicted at once: its friend
 columns are gathered with one index, each product steps through its
 factors in a fixed order for all cells together, and every sum runs left
 to right, so a cell's result has the same bits whatever batch it is in.
@@ -194,27 +192,16 @@ class FriendConditionalTable:
     ``min_strength``.  User u's friends are
     ``friends[indptr[u]:indptr[u + 1]]``, in ``friends_of`` order, one slot
     per ordered pair: the slots of the graph's CSR index, so the graph must
-    have the rating matrix's users.  Each slot keeps the 6x6 co-rating
-    count of its pair as integers, smoothed as a column is read, so every
-    column is a smoothed distribution over k.
-
-    A user's slots are counted when the user is first read: 36 bytes per
-    slot, one flag per user.  ``column`` counts its user, and a predictor
-    counts the users it scores before it scores them.  The counts are exact
-    integers, so no result depends on which users were counted first.  They
-    are filled in place, so a table is not for concurrent use.
+    have the rating matrix's users.  A slot's 6x6 co-rating count is made
+    as integers by each call that reads it and smoothed as a column is
+    read, so every column is a smoothed distribution over k.  A table is
+    read-only: ``column`` counts its user for that call alone.
     """
 
     def __init__(self, ratings: np.ndarray, graph: RelationshipGraph, min_strength: int,
                  alpha: float):
         self._ratings, self._alpha = ratings, alpha
         self.indptr, self.friends, _ = graph._csr(min_strength)
-        # counts[slot, j, k] counts the items the slot's friend rated j and
-        # its user rated k, so no count exceeds the items; a slot's entries
-        # are set when its user is counted
-        self._counts = np.empty((len(self.friends), N_LEVELS, N_LEVELS),
-                                dtype=np.min_scalar_type(ratings.shape[1]))
-        self._counted = np.zeros(len(self.indptr) - 1, dtype=bool)
 
     def _slot(self, u: int, v: int) -> int | None:
         if not 0 <= u < len(self.indptr) - 1:
@@ -242,30 +229,33 @@ class FriendConditionalTable:
         owners = np.repeat(np.arange(len(users)), degrees)
         return owners, _ranks(owners, degrees) + starts[owners]
 
-    def _count(self, users: np.ndarray) -> None:
-        """Count the slots of each of ``users`` not counted yet: one
-        bincount per block of slots, and only then mark the users counted."""
+    def _count(self, users: np.ndarray) -> np.ndarray:
+        """A new slots x 6 x 6 array whose entries [slot, j, k], for every
+        slot of each distinct one of ``users``, count the items the slot's
+        friend rated j and its user rated k, so none exceeds the items;
+        other slots are left unset.  One bincount per block of slots."""
         # a mask, not np.unique, whose first call alone raises peak RSS ~1.5 MB
-        wanted = np.zeros(len(self._counted), dtype=bool)
+        wanted = np.zeros(len(self.indptr) - 1, dtype=bool)
         wanted[users] = True
-        users = np.flatnonzero(wanted & ~self._counted)
-        if not len(users):
-            return
+        users = np.flatnonzero(wanted)
+        counts = np.empty((len(self.friends), N_LEVELS, N_LEVELS),
+                          dtype=np.min_scalar_type(self._ratings.shape[1]))
         owners, slots = self._slots(users)
         block = max(1, _BLOCK_CELLS // (self._ratings.shape[1] + N_LEVELS * N_LEVELS))
         for start in range(0, len(slots), block):
             part = slice(start, start + block)
             a, b = self._ratings[self.friends[slots[part]]], self._ratings[users[owners[part]]]
             keys = N_LEVELS * (N_LEVELS * np.arange(len(a))[:, None] + a) + b
-            self._counts[slots[part]] = np.bincount(
+            counts[slots[part]] = np.bincount(
                 keys[(a >= 0) & (b >= 0)], minlength=len(a) * N_LEVELS * N_LEVELS
             ).reshape(-1, N_LEVELS, N_LEVELS)
-        self._counted[users] = True
+        return counts
 
-    def _columns(self, slots: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Row r is the column of slot ``slots[r]``, whose user is counted
-        already, at friend level ``levels[r]``."""
-        return _smoothed(self._counts[slots, levels], self._alpha)
+    def _columns(self, counts: np.ndarray, slots: np.ndarray,
+                 levels: np.ndarray) -> np.ndarray:
+        """Row r is the column of slot ``slots[r]`` at friend level
+        ``levels[r]``, from ``counts`` made by ``_count`` for its user."""
+        return _smoothed(counts[slots, levels], self._alpha)
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
         """P(user u rates k | friend v rated j) for k = 0..5.  Raises
@@ -275,8 +265,8 @@ class FriendConditionalTable:
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
-        self._count(np.array([u]))
-        return tuple(self._columns(np.array([slot]), np.array([j]))[0].tolist())
+        counts = self._count(np.array([u]))
+        return tuple(self._columns(counts, np.array([slot]), np.array([j]))[0].tolist())
 
 
 def _evidence(weights: np.ndarray, steps, floor: float = 0.0) -> np.ndarray:
@@ -345,15 +335,14 @@ class SnrsPredictor:
       whose strength reaches cfg.friend_min_strength.
 
     Priors, per-category bit counts and item acceptance counts are integer
-    sums over each level's users x items mask of the ratings.  A user's
-    friend table slots are counted when the user is first read: 36 bytes
-    per slot, one flag per user.  Each scoring call first counts those of
-    its users that are not counted yet, so ``predict`` costs O(the user's
-    friend pairs x items) there and the counts fill in place (a predictor
-    is not for concurrent scoring).  Raises EmptyTrainingSetError when the
-    training set has no ratings at all, ValueError when the graph does not
-    have the rating matrix's users, and TableTooLargeError when numpy
-    cannot allocate the models or the friend pair counts.
+    sums over each level's users x items mask of the ratings.  A predictor
+    is read-only once learned: each scoring call first counts the friend
+    table slots of its distinct users, 36 bytes per slot, so ``predict``
+    costs O(the user's friend pairs x items) there.  Raises
+    EmptyTrainingSetError when the training set has no ratings at all,
+    ValueError when the graph does not have the rating matrix's users, and
+    TableTooLargeError when numpy cannot allocate the models or a call's
+    friend pair counts.
     """
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
@@ -365,8 +354,9 @@ class SnrsPredictor:
         alpha = cfg.laplace_alpha
         (n_users, n_items), n_categories = self._ratings.shape, self._bits.shape[1]
         _check_graph_users(dataset.graph, n_users)
-        with _too_large(f"the snrs models of {n_users} users, {n_items} items and "
-                        f"{n_categories} categories"):
+        self._models = (f"the snrs models of {n_users} users, {n_items} items and "
+                        f"{n_categories} categories")
+        with _too_large(self._models):
             counts = np.empty((n_users, N_LEVELS), dtype=np.int64)
             accepted = np.empty((n_items, N_LEVELS), dtype=np.int64)
             ones = np.empty((n_users, n_categories, N_LEVELS))
@@ -385,54 +375,56 @@ class SnrsPredictor:
         # no smoothed friend column has an entry below this
         self._friend_floor = alpha / (n_items + N_LEVELS * alpha)
 
-    def _friend_steps(self, users: np.ndarray, items: np.ndarray):
+    def _friend_steps(self, users: np.ndarray, items: np.ndarray, counts: np.ndarray):
         """The friend-inference columns of each cell, gathered at once as a
         steps x n x 6 array: step t holds each cell's t-th column, or 1.0
         once a cell has no more.  A cell's columns are those of its friends
-        who rated the item, in ``friends_of`` order."""
+        who rated the item, in ``friends_of`` order, from ``counts``."""
         tables = self.friend_tables
         cells, slots = tables._slots(users)
         levels = self._ratings[tables.friends[slots], items[cells]]
         rated = levels >= 0
         cells, slots, levels = cells[rated], slots[rated], levels[rated]
-        columns = np.vstack([tables._columns(slots, levels), np.ones(N_LEVELS)])
+        columns = np.vstack([tables._columns(counts, slots, levels), np.ones(N_LEVELS)])
         per_cell = np.bincount(cells, minlength=len(users))
         index = np.full((per_cell.max(initial=0), len(users)), len(cells))  # the 1.0 row
         index[_ranks(cells, per_cell), cells] = np.arange(len(cells))
         return columns[index]
 
-    def _cells(self, cells) -> np.ndarray:
-        """The (user, item) cells as an n x 2 index array, with the friend
-        table slots of their users counted."""
+    def _cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The (user, item) cells as an n x 2 index array, and the friend
+        table counts of their users' slots."""
         at = cell_array(cells, self._ratings.shape)
-        self.friend_tables._count(at[:, 0])
-        return at
+        with _too_large(self._models):
+            return at, self.friend_tables._count(at[:, 0])
 
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Preference, acceptance and friend-inference rows for each
         (user, item) cell, as ``_factor_rows``."""
-        return self._factor_rows(self._cells(cells))
+        return self._factor_rows(*self._cells(cells))
 
-    def _factor_rows(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _factor_rows(self, at: np.ndarray, counts: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Preference, acceptance and friend-inference rows for each cell
-        of an array from ``_cells``: u's prior times item i's bit likelihood
-        per category in index order, i's acceptance, and the table columns
-        of the friends who rated i (uniform when no friend rated i)."""
+        of an array and counts from ``_cells``: u's prior times item i's bit
+        likelihood per category in index order, i's acceptance, and the
+        table columns of the friends who rated i (uniform when none did)."""
         users, items = at.T
         bits, likelihoods = self._bits[items], self.likelihoods
         pu = _evidence(self.priors[users],
                        (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
-        pff = _evidence(np.ones((len(users), N_LEVELS)), self._friend_steps(users, items),
-                        self._friend_floor)
+        pff = _evidence(np.ones((len(users), N_LEVELS)),
+                        self._friend_steps(users, items, counts), self._friend_floor)
         return pu, self.acceptance[items], pff
 
     def _score(self, cells) -> tuple[np.ndarray, list[None]]:
         """The values and fallbacks of a batch of (user, item) cells: each
         value is the expected rating level under the combined distribution,
         taken over cfg.prediction_levels, and no cell falls back."""
-        at = self._cells(cells)
+        at, counts = self._cells(cells)
         values = np.concatenate([np.zeros(0), *(
-            _expected_levels(_combine(*self._factor_rows(at[start:start + _BATCH_CELLS])),
+            _expected_levels(_combine(*self._factor_rows(at[start:start + _BATCH_CELLS],
+                                                         counts)),
                              self.cfg.prediction_levels)
             for start in range(0, len(at), _BATCH_CELLS))])
         return values, [None] * len(values)

@@ -275,6 +275,22 @@ class TestCellsOutsideTrainingShape:
         with pytest.raises(ValueError, match=message):
             predictor.predict_many([(0, 0), cell, (99, 9)])
 
+    @pytest.mark.parametrize("method", ["cf", "snrs"])
+    @pytest.mark.parametrize("cell, message", [
+        ((0.9, 1), r"cell \(0\.9, 1\) has an index that is not an integer"),
+        (("3", 1), r"cell \('3', 1\) has an index that is not an integer"),
+        ((2 ** 70, 1), rf"cell \({2 ** 70}, 1\) outside the 100x10 rating matrix"),
+    ], ids=["float", "string", "beyond-int64"])
+    def test_non_integer_or_oversized_index_rejected(self, default_dataset, method, cell,
+                                                      message):
+        # a cast to intp would make these (0, 1), (3, 1) or a bare OverflowError
+        predictor = train_predictor(method, default_dataset)
+        with pytest.raises(ValueError, match=message):
+            predictor.predict_detailed(*cell)
+        with pytest.raises(ValueError, match=message):
+            predictor.predict_many([(0, 0), cell, (99, 9)])
+        assert predictor.predict_many([]) == []
+
 
 class TestReportCsv:
     def test_headers_and_determinism(self, default_dataset, tmp_path):

@@ -305,8 +305,8 @@ def lazy_cases(draw):
 
 
 class TestLazyCounting:
-    """A user's slots are counted when the user is first read; no result
-    depends on that order."""
+    """Each scoring call counts the slots of its own users; no result
+    depends on which cells, columns or groups of them were scored first."""
 
     @settings(max_examples=150, deadline=None)
     @given(lazy_cases())
@@ -334,23 +334,25 @@ class TestLazyCounting:
             assert {(u, v): [tables.column(u, v, j) for j in range(6)]
                     for u, v in tables.pairs()} == expected
 
-    def test_one_cell_counts_exactly_its_user(self, dense_train):
+    def test_scoring_writes_no_attribute(self, dense_train):
         predictor = SnrsPredictor(dense_train)
         tables = predictor.friend_tables
-        assert not tables._counted.any()
-        predictor.predict(70, 3)
-        assert np.flatnonzero(tables._counted).tolist() == [70]
-        friends = tables.friends[tables.indptr[70]:tables.indptr[71]].tolist()
-        assert friends
-        for v in friends:
-            assert [tables.column(70, v, j) for j in range(6)] == recount_friend_table(
-                dense_train, 70, v, predictor.cfg.laplace_alpha)
-        assert np.flatnonzero(tables._counted).tolist() == [70]
 
-    def test_rectangle_counts_exactly_its_users(self, dense_train):
-        predictor = SnrsPredictor(dense_train)
+        def arrays():
+            return {(id(owner), name): value.copy() for owner in (predictor, tables)
+                    for name, value in vars(owner).items() if isinstance(value, np.ndarray)}
+
+        before = arrays()
+        assert before
         predictor._score([(u, i) for u in range(60, 90) for i in range(8)])
-        assert np.flatnonzero(predictor.friend_tables._counted).tolist() == list(range(60, 90))
+        u = 70
+        v = int(tables.friends[tables.indptr[u]])
+        tables.column(u, v, 3)
+        predictor.components(u, 3)
+        predictor.predict(u, 3)
+        after = arrays()
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[key], before[key]) for key in before)
 
 
 class TestLearnedMemory:
