@@ -354,9 +354,9 @@ class SnrsPredictor:
         alpha = cfg.laplace_alpha
         (n_users, n_items), n_categories = self._ratings.shape, self._bits.shape[1]
         _check_graph_users(dataset.graph, n_users)
-        self._models = (f"the snrs models of {n_users} users, {n_items} items and "
-                        f"{n_categories} categories")
-        with _too_large(self._models):
+        self._models_name = (f"the snrs models of {n_users} users, {n_items} items and "
+                             f"{n_categories} categories")
+        with _too_large(self._models_name):
             counts = np.empty((n_users, N_LEVELS), dtype=np.int64)
             accepted = np.empty((n_items, N_LEVELS), dtype=np.int64)
             ones = np.empty((n_users, n_categories, N_LEVELS))
@@ -395,7 +395,7 @@ class SnrsPredictor:
         """The (user, item) cells as an n x 2 index array, and the friend
         table counts of their users' slots."""
         at = cell_array(cells, self._ratings.shape)
-        with _too_large(self._models):
+        with _too_large(self._models_name):
             return at, self.friend_tables._count(at[:, 0])
 
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
