@@ -52,7 +52,6 @@ from .evaluate import (
     MissingCellError,
     SplitSpec,
     accuracy,
-    evaluate_method,
     mae,
     run_comparison,
     split,

@@ -19,9 +19,8 @@ import click
 from .cf import CfConfig, SCOPE_ALL, SCOPE_FRIENDS
 from .datagen import GenConfig, generate_dataset
 from .evaluate import (
-    EvaluationReport,
+    METHODS,
     SplitSpec,
-    evaluate_method,
     run_comparison,
     split,
     train_predictor,
@@ -240,7 +239,7 @@ def gen(users, items, categories, edge_density, seed_fraction, fill_passes, seed
 @main.command()
 @click.option("--data", required=True, type=click.Path(exists=True, file_okay=False),
               help="Dataset directory.")
-@click.option("--method", required=True, type=click.Choice(["cf", "snrs"]))
+@click.option("--method", required=True, type=click.Choice(METHODS))
 @click.option("--user", "user_token", required=True, help='User label, e.g. "U7".')
 @click.option("--item", "item_token", required=True, help='Item label, e.g. "I3".')
 @_cf_options
@@ -263,16 +262,31 @@ def predict(data, method, user_token, item_token, neighbor_k, co_rate_min, scope
                f"{value:.4f} (rounded {round_rating(value)}){marker}")
 
 
-def _echo_reports(reports: list[EvaluationReport]) -> None:
+def _split_options(func):
+    func = click.option("--out", type=click.Path(file_okay=False),
+                        help="Directory for detail.csv and summary.csv.")(func)
+    func = click.option("--test-items", default="I1-I5", show_default=True,
+                        help='Held-out items, e.g. "I1-I5" or "6-10".')(func)
+    func = click.option("--test-users", default="51-100", show_default=True,
+                        help='Held-out users, e.g. "51-100" or "U51-U100".')(func)
+    func = click.option("--data", required=True,
+                        type=click.Path(exists=True, file_okay=False))(func)
+    return func
+
+
+def _evaluate(methods, data, test_users, test_items, out, **engine_options):
+    """Score ``methods`` on one split, print their summary and write --out."""
+    dataset = load_dataset(data)
+    spec = SplitSpec(
+        test_users=_parse_numbers(test_users, "U", "test user", dataset.n_users, "users"),
+        test_items=_parse_numbers(test_items, "I", "test item", dataset.n_items, "items"))
+    reports = run_comparison(dataset, spec, *_engine_configs(**engine_options), methods)
     click.echo(f"{'method':<6} {'n':>4} {'mae':>7} {'mae_real':>9} "
                f"{'accuracy':>9} {'fallbacks':>10}")
     for report in reports:
         click.echo(f"{report.method:<6} {report.n_observations:>4} "
                    f"{report.mae_rounded:>7.4f} {report.mae_real:>9.4f} "
                    f"{report.accuracy_percent:>8.1f}% {report.n_fallback:>10}")
-
-
-def _write_reports(reports: list[EvaluationReport], out: str | None) -> None:
     if out is None:
         return
     directory = Path(out)
@@ -285,55 +299,23 @@ def _write_reports(reports: list[EvaluationReport], out: str | None) -> None:
     click.echo(f"wrote {directory / 'detail.csv'} and {directory / 'summary.csv'}")
 
 
-def _split_spec(dataset, test_users: str, test_items: str) -> SplitSpec:
-    return SplitSpec(
-        test_users=_parse_numbers(test_users, "U", "test user", dataset.n_users, "users"),
-        test_items=_parse_numbers(test_items, "I", "test item", dataset.n_items, "items"))
-
-
 @main.command(name="eval")
-@click.option("--data", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--method", required=True, type=click.Choice(["cf", "snrs"]))
-@click.option("--test-users", default="51-100", show_default=True,
-              help='Held-out users, e.g. "51-100" or "U51-U100".')
-@click.option("--test-items", default="I1-I5", show_default=True,
-              help='Held-out items, e.g. "I1-I5" or "6-10".')
-@click.option("--out", type=click.Path(file_okay=False),
-              help="Directory for detail.csv and summary.csv.")
+@_split_options
+@click.option("--method", required=True, type=click.Choice(METHODS))
 @_cf_options
 @_snrs_options
-def eval_cmd(data, method, test_users, test_items, out, neighbor_k, co_rate_min,
-             scope, alpha, min_strength, levels):
+def eval_cmd(method, **options):
     """Evaluate one method on a train/test split."""
-    dataset = load_dataset(data)
-    spec = _split_spec(dataset, test_users, test_items)
-    cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
-                                       alpha, min_strength, levels)
-    report = evaluate_method(dataset, spec, method, cf_cfg, snrs_cfg)
-    _echo_reports([report])
-    _write_reports([report], out)
+    _evaluate((method,), **options)
 
 
 @main.command()
-@click.option("--data", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--test-users", default="51-100", show_default=True,
-              help='Held-out users, e.g. "51-100" or "U51-U100".')
-@click.option("--test-items", default="I1-I5", show_default=True,
-              help='Held-out items, e.g. "I1-I5" or "6-10".')
-@click.option("--out", type=click.Path(file_okay=False),
-              help="Directory for detail.csv and summary.csv.")
+@_split_options
 @_cf_options
 @_snrs_options
-def compare(data, test_users, test_items, out, neighbor_k, co_rate_min, scope,
-            alpha, min_strength, levels):
+def compare(**options):
     """Run both methods on the same split and print the two-row summary."""
-    dataset = load_dataset(data)
-    spec = _split_spec(dataset, test_users, test_items)
-    cf_cfg, snrs_cfg = _engine_configs(neighbor_k, co_rate_min, scope,
-                                       alpha, min_strength, levels)
-    cf_report, snrs_report = run_comparison(dataset, spec, cf_cfg, snrs_cfg)
-    _echo_reports([cf_report, snrs_report])
-    _write_reports([cf_report, snrs_report], out)
+    _evaluate(METHODS, **options)
 
 
 if __name__ == "__main__":

@@ -147,6 +147,7 @@ def _friend_weighted_fill(
     n_open = (grid < 0).sum(axis=1).tolist()
 
     for sweep in range(1, cfg.fill_passes + 1):
+        n_filled = 0
         for u, vs, ss in friends:
             if not n_open[u]:
                 continue
@@ -162,12 +163,15 @@ def _friend_weighted_fill(
                       for w, t in zip(weighted[hit].tolist(), total[hit].tolist())]
             grid[u, items] = values
             n_open[u] -= len(values)
+            n_filled += len(values)
             if events is not None:
                 pairs = list(zip(vs[:, 0].tolist(), ss.tolist()))
                 for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
                     contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
                                          if r >= 0)
                     events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
+        if not n_filled:
+            break  # a later pass would read this same grid and fill nothing
 
     holes = np.flatnonzero(grid < 0)  # row-major
     values = _stream(cfg, _FILL_STREAM).integers(0, RATING_MAX + 1, size=holes.size)
@@ -190,8 +194,8 @@ def friend_weighted_fill_trace(
     strength-weighted average of those friends' ratings, rounded half away
     from zero.  Cells filled earlier are visible to later cells, and the
     sweep repeats cfg.fill_passes times so ratings spread outward from the
-    seeds.  Cells still empty afterwards get uniform random values, drawn
-    in row-major order.
+    seeds; it stops early after a pass that fills no cell.  Cells still
+    empty afterwards get uniform random values, drawn in row-major order.
 
     Returns the filled matrix and one FillEvent per filled cell, recording
     the exact inputs each value was computed from.

@@ -30,6 +30,7 @@ from .snrs import SnrsConfig, SnrsPredictor
 
 METHOD_CF = "cf"
 METHOD_SNRS = "snrs"
+METHODS = (METHOD_CF, METHOD_SNRS)
 
 DETAIL_HEADER = ["method", "user", "item", "actual", "pred_real", "pred_rounded"]
 SUMMARY_HEADER = ["method", "n", "mae_rounded", "mae_real", "accuracy_percent"]
@@ -188,28 +189,28 @@ def train_predictor(method: str, train: Dataset, cf_cfg: CfConfig = CfConfig(),
     return engine(train, cfg)
 
 
-def evaluate_method(dataset: Dataset, spec: SplitSpec, method: str,
-                    cf_cfg: CfConfig = CfConfig(),
-                    snrs_cfg: SnrsConfig = SnrsConfig()) -> EvaluationReport:
-    """Train one engine on the split's training data and score every test cell.
+def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
+                   cf_cfg: CfConfig = CfConfig(), snrs_cfg: SnrsConfig = SnrsConfig(),
+                   methods: Sequence[str] = METHODS) -> tuple[EvaluationReport, ...]:
+    """Score each engine named in ``methods`` on one train/test split, and
+    return their reports in that order.
 
-    The report's fallbacks column carries the engine's fallback flags, so
+    A report's fallbacks column carries the engine's fallback flags, so
     collaborative filtering cold starts (scored with the training global
-    mean) are flagged rather than silently blended in.
+    mean) are flagged rather than silently blended in.  An unknown method
+    raises train_predictor's ValueError.
     """
     train, test = split(dataset, spec)
-    return _train_and_score(method, train, test, cf_cfg, snrs_cfg)
-
-
-def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
-                   cf_cfg: CfConfig = CfConfig(),
-                   snrs_cfg: SnrsConfig = SnrsConfig(),
-                   ) -> tuple[EvaluationReport, EvaluationReport]:
-    """Score both engines on one train/test split, cf first."""
-    train, test = split(dataset, spec)
-    cf_report, snrs_report = (_train_and_score(method, train, test, cf_cfg, snrs_cfg)
-                              for method in (METHOD_CF, METHOD_SNRS))
-    return cf_report, snrs_report
+    columns = np.array(test, dtype=np.intp).reshape(-1, 3)
+    users, items, actuals = map(tuple, columns.T.tolist())
+    reports = []
+    for method in methods:
+        # cf's batch also returns the neighbour entries it kept, which a report drops
+        values, fallbacks = train_predictor(method, train, cf_cfg, snrs_cfg)._score(
+            columns[:, :2])[:2]
+        reports.append(EvaluationReport(method, users, items, actuals, values.tolist(),
+                                        _round_ratings(values).tolist(), fallbacks))
+    return tuple(reports)
 
 
 def _round_ratings(values: np.ndarray) -> np.ndarray:
@@ -220,16 +221,6 @@ def _round_ratings(values: np.ndarray) -> np.ndarray:
         round_rating(float(values[finite.argmin()]))
     rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
     return np.clip(rounded, RATING_MIN, RATING_MAX).astype(np.int64)
-
-
-def _train_and_score(method: str, train: Dataset, test: list[tuple[int, int, int]],
-                     cf_cfg: CfConfig, snrs_cfg: SnrsConfig) -> EvaluationReport:
-    columns = np.array(test, dtype=np.intp).reshape(-1, 3)
-    # cf's batch also returns the neighbour entries it kept, which a report drops
-    values, fallbacks = train_predictor(method, train, cf_cfg, snrs_cfg)._score(
-        columns[:, :2])[:2]
-    return EvaluationReport(method, *columns.T.tolist(), values.tolist(),
-                            _round_ratings(values).tolist(), fallbacks)
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

@@ -195,7 +195,7 @@ class FriendConditionalTable:
     have the rating matrix's users.  A slot's 6x6 co-rating count is made
     as integers by each call that reads it and smoothed as a column is
     read, so every column is a smoothed distribution over k.  A table is
-    read-only: ``column`` counts its user for that call alone.
+    read-only: ``column`` counts its one slot for that call alone.
     """
 
     def __init__(self, ratings: np.ndarray, graph: RelationshipGraph, min_strength: int,
@@ -229,18 +229,15 @@ class FriendConditionalTable:
         owners = np.repeat(np.arange(len(users)), degrees)
         return owners, _ranks(owners, degrees) + starts[owners]
 
-    def _count(self, users: np.ndarray) -> np.ndarray:
-        """A new slots x 6 x 6 array whose entries [slot, j, k], for every
-        slot of each distinct one of ``users``, count the items the slot's
-        friend rated j and its user rated k, so none exceeds the items;
-        other slots are left unset.  One bincount per block of slots."""
-        # a mask, not np.unique, whose first call alone raises peak RSS ~1.5 MB
-        wanted = np.zeros(len(self.indptr) - 1, dtype=bool)
-        wanted[users] = True
-        users = np.flatnonzero(wanted)
+    def _count(self, users: np.ndarray, owners: np.ndarray,
+               slots: np.ndarray) -> np.ndarray:
+        """A new slots x 6 x 6 array whose entries [slot, j, k], for each
+        of ``slots``, count the items the slot's friend rated j and its
+        user rated k, so none exceeds the items; slot ``slots[r]`` belongs
+        to ``users[owners[r]]``, and other slots are left unset.  One
+        bincount per block of slots."""
         counts = np.empty((len(self.friends), N_LEVELS, N_LEVELS),
                           dtype=np.min_scalar_type(self._ratings.shape[1]))
-        owners, slots = self._slots(users)
         block = max(1, _BLOCK_CELLS // (self._ratings.shape[1] + N_LEVELS * N_LEVELS))
         for start in range(0, len(slots), block):
             part = slice(start, start + block)
@@ -265,7 +262,7 @@ class FriendConditionalTable:
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
-        counts = self._count(np.array([u]))
+        counts = self._count(np.array([u]), np.zeros(1, dtype=np.intp), np.array([slot]))
         return tuple(self._columns(counts, np.array([slot]), np.array([j]))[0].tolist())
 
 
@@ -395,8 +392,13 @@ class SnrsPredictor:
         """The (user, item) cells as an n x 2 index array, and the friend
         table counts of their users' slots."""
         at = cell_array(cells, self._ratings.shape)
+        # a mask, not np.unique, whose first call alone raises peak RSS ~1.5 MB
+        wanted = np.zeros(len(self._ratings), dtype=bool)
+        wanted[at[:, 0]] = True
+        users = np.flatnonzero(wanted)
+        tables = self.friend_tables
         with _too_large(self._models_name):
-            return at, self.friend_tables._count(at[:, 0])
+            return at, tables._count(users, *tables._slots(users))
 
     def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Preference, acceptance and friend-inference rows for each

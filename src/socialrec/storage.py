@@ -154,11 +154,14 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def _read_text(directory: Path, name: str) -> str:
     """The decoded text of one dataset file."""
-    file_path = directory / name
-    if not file_path.is_file():
-        raise DataFormatError(name, None, "file not found")
     try:
-        return file_path.read_bytes().decode("utf-8")
+        data = (directory / name).read_bytes()
+    except FileNotFoundError:
+        raise DataFormatError(name, None, "file not found") from None
+    except OSError as exc:
+        raise DataFormatError(name, None, f"cannot read: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(name, line, f"not UTF-8: {exc.reason}") from None
@@ -303,9 +306,10 @@ def _read_cells(directory: Path, name: str, kinds: str, what: str) -> tuple[np.n
 
 
 def _read_shape(directory: Path) -> tuple[int, int, int] | None:
-    """(n_users, n_items, n_categories) from the shape file, or None without one."""
+    """(n_users, n_items, n_categories) from the shape file, or None when
+    nothing exists at its path."""
     name = SHAPE_FILE
-    if not (directory / name).is_file():
+    if not (directory / name).exists():
         return None
     rows = _read_rows(name, _read_text(directory, name))
     if len(rows) != 1:

@@ -28,7 +28,7 @@ ROOT_NAMES = {
     "SnrsPredictor", "combine",
     # evaluation
     "CellRecord", "EvaluationReport", "MissingCellError", "SplitSpec", "accuracy",
-    "evaluate_method", "mae", "run_comparison", "split", "train_predictor",
+    "mae", "run_comparison", "split", "train_predictor",
     "write_detail_csv", "write_summary_csv",
 }
 
@@ -41,7 +41,7 @@ def test_root_names_are_pinned():
     public = {name for name, value in vars(socialrec).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == ROOT_NAMES
-    assert len(ROOT_NAMES) == 46
+    assert len(ROOT_NAMES) == 45
 
 
 def test_readme_has_python_blocks():

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import socialrec
 from socialrec import save_dataset
 from socialrec.cli import main
 from conftest import build_dataset
@@ -24,6 +28,10 @@ def gen_args(out, **overrides):
     for key, value in flags.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args + ["--out", str(out)]
+
+
+def read_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 @pytest.fixture
@@ -85,6 +93,20 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--seed", "42", "--out", str(out)])
         assert result.exit_code == 0
         assert len((out / "ratings.csv").read_text().splitlines()) == 1 + 1000
+
+
+    def test_any_number_of_fill_passes_finishes(self, runner, tmp_path):
+        # each pass walks every user, so only stopping after a pass that
+        # fills nothing lets 10**9 passes finish; the files equal 50 passes'
+        fifty, huge = tmp_path / "fifty", tmp_path / "huge"
+        assert runner.invoke(main, ["gen", "--fill-passes", "50", "--out", str(fifty)]
+                             ).exit_code == 0
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(socialrec.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "socialrec.cli", "gen", "--fill-passes",
+                        "1000000000", "--out", str(huge)], env=env, check=True,
+                       capture_output=True, timeout=60)
+        assert read_files(huge) == read_files(fifty)
 
 
 class TestPredict:
@@ -396,6 +418,24 @@ class TestCompare:
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and errors[0].startswith(f"Error: cannot write {out}: ")
+
+
+    def test_unreadable_dataset_file_is_one_line_error(self, runner, small_data,
+                                                       monkeypatch):
+        read_bytes = Path.read_bytes
+
+        def refuse(path):
+            if path.name == "ratings.csv":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        result = runner.invoke(main, ["compare", "--data", str(small_data),
+                                      "--test-users", "11-20", "--test-items", "I1-I2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines() == [
+            "Error: ratings.csv: cannot read: Permission denied"]
 
 
 class TestHugeRanges:

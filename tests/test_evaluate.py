@@ -12,7 +12,6 @@ from socialrec import (
     RatingMatrix,
     SplitSpec,
     accuracy,
-    evaluate_method,
     item_label,
     mae,
     round_rating,
@@ -202,7 +201,7 @@ class TestRoundRatings:
 
 class TestEvaluationReport:
     def test_self_consistency(self, default_dataset):
-        report = evaluate_method(default_dataset, SplitSpec(), "cf")
+        report, = run_comparison(default_dataset, SplitSpec(), methods=("cf",))
         assert report.mae_rounded == mae(report.pred_rounded, report.actuals)
         assert report.mae_real == mae(report.pred_real, report.actuals)
         assert report.accuracy_percent == accuracy(report.pred_rounded, report.actuals)
@@ -228,13 +227,14 @@ class TestRunComparison:
         second = run_comparison(default_dataset)
         assert first == second
 
-    def test_splits_once_and_matches_evaluate_method(self, default_dataset, monkeypatch):
+    def test_splits_once_and_matches_single_engine_runs(self, default_dataset,
+                                                        monkeypatch):
         calls = []
         monkeypatch.setattr(evaluate, "split",
                             lambda *args: calls.append(args) or split(*args))
         reports = run_comparison(default_dataset)
         assert len(calls) == 1
-        assert reports == tuple(evaluate_method(default_dataset, SplitSpec(), method)
+        assert reports == tuple(run_comparison(default_dataset, methods=(method,))[0]
                                 for method in ("cf", "snrs"))
 
     def test_methods_labelled(self, default_dataset):
@@ -256,8 +256,8 @@ class TestRunComparison:
 
     def test_unknown_method(self, tiny_dataset):
         with pytest.raises(ValueError, match="unknown method"):
-            evaluate_method(tiny_dataset, SplitSpec(test_users=(0,), test_items=(0,)),
-                            "svd")
+            run_comparison(tiny_dataset, SplitSpec(test_users=(0,), test_items=(0,)),
+                           methods=("svd",))
 
 
 class TestCellsOutsideTrainingShape:

@@ -170,6 +170,17 @@ class TestLoadErrors:
         assert err.value.file == "ratings.csv"
         assert "not found" in err.value.reason
 
+    @pytest.mark.parametrize("name", ["ratings.csv", "shape.csv"])
+    def test_directory_in_place_of_a_file(self, tmp_path, name):
+        # not "file not found", and a shape.csv directory is not skipped
+        directory = write_dir(tmp_path / "d")
+        (directory / name).unlink(missing_ok=True)
+        (directory / name).mkdir()
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(directory)
+        assert (err.value.file, err.value.line) == (name, None)
+        assert err.value.reason.startswith("cannot read: ")
+
     def test_rating_out_of_range_names_line(self, tmp_path):
         directory = write_dir(tmp_path / "d",
                               ratings="user,item,rating\nU1,I1,3\nU2,I5,9\n")
