@@ -94,7 +94,6 @@ class TestGen:
         assert result.exit_code == 0
         assert len((out / "ratings.csv").read_text().splitlines()) == 1 + 1000
 
-
     def test_any_number_of_fill_passes_finishes(self, runner, tmp_path):
         # each pass walks every user, so only stopping after a pass that
         # fills nothing lets 10**9 passes finish; the files equal 50 passes'
@@ -418,7 +417,6 @@ class TestCompare:
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and errors[0].startswith(f"Error: cannot write {out}: ")
-
 
     def test_unreadable_dataset_file_is_one_line_error(self, runner, small_data,
                                                        monkeypatch):
