@@ -141,9 +141,8 @@ class SimilarityCache:
         uu and vv are the exact integers rounded once, as float() rounds
         them.  float(uu)·float(vv) rounds like float(uu·vv) while both stay
         below 2**53 (up to about 10**5 co-rated items), so every similarity
-        is bit-identical to pearson_correlation.  A block B of rows gets the
-        transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ; a single
-        block reads them off its own Sx and A.
+        is bit-identical to pearson_correlation.  Each block B of rows gets the
+        transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ.
         """
         dense = ratings.dense()
         users = np.flatnonzero((dense >= 0).any(axis=1))
@@ -157,11 +156,8 @@ class SimilarityCache:
             n = mask[block] @ mask.T
             sx = rated[block] @ mask.T
             spread = n * (squared[block] @ mask.T) - sx * sx
-            if len(users) <= _BUILD_BLOCK:
-                sy, spread_t = sx.T, spread.T
-            else:
-                sy = mask[block] @ rated.T
-                spread_t = n * (mask[block] @ squared.T) - sy * sy
+            sy = mask[block] @ rated.T
+            spread_t = n * (mask[block] @ squared.T) - sy * sy
             uv = n * (n * (rated[block] @ rated.T) - sx * sy)
             uu, vv = n * spread, n * spread_t
             defined = (n >= co_rate_min) & (spread != 0) & (spread_t != 0)

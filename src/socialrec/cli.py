@@ -54,6 +54,8 @@ def _read_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"config file {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise click.UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     defaults = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -98,13 +100,30 @@ class _FiniteFloatRange(click.FloatRange):
         return value
 
 
+def _parse_ranges(text: str, what: str, number) -> list[range]:
+    """Parse comma-separated "a" and "a-b" parts, each end read by
+    ``number``, into ranges left unexpanded, so that a caller can check each
+    range's end before expanding it."""
+    ranges: list[range] = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        lo_token, dash, hi_token = part.partition("-")
+        lo = number(lo_token.strip())
+        hi = number(hi_token.strip()) if dash else lo
+        if hi < lo:
+            raise click.UsageError(f"empty {what} range {part!r}")
+        ranges.append(range(lo, hi + 1))
+    return ranges
+
+
 def _parse_numbers(text: str, kind: str, what: str, limit: int, noun: str,
                    ) -> tuple[int, ...]:
     """Parse "51-100", "U51-U100" or "I1,I3,I5" into 0-based indices below
-    ``limit``, checking each range's end before expanding it."""
+    ``limit``."""
 
     def one(token: str) -> int:
-        token = token.strip()
         if token.upper().startswith(kind):
             token = token[1:]
         if not is_number(token) or int(token) < 1:
@@ -112,20 +131,7 @@ def _parse_numbers(text: str, kind: str, what: str, limit: int, noun: str,
                                    f"number or {kind}-label")
         return int(token) - 1
 
-    ranges: list[range] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo_token, hi_token = part.split("-", 1)
-            lo, hi = one(lo_token), one(hi_token)
-            if hi < lo:
-                raise click.UsageError(f"empty {what} range {part!r}")
-            ranges.append(range(lo, hi + 1))
-        else:
-            index = one(part)
-            ranges.append(range(index, index + 1))
+    ranges = _parse_ranges(text, what, one)
     if not ranges:
         raise click.UsageError(f"no {what} given in {text!r}")
     for indices in ranges:
@@ -136,24 +142,13 @@ def _parse_numbers(text: str, kind: str, what: str, limit: int, noun: str,
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    ranges: list[range] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            if not (is_number(lo.strip()) and is_number(hi.strip())):
-                raise click.UsageError(f"bad rating level range {part!r}")
-            if int(hi) < int(lo):
-                raise click.UsageError(f"empty rating level range {part!r}")
-            ranges.append(range(int(lo), int(hi) + 1))
-        elif is_number(part):
-            ranges.append(range(int(part), int(part) + 1))
-        else:
-            raise click.UsageError(f"bad rating level {part!r}")
-    # each range's end is checked before the range is expanded
-    if not any(ranges) or any(levels and levels[-1] > 5 for levels in ranges):
+    def level(token: str) -> int:
+        if not is_number(token):
+            raise click.UsageError(f"bad rating level {token!r}")
+        return int(token)
+
+    ranges = _parse_ranges(text, "rating level", level)
+    if not ranges or any(levels[-1] > 5 for levels in ranges):
         raise click.UsageError(f"prediction levels must be within 0..5, got {text!r}")
     return tuple(dict.fromkeys(k for levels in ranges for k in levels))
 

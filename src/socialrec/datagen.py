@@ -10,7 +10,7 @@ Every step draws from its own seeded stream, so each table is a pure
 function of the config and the whole dataset is reproducible bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .model import (
     RatingMatrix,
     RelationshipGraph,
     RATING_MAX,
+    _check_graph_users,
     _too_large,
     round_rating,
 )
@@ -134,9 +135,7 @@ def _friend_weighted_fill(
     a user's empty items at once with the values of a cell-by-cell sweep (the
     sums over friends are exact integers); events come in that sweep's order.
     """
-    if graph.n_users != seeded.n_users:
-        raise ValueError(f"graph has {graph.n_users} users but seed matrix has "
-                         f"{seeded.n_users}")
+    _check_graph_users(graph, seeded.n_users)
     grid = seeded.dense().copy()  # -1 where unrated
     # User u's friends of strength >= 1 and their strengths, in friends_of
     # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
@@ -214,16 +213,6 @@ def generate_dataset(cfg: GenConfig = GenConfig()) -> Dataset:
     categories = generate_categories(cfg)
     seeded = seed_ratings(cfg)
     ratings, n_propagated, n_random = _friend_weighted_fill(graph, seeded, cfg)
-    meta = {
-        "rng_seed": cfg.rng_seed,
-        "n_users": cfg.n_users,
-        "n_items": cfg.n_items,
-        "n_categories": cfg.n_categories,
-        "edge_density": cfg.edge_density,
-        "seed_rating_fraction": cfg.seed_rating_fraction,
-        "fill_passes": cfg.fill_passes,
-        "cells_seeded": seeded.n_rated,
-        "cells_propagated": n_propagated,
-        "cells_random": n_random,
-    }
+    meta = dict(asdict(cfg), cells_seeded=seeded.n_rated,
+                cells_propagated=n_propagated, cells_random=n_random)
     return Dataset(graph=graph, ratings=ratings, categories=categories, meta=meta)

@@ -20,10 +20,8 @@ from .model import (
     Dataset,
     RatingMatrix,
     SocialRecError,
-    RATING_MAX,
-    RATING_MIN,
+    _round_ratings,
     item_label,
-    round_rating,
     user_label,
 )
 from .snrs import SnrsConfig, SnrsPredictor
@@ -211,16 +209,6 @@ def run_comparison(dataset: Dataset, spec: SplitSpec = SplitSpec(),
         reports.append(EvaluationReport(method, users, items, actuals, values.tolist(),
                                         _round_ratings(values).tolist(), fallbacks))
     return tuple(reports)
-
-
-def _round_ratings(values: np.ndarray) -> np.ndarray:
-    """round_rating of each value, as one array step.  The first non-finite
-    value raises round_rating's ValueError."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        round_rating(float(values[finite.argmin()]))
-    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
-    return np.clip(rounded, RATING_MIN, RATING_MAX).astype(np.int64)
 
 
 def write_detail_csv(reports: Iterable[EvaluationReport], path: str | Path) -> None:

@@ -71,6 +71,16 @@ def round_rating(x: float) -> int:
     return min(RATING_MAX, max(RATING_MIN, rounded))
 
 
+def _round_ratings(values: np.ndarray) -> np.ndarray:
+    """round_rating of each value, as one array step.  The first non-finite
+    value raises round_rating's ValueError."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        round_rating(float(values[finite.argmin()]))
+    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    return np.clip(rounded, RATING_MIN, RATING_MAX).astype(np.int64)
+
+
 @contextmanager
 def _too_large(what: str) -> Iterator[None]:
     """Raise an array request for ``what`` that numpy cannot meet as

@@ -23,9 +23,10 @@ the combined distribution.
 Models are numpy arrays, learned with one mask of the ratings per level
 and no one-hot array, and a predictor is read-only once learned.  Friend
 co-ratings are counted per scoring call, for the slots of the graph's CSR
-index that belong to the call's distinct users: 36 bytes per slot.  So a
-one-cell ``predict`` costs O(the user's friend pairs x items) for its
-friend tables.  A batch of cells is predicted at once: its friend
+index that belong to the call's distinct users, into a new uninitialised
+array over every slot of the index: 36 bytes per slot below 256 items and
+72 (uint16 counts) from 256 up to 65535.  So a one-cell ``predict`` costs
+O(the user's friend pairs x items) for its friend tables.  A batch of cells is predicted at once: its friend
 columns are gathered with one index, each product steps through its
 factors in a fixed order for all cells together, and every sum runs left
 to right, so a cell's result has the same bits whatever batch it is in.
@@ -334,8 +335,9 @@ class SnrsPredictor:
     Priors, per-category bit counts and item acceptance counts are integer
     sums over each level's users x items mask of the ratings.  A predictor
     is read-only once learned: each scoring call first counts the friend
-    table slots of its distinct users, 36 bytes per slot, so ``predict``
-    costs O(the user's friend pairs x items) there.  Raises
+    table slots of its distinct users into a new array over every slot of
+    the table (36 bytes per slot below 256 items, 72 from 256), so
+    ``predict`` costs O(the user's friend pairs x items) there.  Raises
     EmptyTrainingSetError when the training set has no ratings at all,
     ValueError when the graph does not have the rating matrix's users, and
     TableTooLargeError when numpy cannot allocate the models or a call's

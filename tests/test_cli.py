@@ -462,6 +462,32 @@ class TestHugeRanges:
         assert result.output.splitlines()[-1] == f"Error: {message}"
 
 
+class TestMalformedListTokens:
+    """--levels and the --test-* flags share one comma-and-range reader; a
+    token it cannot read is a one-line usage error naming that token."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--levels", "a", "bad rating level 'a'"),
+        ("--levels", "a-3", "bad rating level 'a'"),
+        ("--levels", "3-", "bad rating level ''"),
+        ("--levels", "-", "bad rating level ''"),
+        ("--levels", "1-2-3", "bad rating level '2-3'"),
+        ("--test-users", "U", "bad test user '': expected a 1-based number or U-label"),
+        ("--test-users", "0", "bad test user '0': expected a 1-based number or U-label"),
+        ("--test-users", "x-3", "bad test user 'x': expected a 1-based number or U-label"),
+        ("--test-users", "3-", "bad test user '': expected a 1-based number or U-label"),
+    ])
+    def test_usage_error(self, runner, small_data, flag, value, message):
+        args = ["compare", "--data", str(small_data), "--test-users", "11-20",
+                "--test-items", "I1-I2", flag, value]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {message}"]
+
+
 class TestEmptyTrainingSet:
     """Holding out every rated cell leaves nothing to train on: a clean
     one-line error, never a traceback."""
@@ -583,6 +609,24 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "defaults.cfg" in result.output
+
+    def test_unreadable_config_usage_error(self, runner, tmp_path, monkeypatch):
+        config = tmp_path / "defaults.cfg"
+        config.write_text("users=7\n")
+        read_text = Path.read_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name == "defaults.cfg":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = runner.invoke(main, ["--config", str(config), "gen",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: cannot read config file {config}: Permission denied"]
 
     def test_unknown_keys_ignored(self, runner, tmp_path):
         config = tmp_path / "defaults.cfg"

@@ -182,6 +182,11 @@ class TestFriendWeightedFill:
             friend_weighted_fill_trace(RelationshipGraph(3), RatingMatrix(2, 1),
                                        self.fill_cfg())
 
+    def test_mismatched_users_message_is_the_engines(self):
+        with pytest.raises(ValueError, match="^graph has 3 users but rating matrix has 4$"):
+            friend_weighted_fill_trace(RelationshipGraph(3), RatingMatrix(4, 1),
+                                       self.fill_cfg())
+
     def test_seeded_cells_never_overwritten(self):
         cfg = GenConfig(n_users=15, n_items=4, edge_density=0.5,
                         seed_rating_fraction=0.3, rng_seed=11)
