@@ -141,8 +141,8 @@ class SimilarityCache:
         uu and vv are the exact integers rounded once, as float() rounds
         them.  float(uu)·float(vv) rounds like float(uu·vv) while both stay
         below 2**53 (up to about 10**5 co-rated items), so every similarity
-        is bit-identical to pearson_correlation.  Each block B of rows gets the
-        transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ.
+        is bit-identical to pearson_correlation.  Each block B of rows gets
+        the transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ.
         """
         dense = ratings.dense()
         users = np.flatnonzero((dense >= 0).any(axis=1))

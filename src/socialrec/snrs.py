@@ -26,10 +26,11 @@ co-ratings are counted per scoring call, for the slots of the graph's CSR
 index that belong to the call's distinct users, into a new uninitialised
 array over every slot of the index: 36 bytes per slot below 256 items and
 72 (uint16 counts) from 256 up to 65535.  So a one-cell ``predict`` costs
-O(the user's friend pairs x items) for its friend tables.  A batch of cells is predicted at once: its friend
-columns are gathered with one index, each product steps through its
-factors in a fixed order for all cells together, and every sum runs left
-to right, so a cell's result has the same bits whatever batch it is in.
+O(the user's friend pairs x items) for its friend tables.  A batch of
+cells is predicted at once: its friend columns are gathered with one
+index, each product steps through its factors in a fixed order for all
+cells together, and every sum runs left to right, so a cell's result has
+the same bits whatever batch it is in.
 """
 
 import math
