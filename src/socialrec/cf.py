@@ -220,12 +220,12 @@ def _friend_keys(cfg: CfConfig, graph: RelationshipGraph, n_users: int) -> np.nd
 
 
 def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
-            friends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            friends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The mean-centred weighted average of each (user, item) row of ``at``:
     the user's mean plus numerator / denominator, or the mean alone without
-    neighbours (NaN for a user without ratings).  Also the cache entries of
-    the neighbours the cells use, grouped by cell in rank order, and how
-    many each cell uses.
+    neighbours (NaN for a user without ratings).  Also a cells x k block of
+    the cache entries of the neighbours each cell uses, in rank order, with
+    -1 past a cell's last neighbour.
 
     A cell's candidates are the positive-similarity prefix of its user's
     row.  An entry is usable when its neighbour rated the item and, given
@@ -233,11 +233,10 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
     entries are kept.  Cells are scored a chunk at a time, each chunk in
     windows of the prefixes padded into a cells x width block that holds
     about _CHUNK_ENTRIES entries; a cell leaves once it has its neighbours
-    or no candidates are left.  Each kept entry's terms go to the column of
-    its rank in a cells x (1 + neighbor_k) block of zeros, and each sum is
-    the last column of a cumsum, which adds left to right from 0.0, so it
-    equals the float that a loop over the kept neighbours in neighbour
-    order gives.
+    or no candidates are left.  Each kept entry goes to column rank - 1 of
+    the block and its terms to that column of a block of zeros; each sum is
+    the last column of a cumsum, which adds left to right, so it equals the
+    float that a loop over the kept neighbours in neighbour order gives.
     """
     dense, means = ratings.dense(), ratings.means()
     # no cell has more candidates than the longest prefix, so a larger
@@ -245,14 +244,14 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
     k = max(1, min(cfg.neighbor_k, int(cache.positive.max(initial=0))))
     # a numpy n_items makes the flat indices of int32 neighbours int64
     flat, n_items = dense.reshape(-1), np.intp(dense.shape[1])
-    values, entries, counts = [np.zeros(0)], [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    values, blocks = [np.zeros(0)], [np.zeros((0, k), np.intp)]
     step = max(1, _CHUNK_ENTRIES // k)
     for chunk in range(0, len(at), step):
         user, item = at[chunk:chunk + step].T
         begin = cache.indptr[user]
         end = begin + cache.positive[user]
         found = np.zeros(len(user), dtype=np.int64)
-        kept = [(np.zeros(0, np.intp),) * 3]
+        block = np.full((len(user), k), -1, dtype=np.intp)
         active = np.flatnonzero(end > begin)
         while len(active):
             width = max(k, _CHUNK_ENTRIES // len(active))
@@ -270,27 +269,22 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
             rank = np.cumsum(usable, axis=1)
             rank += found[active, None]
             hit = np.flatnonzero(usable & (rank <= k))
-            kept.append((active[hit // width], entry.ravel()[hit], rank.ravel()[hit]))
+            block[active[hit // width], rank.ravel()[hit] - 1] = entry.ravel()[hit]
             found[active] = rank[:, -1]
             begin[active] += width
             active = active[(found[active] < k) & (begin[active] < end[active])]
-        cell, entry, rank = (np.concatenate(parts) for parts in zip(*kept))
-        # each window lists its cells in ascending order, so a stable sort by
-        # cell leaves each cell's entries in rank order
-        order = np.argsort(cell, kind="stable")
-        cell, entry, rank = cell[order], entry[order], rank[order]
+        cell, column = np.nonzero(block >= 0)
+        entry = block[cell, column]
         neighbor, sim = cache.neighbors[entry], cache.similarities[entry]
-        weight = np.zeros((len(user), k + 1))
-        term = np.zeros_like(weight)
-        weight[cell, rank] = sim
-        term[cell, rank] = sim * (flat[neighbor * n_items + item[cell]] - means[neighbor])
+        weight, term = np.zeros((2, *block.shape))
+        weight[cell, column] = sim
+        term[cell, column] = sim * (flat[neighbor * n_items + item[cell]] - means[neighbor])
         used = found > 0
         ratio = np.divide(np.cumsum(term, axis=1)[:, -1], np.cumsum(weight, axis=1)[:, -1],
                           out=np.zeros(len(user)), where=used)
         values.append(np.where(used, means[user] + ratio, means[user]))
-        entries.append(entry)
-        counts.append(np.minimum(found, k))
-    return np.concatenate(values), np.concatenate(entries), np.concatenate(counts)
+        blocks.append(block)
+    return np.concatenate(values), np.concatenate(blocks)
 
 
 class CfPredictor:
@@ -321,28 +315,27 @@ class CfPredictor:
         """
         return self.predict_many([(u, i)])[0]
 
-    def _score(self, cells) -> tuple[np.ndarray, list[str | None], np.ndarray, np.ndarray]:
+    def _score(self, cells) -> tuple[np.ndarray, list[str | None], np.ndarray]:
         """The values and fallbacks of a batch of (user, item) cells, then
-        the cache entries of the neighbours the cells use, grouped by cell
-        in rank order, and how many each cell uses."""
+        _select's block of the neighbour entries each cell uses."""
         at = cell_array(cells, self._ratings.dense().shape)
         if self._global_mean is None and len(at):
             raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
                                  f"and the dataset has no other ratings to average")
-        values, entry, counts = _select(at, self._ratings, self._cache, self.cfg,
-                                        self._friends)
+        values, block = _select(at, self._ratings, self._cache, self.cfg, self._friends)
         unrated = np.isnan(values)
-        fallbacks = np.where(counts > 0, None,
+        fallbacks = np.where(block[:, 0] >= 0, None,
                              np.where(unrated, "global-mean", "user-mean")).tolist()
         values[unrated] = self._global_mean
-        return values, fallbacks, entry, counts
+        return values, fallbacks, block
 
     def predict_many(self, cells) -> list[Prediction]:
         """predict_detailed for each (user, item) cell, in order, scored as
         one batch."""
-        values, fallbacks, entry, counts = self._score(cells)
+        values, fallbacks, block = self._score(cells)
+        entry = block[block >= 0]  # row-major: by cell, each cell's in rank order
         pairs = list(zip(self._cache.neighbors[entry].tolist(),
                          self._cache.similarities[entry].tolist()))
-        ends = np.cumsum(counts).tolist()
+        ends = np.cumsum((block >= 0).sum(axis=1)).tolist()
         return [Prediction(value, fallback, tuple(pairs[a:b])) for value, fallback, a, b
                 in zip(values.tolist(), fallbacks, [0, *ends], ends)]

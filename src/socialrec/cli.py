@@ -28,6 +28,7 @@ from .evaluate import (
     write_summary_csv,
 )
 from .model import (
+    RATING_MAX,
     SocialRecError,
     is_number,
     item_label,
@@ -109,9 +110,10 @@ def _parse_ranges(text: str, what: str, number) -> list[range]:
         part = part.strip()
         if not part:
             continue
-        lo_token, dash, hi_token = part.partition("-")
-        lo = number(lo_token.strip())
-        hi = number(hi_token.strip()) if dash else lo
+        ends = [token.strip() for token in part.split("-", 1)]
+        if not all(ends):  # an empty end: no reader takes the whole part, so it names it
+            ends = [part]
+        lo, hi = number(ends[0]), number(ends[-1])
         if hi < lo:
             raise click.UsageError(f"empty {what} range {part!r}")
         ranges.append(range(lo, hi + 1))
@@ -124,12 +126,11 @@ def _parse_numbers(text: str, kind: str, what: str, limit: int, noun: str,
     ``limit``."""
 
     def one(token: str) -> int:
-        if token.upper().startswith(kind):
-            token = token[1:]
-        if not is_number(token) or int(token) < 1:
+        number = token[1:] if token.upper().startswith(kind) else token
+        if not is_number(number) or int(number) < 1:
             raise click.UsageError(f"bad {what} {token!r}: expected a 1-based "
                                    f"number or {kind}-label")
-        return int(token) - 1
+        return int(number) - 1
 
     ranges = _parse_ranges(text, what, one)
     if not ranges:
@@ -148,7 +149,7 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         return int(token)
 
     ranges = _parse_ranges(text, "rating level", level)
-    if not ranges or any(levels[-1] > 5 for levels in ranges):
+    if not ranges or any(levels[-1] > RATING_MAX for levels in ranges):
         raise click.UsageError(f"prediction levels must be within 0..5, got {text!r}")
     return tuple(dict.fromkeys(k for levels in ranges for k in levels))
 

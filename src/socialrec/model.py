@@ -136,12 +136,15 @@ class RelationshipGraph:
     The edges are fixed at construction and held as three read-only arrays
     in insertion order: ``low`` and ``high`` user indices and ``strengths``.
     They are int64, or object arrays holding the values as given when some
-    are not ints within int64, for validate_dataset to report.  A CSR index
-    over them, built once on first use, lists each user's neighbours by
-    ascending index with the strengths of their edges.  It is the one
-    friendship index: ``friends_of``, ``strength``, snrs, cf's friends-only
-    scope and the generator's fill all read it.  ``edges`` builds a
-    read-only mapping from the arrays when read.
+    are not ints within int64; ``invalid`` keeps the (low, high, strength)
+    edges that validate_dataset reports, as given, in edge order.  A CSR
+    index over the edges, built once on first use, lists each user's
+    neighbours by ascending index with the strengths of their edges.  It is
+    the one friendship index: ``friends_of``, ``strength``, snrs, cf's
+    friends-only scope and the generator's fill all read it.  Reading it
+    raises ValueError with the message of an invalid edge other than a
+    self-edge of a graph user at a level, which it holds once.  ``edges``
+    builds a read-only mapping from the arrays when read.
     """
 
     def __init__(self, n_users: int, edges: Mapping[tuple[int, int], int] | None = None):
@@ -175,7 +178,36 @@ class RelationshipGraph:
         for array in (low, high, strengths):
             array.flags.writeable = False
         self.low, self.high, self.strengths = low, high, strengths
+        at = slice(None)
+        if object not in (low.dtype, high.dtype, strengths.dtype):
+            # plain ints with low <= high: the edges _problem reports, as arrays
+            at = np.flatnonzero((low == high) | (low < 0) | (high >= n_users)
+                                | (strengths < RATING_MIN) | (strengths > RATING_MAX))
+        edges = zip(low[at].tolist(), high[at].tolist(), strengths[at].tolist())
+        self.invalid = tuple(edge for edge in edges if self._problem(*edge))
         self._csr_index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _is_user(self, x) -> bool:
+        return type(x) is int and 0 <= x < self.n_users
+
+    def _problem(self, x, y, s) -> str | None:
+        """validate_dataset's message for an edge, or None for a valid one."""
+        pair = (user_label(x), user_label(y))
+        if x == y:
+            return f"self-edge on {pair[0]}"
+        if not (self._is_user(x) and self._is_user(y)):
+            return f"edge {pair} references a user outside 0..{self.n_users - 1}"
+        if not _is_level(s):
+            return f"edge {pair} strength {s!r} outside {RATING_MIN}..{RATING_MAX}"
+
+    def _problems(self) -> list[str]:
+        return [self._problem(*edge) for edge in self.invalid]
+
+    def _check_held(self) -> None:
+        """Raise ValueError for the first invalid edge the CSR index cannot hold."""
+        for x, y, s in self.invalid:
+            if not (self._is_user(x) and self._is_user(y) and _is_level(s)):
+                raise ValueError(self._problem(x, y, s))
 
     def _csr(self, min_strength: int | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,6 +217,7 @@ class RelationshipGraph:
         ``min_strength``, only the slots of edges that strong, with indptr
         re-based over them."""
         if self._csr_index is None:
+            self._check_held()
             other = self.low != self.high
             users = np.concatenate([self.low, self.high[other]])
             neighbours = np.concatenate([self.high, self.low[other]])
@@ -242,11 +275,12 @@ class RelationshipGraph:
 
 def _check_graph_users(graph: RelationshipGraph, n_users: int) -> None:
     """ValueError unless ``graph`` has the rating matrix's ``n_users``
-    users: an engine reads a user's friends from the graph's index by the
-    user's row in the rating matrix."""
+    users, whose friends its index can hold: an engine reads a user's
+    friends from the graph's index by the user's row in the rating matrix."""
     if graph.n_users != n_users:
         raise ValueError(f"graph has {graph.n_users} users but rating matrix has "
                          f"{n_users}")
+    graph._check_held()
 
 
 class _Table:
@@ -454,48 +488,19 @@ def _is_level(value) -> bool:
     return type(value) is int and RATING_MIN <= value <= RATING_MAX
 
 
-def _is_valid(dataset: Dataset) -> bool:
-    """True only when validate_dataset finds no violation, decided on whole
-    arrays without formatting anything.  The graph holds each edge as (low,
-    high), so ``low < high`` also rules out a self-edge; object arrays are
-    left to validate_dataset's message pass."""
-    graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
-    n_users = ratings.n_users
-    low, high, strengths = graph.low, graph.high, graph.strengths
-    return (graph.n_users == n_users and categories.n_items == ratings.n_items
-            and object not in (low.dtype, high.dtype, strengths.dtype)
-            and bool(((0 <= low) & (low < high) & (high < n_users)).all())
-            and bool(((RATING_MIN <= strengths) & (strengths <= RATING_MAX)).all())
-            and not ratings.invalid and not categories.invalid)
-
-
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Check every structural invariant; returns a list of violation messages.
 
     An empty list means the dataset is valid.  Violations are findings,
-    not exceptions: self-edges, out-of-range values, out-of-bounds indices
-    and dimension mismatches are all collected in one pass.
+    not exceptions, collected in one pass: the dimension mismatches, then
+    the invalid entries that each table recorded when it was built.
     """
-    if _is_valid(dataset):
-        return []
-    problems: list[str] = []
     graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
-
+    problems: list[str] = []
     if graph.n_users != ratings.n_users:
         problems.append(f"graph has {graph.n_users} users but rating matrix has "
                         f"{ratings.n_users}")
     if ratings.n_items != categories.n_items:
         problems.append(f"rating matrix has {ratings.n_items} items but category "
                         f"matrix has {categories.n_items}")
-
-    for (x, y), s in graph.edges.items():
-        if x == y:
-            problems.append(f"self-edge on {user_label(x)}")
-        elif not (0 <= x < graph.n_users and 0 <= y < graph.n_users):
-            problems.append(f"edge {(user_label(x), user_label(y))} references a user "
-                            f"outside 0..{graph.n_users - 1}")
-        elif not _is_level(s):
-            problems.append(f"edge {(user_label(x), user_label(y))} strength {s!r} outside "
-                            f"{RATING_MIN}..{RATING_MAX}")
-
-    return problems + ratings._problems() + categories._problems()
+    return problems + graph._problems() + ratings._problems() + categories._problems()

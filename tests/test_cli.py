@@ -469,13 +469,13 @@ class TestMalformedListTokens:
     @pytest.mark.parametrize("flag, value, message", [
         ("--levels", "a", "bad rating level 'a'"),
         ("--levels", "a-3", "bad rating level 'a'"),
-        ("--levels", "3-", "bad rating level ''"),
-        ("--levels", "-", "bad rating level ''"),
+        ("--levels", "3-", "bad rating level '3-'"),
+        ("--levels", "-", "bad rating level '-'"),
         ("--levels", "1-2-3", "bad rating level '2-3'"),
-        ("--test-users", "U", "bad test user '': expected a 1-based number or U-label"),
+        ("--test-users", "U", "bad test user 'U': expected a 1-based number or U-label"),
         ("--test-users", "0", "bad test user '0': expected a 1-based number or U-label"),
         ("--test-users", "x-3", "bad test user 'x': expected a 1-based number or U-label"),
-        ("--test-users", "3-", "bad test user '': expected a 1-based number or U-label"),
+        ("--test-users", "3-", "bad test user '3-': expected a 1-based number or U-label"),
     ])
     def test_usage_error(self, runner, small_data, flag, value, message):
         args = ["compare", "--data", str(small_data), "--test-users", "11-20",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socialrec import (
+    CfConfig,
     CfPredictor,
     Dataset,
     GenConfig,
@@ -22,6 +23,7 @@ from socialrec import (
     round_rating,
     save_dataset,
     SnrsPredictor,
+    friend_weighted_fill_trace,
     user_label,
     validate_dataset,
 )
@@ -162,6 +164,52 @@ class TestRelationshipGraph:
         for u in (-1, 3):
             with pytest.raises(IndexError, match=f"user index {u} outside 0..2"):
                 g.friends_of(u)
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 7, 3), "edge ('U1', 'U8') references a user outside 0..2"),
+        ((1, 2, "3"), "edge ('U2', 'U3') strength '3' outside 0..5"),
+        ((0, 1, 9), "edge ('U1', 'U2') strength 9 outside 0..5"),
+        ((0, 1, -1), "edge ('U1', 'U2') strength -1 outside 0..5"),
+        ((0, 1, True), "edge ('U1', 'U2') strength True outside 0..5"),
+    ])
+    def test_invalid_edge_is_never_read(self, edge, message):
+        # each of these once reached the engines as a numpy IndexError, a
+        # TypeError or a scored strength
+        x, y, s = edge
+        d = build_dataset(3, 2, 1, edges={(0, 2): 4, (x, y): s},
+                          cells={(0, 0): 1, (0, 1): 4, (1, 1): 2, (2, 0): 3})
+        assert d.graph.invalid == (edge,)
+        friends_only = CfConfig(neighbor_scope="friends-only")
+        fill = GenConfig(n_users=3, n_items=2, n_categories=1)
+        for read in (lambda: d.graph.friends_of(0), lambda: SnrsPredictor(d),
+                     lambda: CfPredictor(d, friends_only).predict(1, 0),
+                     lambda: friend_weighted_fill_trace(d.graph, d.ratings, fill)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read()
+        assert validate_dataset(d) == [message]
+
+    def test_self_edge_of_a_graph_user_is_read_once(self):
+        d = build_dataset(3, 1, 1, edges={(1, 1): 4, (1, 2): 3, (0, 2): 9, (2, 2): 2})
+        assert d.graph.invalid == ((1, 1, 4), (0, 2, 9), (2, 2, 2))
+        with pytest.raises(ValueError, match=r"^edge \('U1', 'U3'\) strength 9"):
+            d.graph.friends_of(1)
+        d = build_dataset(3, 1, 1, edges={(1, 1): 4, (1, 2): 3})
+        assert d.graph.invalid == ((1, 1, 4),)
+        assert d.graph.friends_of(1) == [(1, 4), (2, 3)]
+        assert validate_dataset(d) == ["self-edge on U2"]
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(7, 7): 3}, "self-edge on U8"),
+        ({(1, 1): 6}, "self-edge on U2"),
+        ({(0, 2.5): 3}, "edge ('U1', 'U3.5') references a user outside 0..2"),
+    ])
+    def test_edge_the_index_cannot_hold_is_refused(self, edges, message):
+        # a user must be a plain int of the graph, as a strength must be a plain int level;
+        # the user 2.5 once passed validate_dataset and reached friends_of as a neighbour
+        d = build_dataset(3, 1, 1, edges=edges)
+        assert validate_dataset(d) == [message]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            d.graph.strength(0, 1)
 
     @settings(deadline=None)
     @given(
@@ -470,3 +518,72 @@ class TestValidateDataset:
             "rating cell (U5, I2) out of bounds for 3x2 matrix",
             "membership (I4, C2) out of bounds for 2x1 matrix",
         ]
+
+
+def reference_problems(dataset, cells, members):
+    """validate_dataset's messages from one loop per table over the entries
+    as given: the edge loop that validate_dataset ran before the graph kept
+    its invalid edges, then the rating cells and the memberships in index
+    order."""
+    graph, ratings, categories = dataset.graph, dataset.ratings, dataset.categories
+    problems = []
+    if graph.n_users != ratings.n_users:
+        problems.append(f"graph has {graph.n_users} users but rating matrix has "
+                        f"{ratings.n_users}")
+    if ratings.n_items != categories.n_items:
+        problems.append(f"rating matrix has {ratings.n_items} items but category "
+                        f"matrix has {categories.n_items}")
+    for (x, y), s in graph.edges.items():
+        if x == y:
+            problems.append(f"self-edge on {user_label(x)}")
+        elif not (0 <= x < graph.n_users and 0 <= y < graph.n_users):
+            problems.append(f"edge {(user_label(x), user_label(y))} references a user "
+                            f"outside 0..{graph.n_users - 1}")
+        elif not (type(s) is int and 0 <= s <= 5):
+            problems.append(f"edge {(user_label(x), user_label(y))} strength {s!r} outside "
+                            f"0..5")
+    for (u, i), r in sorted(cells.items()):
+        if not (0 <= u < ratings.n_users and 0 <= i < ratings.n_items):
+            problems.append(f"rating cell ({user_label(u)}, {item_label(i)}) out of bounds "
+                            f"for {ratings.n_users}x{ratings.n_items} matrix")
+        if not (type(r) is int and 0 <= r <= 5):
+            problems.append(f"rating ({user_label(u)}, {item_label(i)}) value {r!r} outside "
+                            f"0..5")
+    for i, c in sorted(members):
+        if not (0 <= i < categories.n_items and 0 <= c < categories.n_categories):
+            problems.append(f"membership ({item_label(i)}, {category_label(c)}) out of "
+                            f"bounds for {categories.n_items}x{categories.n_categories} matrix")
+    return problems
+
+
+@st.composite
+def mixed_tables(draw):
+    """Small tables whose entries mix valid ones with self-edges, users,
+    cells and pairs outside the shape, and values that are not levels; the
+    graph may have one user more than the rating matrix."""
+    n_users, n_items, n_categories = (draw(st.integers(0, 4)) for _ in range(3))
+    values = st.integers(-1, 9)
+    if draw(st.booleans()):  # a value that is not an int makes its graph column an object array
+        values |= st.sampled_from(["3", True, 2.5])
+    graph_users = n_users + draw(st.integers(0, 1))
+    user, item = st.integers(-1, graph_users + 1), st.integers(-1, n_items + 1)
+    chosen = draw(st.dictionaries(st.tuples(user, user).map(lambda pair: tuple(sorted(pair))),
+                                  values, max_size=20))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = {((y, x) if flip else (x, y)): s
+             for ((x, y), s), flip in zip(chosen.items(), flips)}
+    cells = draw(st.dictionaries(st.tuples(user, item), values, max_size=30))
+    members = draw(st.sets(st.tuples(item, st.integers(-1, n_categories + 1)), max_size=30))
+    dataset = Dataset(graph=RelationshipGraph(graph_users, edges),
+                      ratings=RatingMatrix(n_users, n_items, cells),
+                      categories=ItemCategoryMatrix(n_items + draw(st.integers(0, 1)),
+                                                    n_categories, members))
+    return dataset, cells, members
+
+
+class TestValidateDatasetOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_tables())
+    def test_matches_one_loop_per_table(self, case):
+        dataset, cells, members = case
+        assert validate_dataset(dataset) == reference_problems(dataset, cells, members)
