@@ -273,12 +273,12 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
             found[active] = rank[:, -1]
             begin[active] += width
             active = active[(found[active] < k) & (begin[active] < end[active])]
-        cell, column = np.nonzero(block >= 0)
-        entry = block[cell, column]
+        kept = np.flatnonzero(block >= 0)
+        entry, cell = block.ravel()[kept], kept // k
         neighbor, sim = cache.neighbors[entry], cache.similarities[entry]
         weight, term = np.zeros((2, *block.shape))
-        weight[cell, column] = sim
-        term[cell, column] = sim * (flat[neighbor * n_items + item[cell]] - means[neighbor])
+        weight.ravel()[kept] = sim
+        term.ravel()[kept] = sim * (flat[neighbor * n_items + item[cell]] - means[neighbor])
         used = found > 0
         ratio = np.divide(np.cumsum(term, axis=1)[:, -1], np.cumsum(weight, axis=1)[:, -1],
                           out=np.zeros(len(user)), where=used)
