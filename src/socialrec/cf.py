@@ -12,6 +12,7 @@ coefficients in the mix the normalizing denominator could reach zero or
 flip sign, which the weighted-average reading cannot support.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,13 +101,14 @@ _CHUNK_ENTRIES = 2 ** 12
 
 
 class SimilarityCache:
-    """Precomputed Pearson similarities for every unordered user pair.
+    """Precomputed Pearson similarities of user pairs, one row per user.
 
-    Built once from a rating matrix and immutable afterwards.  The defined
+    Built once from a rating matrix, with every user's row or only the rows
+    of some users (the others empty), and immutable afterwards.  The defined
     similarities are one CSR table: user u's row is the int32 user indices
     ``neighbors[indptr[u]:indptr[u + 1]]`` with the float64 ``similarities``
     alongside, in neighbour order: similarity descending, ties by ascending
-    user index.  A pair missing from the rows has an undefined similarity.
+    user index.  A pair missing from a built row has an undefined similarity.
     ``positive[u]`` counts the strictly positive similarities, which open
     u's row.
     """
@@ -126,9 +128,11 @@ class SimilarityCache:
                          * (np.diff(self.indptr) > 0))
 
     @classmethod
-    def build(cls, ratings: RatingMatrix, co_rate_min: int = 2) -> "SimilarityCache":
-        """All pairs as Gram products over the rated users, one block of rows
-        at a time.
+    def build(cls, ratings: RatingMatrix, co_rate_min: int = 2,
+              rows=None) -> "SimilarityCache":
+        """The rows of the user indices ``rows`` (every user's when None) as
+        Gram products over the rated users, one block of rows at a time; the
+        other users' rows are empty.
 
         With R the rated users' ``dense()`` rows (-1 read as 0), M their 0/1
         mask and n = M·Mᵀ the co-rated counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and
@@ -141,18 +145,21 @@ class SimilarityCache:
         uu and vv are the exact integers rounded once, as float() rounds
         them.  float(uu)·float(vv) rounds like float(uu·vv) while both stay
         below 2**53 (up to about 10**5 co-rated items), so every similarity
-        is bit-identical to pearson_correlation.  Each block B of rows gets
-        the transposed sums Sxᵀ and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ.
+        is bit-identical to pearson_correlation, and a row is the same in
+        whichever block, or with whichever other rows, it is built.  Each
+        block B of the requested rated users gets the transposed sums Sxᵀ
+        and Aᵀ from M_B·Rᵀ and M_B·(R∘R)ᵀ.
         """
         dense = ratings.dense()
         users = np.flatnonzero((dense >= 0).any(axis=1))
+        wanted = np.arange(len(users)) if rows is None else np.flatnonzero(np.isin(users, rows))
         rated = np.maximum(dense[users], 0).astype(np.float64)
         mask = (dense[users] >= 0).astype(np.float64)
         squared = rated * rated
         counts = np.zeros(ratings.n_users, dtype=np.int64)
         neighbors, similarities = [np.zeros(0, np.int32)], [np.zeros(0)]
-        for start in range(0, len(users), _BUILD_BLOCK):
-            block = slice(start, start + _BUILD_BLOCK)
+        for start in range(0, len(wanted), _BUILD_BLOCK):
+            block = wanted[start:start + _BUILD_BLOCK]
             n = mask[block] @ mask.T
             sx = rated[block] @ mask.T
             spread = n * (squared[block] @ mask.T) - sx * sx
@@ -162,7 +169,7 @@ class SimilarityCache:
             uu, vv = n * spread, n * spread_t
             defined = (n >= co_rate_min) & (spread != 0) & (spread_t != 0)
             own = np.arange(len(n))
-            defined[own, start + own] = False
+            defined[own, block] = False
             sims = np.divide(uv, np.sqrt(uu * vv), out=np.zeros(uv.shape), where=defined)
             # a stable sort keeps equal similarities in ascending user order;
             # the undefined pairs sort last and are cut off
@@ -288,19 +295,21 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
 
 
 class CfPredictor:
-    """Train-once wrapper: builds the similarity cache for a dataset and
-    answers predictions for batches of cells from it."""
+    """Train-once wrapper: answers predictions for batches of cells from a
+    dataset's ratings.  Each scoring call builds the similarity rows of its
+    batch's distinct users, and only those, so a loop over cells pays one
+    row build per call: batch the cells with predict_many."""
 
     def __init__(self, dataset: Dataset, cfg: CfConfig = CfConfig()):
         self.cfg = cfg
         self._ratings = dataset.ratings
         self._friends = _friend_keys(cfg, dataset.graph, dataset.ratings.n_users)
-        self._cache = SimilarityCache.build(dataset.ratings, cfg.co_rate_min)
         self._global_mean = dataset.ratings.global_mean()
 
-    @property
+    @functools.cached_property
     def cache(self) -> SimilarityCache:
-        return self._cache
+        """Every user's similarity row, built on first read."""
+        return SimilarityCache.build(self._ratings, self.cfg.co_rate_min)
 
     def predict(self, u: int, i: int) -> float:
         return self.predict_detailed(u, i).value
@@ -315,27 +324,29 @@ class CfPredictor:
         """
         return self.predict_many([(u, i)])[0]
 
-    def _score(self, cells) -> tuple[np.ndarray, list[str | None], np.ndarray]:
+    def _score(self, cells,
+               ) -> tuple[np.ndarray, list[str | None], np.ndarray, SimilarityCache]:
         """The values and fallbacks of a batch of (user, item) cells, then
-        _select's block of the neighbour entries each cell uses."""
+        _select's block of the neighbour entries each cell uses and the
+        cache of the batch users' rows that the entries index."""
         at = cell_array(cells, self._ratings.dense().shape)
         if self._global_mean is None and len(at):
             raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
                                  f"and the dataset has no other ratings to average")
-        values, block = _select(at, self._ratings, self._cache, self.cfg, self._friends)
+        cache = SimilarityCache.build(self._ratings, self.cfg.co_rate_min, at[:, 0])
+        values, block = _select(at, self._ratings, cache, self.cfg, self._friends)
         unrated = np.isnan(values)
         fallbacks = np.where(block[:, 0] >= 0, None,
                              np.where(unrated, "global-mean", "user-mean")).tolist()
         values[unrated] = self._global_mean
-        return values, fallbacks, block
+        return values, fallbacks, block, cache
 
     def predict_many(self, cells) -> list[Prediction]:
         """predict_detailed for each (user, item) cell, in order, scored as
         one batch."""
-        values, fallbacks, block = self._score(cells)
+        values, fallbacks, block, cache = self._score(cells)
         entry = block[block >= 0]  # row-major: by cell, each cell's in rank order
-        pairs = list(zip(self._cache.neighbors[entry].tolist(),
-                         self._cache.similarities[entry].tolist()))
+        pairs = list(zip(cache.neighbors[entry].tolist(), cache.similarities[entry].tolist()))
         ends = np.cumsum((block >= 0).sum(axis=1)).tolist()
         return [Prediction(value, fallback, tuple(pairs[a:b])) for value, fallback, a, b
                 in zip(values.tolist(), fallbacks, [0, *ends], ends)]

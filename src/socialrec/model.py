@@ -40,6 +40,17 @@ def category_label(index: int) -> str:
     return f"C{index + 1}"
 
 
+def _label(index, label) -> str:
+    """``label(index)`` for a number, the repr of anything else (a str
+    index of an invalid entry, say)."""
+    return label(index) if isinstance(index, numbers.Real) else repr(index)
+
+
+def _is_index(index, n: int) -> bool:
+    """True for a plain int in 0..n-1 (a bool is not an index)."""
+    return type(index) is int and 0 <= index < n
+
+
 def is_number(token: str) -> bool:
     """True for a non-empty run of ASCII digits; str.isdigit alone also
     accepts digits such as "²" or "٣"."""
@@ -151,7 +162,7 @@ class RelationshipGraph:
         edges = edges or {}
         canonical: dict[tuple[int, int], int] = {}
         for (x, y), s in edges.items():
-            if x <= y:
+            if _order(x) <= _order(y):
                 canonical[(x, y)] = s
             elif (y, x) not in edges:
                 canonical[(y, x)] = s
@@ -188,17 +199,19 @@ class RelationshipGraph:
         self._csr_index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _is_user(self, x) -> bool:
-        return type(x) is int and 0 <= x < self.n_users
+        return _is_index(x, self.n_users)
 
     def _problem(self, x, y, s) -> str | None:
         """validate_dataset's message for an edge, or None for a valid one."""
-        pair = (user_label(x), user_label(y))
         if x == y:
-            return f"self-edge on {pair[0]}"
+            return f"self-edge on {_label(x, user_label)}"
         if not (self._is_user(x) and self._is_user(y)):
-            return f"edge {pair} references a user outside 0..{self.n_users - 1}"
-        if not _is_level(s):
-            return f"edge {pair} strength {s!r} outside {RATING_MIN}..{RATING_MAX}"
+            problem = f"references a user outside 0..{self.n_users - 1}"
+        elif not _is_level(s):
+            problem = f"strength {s!r} outside {RATING_MIN}..{RATING_MAX}"
+        else:
+            return None
+        return f"edge {(_label(x, user_label), _label(y, user_label))} {problem}"
 
     def _problems(self) -> list[str]:
         return [self._problem(*edge) for edge in self.invalid]
@@ -218,12 +231,17 @@ class RelationshipGraph:
         re-based over them."""
         if self._csr_index is None:
             self._check_held()
-            other = self.low != self.high
-            users = np.concatenate([self.low, self.high[other]])
-            neighbours = np.concatenate([self.high, self.low[other]])
-            order = np.lexsort((neighbours, users))
-            indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
-            strengths = np.concatenate([self.strengths, self.strengths[other]])[order]
+            with _too_large(f"the friendship index of {self.n_users} users"):
+                if self.n_users > math.isqrt(2 ** 63):
+                    raise OverflowError("its sort key user * n_users + neighbour overflows int64")
+                other = self.low != self.high
+                users = np.concatenate([self.low, self.high[other]])
+                neighbours = np.concatenate([self.high, self.low[other]])
+                key = np.multiply(users, self.n_users, dtype=np.int64)
+                key += neighbours
+                order = np.argsort(key, kind="stable")
+                indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
+                strengths = np.concatenate([self.strengths, self.strengths[other]])[order]
             self._csr_index = indptr, neighbours[order], strengths
         if min_strength is None:
             return self._csr_index
@@ -285,9 +303,10 @@ def _check_graph_users(graph: RelationshipGraph, n_users: int) -> None:
 
 class _Table:
     """A table held once, as a read-only int8 array.  The entries given to
-    it that the array cannot hold are kept as given in the sorted ``invalid``
-    tuple; while there are any, reading the array raises ValueError naming
-    the first."""
+    it that the array cannot hold, a coordinate that is not a plain int
+    among them, are kept as given in the ``invalid`` tuple, sorted by
+    coordinates (numbers first, the rest by repr); while there are any,
+    reading the array raises ValueError naming the first."""
 
     _array: np.ndarray
     invalid: tuple
@@ -295,7 +314,8 @@ class _Table:
     def _hold(self, shape: tuple[int, int], fill: int, high: int, given) -> list:
         """Hold ``given``, an integer array of ``shape`` with values fill..high
         or a list of ((row, column), level) entries, ``fill`` elsewhere.
-        Returns the entries outside the shape or without a level."""
+        Returns the entries outside the shape or without a level, in
+        coordinate order."""
         if shape[0] < 0 or shape[1] < 0:
             raise ValueError("matrix dimensions must be >= 0")
         if isinstance(given, np.ndarray):
@@ -304,10 +324,11 @@ class _Table:
                 raise ValueError(f"expected a {shape} integer array of values {fill}..{high}")
             self._array, bad = given.astype(np.int8), []
         else:
-            fits = [0 <= row < shape[0] and 0 <= column < shape[1] and _is_level(value)
-                    for (row, column), value in given]
+            fits = [_is_index(row, shape[0]) and _is_index(column, shape[1])
+                    and _is_level(value) for (row, column), value in given]
             good = [entry for entry, ok in zip(given, fits) if ok]
-            bad = [entry for entry, ok in zip(given, fits) if not ok]
+            bad = sorted((entry for entry, ok in zip(given, fits) if not ok),
+                         key=lambda entry: [*map(_order, entry[0])])
             with _too_large(f"a {shape[0]}x{shape[1]} table"):
                 self._array = np.full(shape, fill, dtype=np.int8)
             at = np.array([key for key, _ in good], dtype=np.intp).reshape(-1, 2)
@@ -343,19 +364,19 @@ class RatingMatrix(_Table):
         self.n_items = n_items
         given = cells if isinstance(cells, np.ndarray) else list((cells or {}).items())
         bad = self._hold((n_users, n_items), -1, RATING_MAX, given)
-        self.invalid = tuple(sorted((u, i, r) for (u, i), r in bad))
+        self.invalid = tuple((u, i, r) for (u, i), r in bad)
         self._means: np.ndarray | None = None
 
     def _problems(self) -> list[str]:
         """validate_dataset's messages for the invalid entries, in order."""
         problems = []
         for u, i, r in self.invalid:
-            if not (0 <= u < self.n_users and 0 <= i < self.n_items):
-                problems.append(f"rating cell ({user_label(u)}, {item_label(i)}) out of bounds "
+            cell = f"{_label(u, user_label)}, {_label(i, item_label)}"
+            if not (_is_index(u, self.n_users) and _is_index(i, self.n_items)):
+                problems.append(f"rating cell ({cell}) out of bounds "
                                 f"for {self.n_users}x{self.n_items} matrix")
             if not _is_level(r):
-                problems.append(f"rating ({user_label(u)}, {item_label(i)}) value {r!r} outside "
-                                f"{RATING_MIN}..{RATING_MAX}")
+                problems.append(f"rating ({cell}) value {r!r} outside {RATING_MIN}..{RATING_MAX}")
         return problems
 
     def get(self, user: int, item: int) -> int | None:
@@ -426,11 +447,11 @@ class ItemCategoryMatrix(_Table):
         given = members if isinstance(members, np.ndarray) else [
             (pair, 1) for pair in dict.fromkeys(members)]
         bad = self._hold((n_items, n_categories), 0, 1, given)
-        self.invalid = tuple(sorted(pair for pair, _ in bad))
+        self.invalid = tuple(pair for pair, _ in bad)
 
     def _problems(self) -> list[str]:
-        return [f"membership ({item_label(i)}, {category_label(c)}) out of bounds for "
-                f"{self.n_items}x{self.n_categories} matrix" for i, c in self.invalid]
+        return [f"membership ({_label(i, item_label)}, {_label(c, category_label)}) out of "
+                f"bounds for {self.n_items}x{self.n_categories} matrix" for i, c in self.invalid]
 
     def members(self) -> Iterator[tuple[int, int]]:
         """All (item, category) pairs with membership 1, in index order."""
@@ -486,6 +507,12 @@ class Prediction:
 def _is_level(value) -> bool:
     """True for a plain int on the 0..5 scale (a bool is not a level)."""
     return type(value) is int and RATING_MIN <= value <= RATING_MAX
+
+
+def _order(index) -> tuple:
+    """The sort key of an index as given: numbers in numeric order before
+    anything else, which goes by repr."""
+    return (0, index) if isinstance(index, numbers.Real) else (1, repr(index))
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:

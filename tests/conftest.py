@@ -29,8 +29,16 @@ def cf_predictor(ratings, cache, cfg=CfConfig(), graph=None):
     that scores with ``cache`` in place of the similarities it would build."""
     dataset = Dataset(graph=graph or RelationshipGraph(ratings.n_users, {}), ratings=ratings,
                       categories=ItemCategoryMatrix(ratings.n_items, 0))
-    with mock.patch.object(SimilarityCache, "build", return_value=cache):
-        return CfPredictor(dataset, cfg)
+    predictor = CfPredictor(dataset, cfg)
+    score = predictor._score
+
+    def score_with_cache(cells):
+        # each scoring call builds its rows, so the cache stands in for every call
+        with mock.patch.object(SimilarityCache, "build", return_value=cache):
+            return score(cells)
+
+    predictor._score = score_with_cache
+    return predictor
 
 
 def rating_row(ratings, user):

@@ -280,6 +280,77 @@ class TestSimilarityCache:
                 assert abs(got.value - brute_force_cf(u, i, rows, neighbor_k=600)) < 1e-9
 
 
+def random_ratings(seed, n_users=40, n_items=7):
+    """A random rating matrix in which about one user in six has no ratings."""
+    rng = np.random.default_rng(seed)
+    grid = np.where(rng.random((n_users, n_items)) < 0.7,
+                    rng.integers(0, 6, (n_users, n_items)), -1)
+    grid[rng.random(n_users) < 0.15] = -1
+    return RatingMatrix(n_users, n_items, grid)
+
+
+class TestNarrowedBuild:
+    """A build of some users' rows holds each of them bit for bit as the
+    full build does, and nothing for any other user."""
+
+    @staticmethod
+    def assert_rows_of_full_build(ratings, rows, co_rate_min=2):
+        full = SimilarityCache.build(ratings, co_rate_min)
+        narrow = SimilarityCache.build(ratings, co_rate_min, rows)
+        assert narrow.n_users == full.n_users
+        for u in range(full.n_users):
+            span = slice(narrow.indptr[u], narrow.indptr[u + 1])
+            if u in set(rows):
+                full_span = slice(full.indptr[u], full.indptr[u + 1])
+                assert narrow.neighbors[span].tobytes() == full.neighbors[full_span].tobytes()
+                assert (narrow.similarities[span].tobytes()
+                        == full.similarities[full_span].tobytes())
+                assert narrow.positive[u] == full.positive[u]
+            else:
+                assert span.start == span.stop and narrow.positive[u] == 0
+
+    @staticmethod
+    def unrated(ratings):
+        return np.flatnonzero((ratings.dense() < 0).all(axis=1)).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_sets(self, seed):
+        m = random_ratings(seed)
+        rated = sorted(set(range(m.n_users)) - set(self.unrated(m)))
+        rng = random.Random(seed)
+        for rows in ([], [rated[0]], [rated[-1]], self.unrated(m),
+                     self.unrated(m)[:2] + rated[:2],              # unrated and rated
+                     [rated[3], rated[3], rated[1], rated[3]],    # duplicates
+                     rated[::3][::-1],                             # not contiguous
+                     rng.sample(range(m.n_users), 15)):
+            self.assert_rows_of_full_build(m, rows, co_rate_min=2 + seed % 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_across_several_blocks(self, seed, monkeypatch):
+        m = random_ratings(seed, n_users=60)
+        rng = random.Random(seed)
+        monkeypatch.setattr(socialrec.cf, "_BUILD_BLOCK", 4)
+        for rows in (rng.sample(range(60), 23), list(range(1, 60, 2)), list(range(60))):
+            self.assert_rows_of_full_build(m, rows)
+
+    def test_scoring_builds_only_the_batch_users_rows(self, default_dataset, monkeypatch):
+        built = []
+        build = SimilarityCache.build
+
+        def recording(ratings, co_rate_min, rows=None):
+            built.append(build(ratings, co_rate_min, rows))
+            return built[-1]
+
+        monkeypatch.setattr(SimilarityCache, "build", recording)
+        predictor = CfPredictor(default_dataset)
+        assert built == []
+        predictor.predict_many([(3, 0), (70, 1), (3, 2)])
+        assert len(built) == 1
+        assert np.flatnonzero(np.diff(built[0].indptr)).tolist() == [3, 70]
+        predictor.predict_many([])
+        assert len(built) == 2 and len(built[1].neighbors) == 0
+
+
 def scalar_prediction(u, i, ratings, cache, cfg, graph):
     """The per-cell loop the batch kernel replaces: walk u's row in neighbour
     order to the first neighbor_k positive-similarity raters of i, then sum

@@ -29,6 +29,7 @@ from socialrec import (
 )
 from socialrec import storage
 from socialrec.datagen import generate_relationships
+from socialrec.model import TableTooLargeError
 from conftest import build_dataset
 from test_datagen import reference_edges
 
@@ -211,6 +212,25 @@ class TestRelationshipGraph:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             d.graph.strength(0, 1)
 
+    @pytest.mark.parametrize("edges, invalid, message", [
+        ({("a", "b"): 3}, ("a", "b", 3), """edge ("'a'", "'b'") references a user outside 0..2"""),
+        ({(1, "b"): 3}, (1, "b", 3), """edge ('U2', "'b'") references a user outside 0..2"""),
+        ({("a", "a"): 3}, ("a", "a", 3), "self-edge on 'a'"),
+    ])
+    def test_user_that_is_not_a_number_is_reported(self, edges, invalid, message):
+        # a str user once raised a bare TypeError from user_label at construction
+        d = build_dataset(3, 1, 1, edges={(0, 2): 4, **edges})
+        assert d.graph.invalid == (invalid,)
+        assert validate_dataset(d) == [message]
+        if invalid[0] != invalid[1]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                d.graph.friends_of(0)
+
+    def test_index_beyond_its_sort_key_is_too_large(self):
+        # user * n_users + neighbour stays within int64 up to 3 037 000 499 users
+        with pytest.raises(TableTooLargeError, match="friendship index of 3037000500 users"):
+            RelationshipGraph(3_037_000_500, {(0, 1): 3}).friends_of(0)
+
     @settings(deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
@@ -340,6 +360,25 @@ class TestRatingMatrix:
             with pytest.raises(ValueError, match=re.escape(message)):
                 read()
         assert validate_dataset(d) == [message]
+
+    @pytest.mark.parametrize("cells, invalid, message", [
+        ({(0.5, 1): 3}, ((0.5, 1, 3),), "rating cell (U1.5, I2) out of bounds for 3x2 matrix"),
+        ({(2, 1.0): 3}, ((2, 1.0, 3),), "rating cell (U3, I2.0) out of bounds for 3x2 matrix"),
+        ({("a", 1): 3, (9, 0): 2}, ((9, 0, 2), ("a", 1, 3)),
+         "rating cell (U10, I1) out of bounds for 3x2 matrix"),
+        ({(1, "b"): 3}, ((1, "b", 3),), "rating cell (U2, 'b') out of bounds for 3x2 matrix"),
+        ({(True, 1): 3}, ((True, 1, 3),), "rating cell (U2, I2) out of bounds for 3x2 matrix"),
+    ])
+    def test_coordinate_that_is_not_an_int_is_kept_invalid(self, cells, invalid, message):
+        # (0.5, 1) was once truncated to (U1, I2) and stored without a word,
+        # and a str coordinate raised a bare TypeError
+        m = RatingMatrix(3, 2, {(0, 0): 4, **cells})
+        assert m.invalid == invalid
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m.dense()
+        d = Dataset(graph=RelationshipGraph(3), ratings=m, categories=ItemCategoryMatrix(2, 1))
+        assert validate_dataset(d)[0] == message
+        assert len(validate_dataset(d)) == len(invalid)
 
     @pytest.mark.parametrize("array", [np.full((2, 3), 6), np.full((2, 3), -2),
                                        np.full((3, 2), 1), np.full((2, 3), 1.0)])
