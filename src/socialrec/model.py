@@ -237,8 +237,7 @@ class RelationshipGraph:
                 other = self.low != self.high
                 users = np.concatenate([self.low, self.high[other]])
                 neighbours = np.concatenate([self.high, self.low[other]])
-                key = np.multiply(users, self.n_users, dtype=np.int64)
-                key += neighbours
+                key = np.multiply(users, self.n_users, dtype=np.int64) + neighbours
                 order = np.argsort(key, kind="stable")
                 indptr = np.searchsorted(users[order], np.arange(self.n_users + 1))
                 strengths = np.concatenate([self.strengths, self.strengths[other]])[order]

@@ -298,9 +298,10 @@ class TestNarrowedBuild:
         full = SimilarityCache.build(ratings, co_rate_min)
         narrow = SimilarityCache.build(ratings, co_rate_min, rows)
         assert narrow.n_users == full.n_users
+        wanted = set(rows)
         for u in range(full.n_users):
             span = slice(narrow.indptr[u], narrow.indptr[u + 1])
-            if u in set(rows):
+            if u in wanted:
                 full_span = slice(full.indptr[u], full.indptr[u + 1])
                 assert narrow.neighbors[span].tobytes() == full.neighbors[full_span].tobytes()
                 assert (narrow.similarities[span].tobytes()

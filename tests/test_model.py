@@ -471,6 +471,16 @@ class TestItemCategoryMatrix:
         assert m.dense() is m.dense() and not m.dense().flags.writeable
         assert ItemCategoryMatrix(2, 0).dense().shape == (2, 0)
 
+    def test_coordinate_that_is_not_an_int_is_kept_invalid(self):
+        # (1.7, 0) was once truncated to (I2, C1) and stored without a word
+        m = ItemCategoryMatrix(2, 2, {(1.7, 0), (0, "c"), (0, 1)})
+        assert m.invalid == ((0, "c"), (1.7, 0))
+        with pytest.raises(ValueError, match=r"^membership \(I1, 'c'\) out of bounds for 2x2"):
+            m.dense()
+        d = Dataset(graph=RelationshipGraph(3), ratings=RatingMatrix(3, 2), categories=m)
+        assert validate_dataset(d) == ["membership (I1, 'c') out of bounds for 2x2 matrix",
+                                       "membership (I2.7, C1) out of bounds for 2x2 matrix"]
+
 
 class TestDataset:
     def test_dimensions(self, tiny_dataset):
