@@ -125,6 +125,22 @@ CF_PIN_CONFIG = CfConfig(neighbor_k=5, co_rate_min=3, neighbor_scope="friends-on
 CATALOG_SHAPE = dict(n_users=80, n_items=80, n_categories=4, edge_density=0.05)
 CF_DEFAULT_PREDICT_DIGEST = "ad8459f3f3ada2b21f056415d579ffbca6ac11f4510629ae4c1eafbe712937b2"
 
+# Saved datasets at CATALOG_SHAPE, by seed.  Its sparse graph leaves cells
+# open after every pass, so the fill runs all three sweeps and then draws
+# random values (60 to 278 of the 6400 cells over these seeds).
+CATALOG_SHAPE_DIGESTS = {
+    0: "975d1b96141b48f90accc8d1fab2e0f31260a6fb61e7ce8a4f7d862bc6b163b9",
+    1: "251d1e30ee27f460e24fcddec6843d0981e8a8db27dc5b71721478e084577871",
+    2: "ff307a17506007231c62996191409300b0e41700da56f41071c46013b8651c5c",
+    3: "978de6cac11017008e3438145d078da3fe752340648c4cabd3f17b7757a171c0",
+    4: "59270976ddddd5bbfcc1e4e3b415a57238a070b2ce2b813eca9ec73a5ccde8c0",
+    5: "432db81c248e45c42e80218d3f3bbbb8c0ef442d0855bacaf95b0dd5ce00c6fe",
+    6: "8f3008a3a025019aab4fd396f4909f3289f375d4b42f996e1ce012bac95d7f8a",
+    7: "552099d0ad75387c906a09ebf0c3bbf0caaf24af144e9c70ca7b4cb2b4be5ce0",
+    8: "ed945876c1edc6a0d343f2ba1e1898ff27dc64e68fe9c946e6b75b36d9b99456",
+    9: "35e639553847421996fd0daa656692876d244f02bea47625a5f95f20aabb347f",
+}
+
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
 # seeds 5% of the cells on a sparse graph and sweeps once, so most cells come
@@ -199,6 +215,12 @@ def test_default_shape_dataset_bytes(seed, tmp_path):
 def test_dense_shape_dataset_bytes(seed, tmp_path):
     save_dataset(generate_dataset(GenConfig(rng_seed=seed, **DENSE_SHAPE)), tmp_path)
     assert dataset_digest(tmp_path) == DENSE_SHAPE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_catalog_shape_dataset_bytes(seed, tmp_path):
+    save_dataset(generate_dataset(GenConfig(rng_seed=seed, **CATALOG_SHAPE)), tmp_path)
+    assert dataset_digest(tmp_path) == CATALOG_SHAPE_DIGESTS[seed]
 
 
 def test_compare_reports_seed_42(tmp_path):
