@@ -22,7 +22,6 @@ from .model import (
     RATING_MAX,
     _check_graph_users,
     _too_large,
-    round_rating,
 )
 
 # Stream salts keep the per-table generators independent of one another.
@@ -79,7 +78,7 @@ class FillEvent:
     source: str  # "propagated" or "random"
 
 
-def _stream(cfg: GenConfig, salt: int) -> np.random.Generator:
+def _stream(cfg: GenConfig, salt: int) -> "np.random.Generator":
     return np.random.default_rng([salt, cfg.rng_seed])
 
 
@@ -132,8 +131,10 @@ def _friend_weighted_fill(
     FillEvent per filled cell to ``events`` when given.
 
     A cell reads only its own item's column, so one numpy step fills all of
-    a user's empty items at once with the values of a cell-by-cell sweep (the
-    sums over friends are exact integers); events come in that sweep's order.
+    a user's empty items at once with the values of a cell-by-cell sweep: the
+    sums over friends are exact integers, and their quotients are rounded
+    together as round_rating would round each.  Events come in that sweep's
+    order, and only they are built as Python lists.
     """
     _check_graph_users(graph, seeded.n_users)
     grid = seeded.dense().copy()  # -1 where unrated
@@ -157,15 +158,17 @@ def _friend_weighted_fill(
             hit = total.nonzero()[0]
             if not hit.size:
                 continue
-            items = empty[hit].tolist()
-            values = [round_rating(w / t)
-                      for w, t in zip(weighted[hit].tolist(), total[hit].tolist())]
-            grid[u, items] = values
-            n_open[u] -= len(values)
-            n_filled += len(values)
+            items = empty[hit]
+            # total >= 1 and 0 <= weighted <= 5 * total are exact int64 sums
+            # below 2**53, so each quotient is the double Python's w / t gives,
+            # and floor(q + 0.5) is round_rating(q) on 0..5, where it clamps nothing.
+            grid[u, items] = np.floor(weighted[hit] / total[hit] + 0.5)
+            n_open[u] -= hit.size
+            n_filled += hit.size
             if events is not None:
                 pairs = list(zip(vs[:, 0].tolist(), ss.tolist()))
-                for i, value, column in zip(items, values, rated[:, hit].T.tolist()):
+                for i, value, column in zip(items.tolist(), grid[u, items].tolist(),
+                                            rated[:, hit].T.tolist()):
                     contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
                                          if r >= 0)
                     events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))

@@ -75,11 +75,8 @@ def round_rating(x: float) -> int:
     """Round to the nearest rating level: half away from zero, clamped to 0..5."""
     if not math.isfinite(x):
         raise ValueError(f"cannot round non-finite value {x!r}")
-    if x >= 0:
-        rounded = math.floor(x + 0.5)
-    else:
-        rounded = math.ceil(x - 0.5)
-    return min(RATING_MAX, max(RATING_MIN, rounded))
+    # Below 0 any rounding clamps to 0, so only the half-up branch matters.
+    return min(RATING_MAX, max(RATING_MIN, math.floor(x + 0.5)))
 
 
 def _round_ratings(values: np.ndarray) -> np.ndarray:
@@ -88,8 +85,7 @@ def _round_ratings(values: np.ndarray) -> np.ndarray:
     finite = np.isfinite(values)
     if not finite.all():
         round_rating(float(values[finite.argmin()]))
-    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
-    return np.clip(rounded, RATING_MIN, RATING_MAX).astype(np.int64)
+    return np.clip(np.floor(values + 0.5), RATING_MIN, RATING_MAX).astype(np.int64)
 
 
 @contextmanager

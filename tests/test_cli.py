@@ -649,3 +649,16 @@ class TestHelp:
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0
         assert "--help" in result.output
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # predict, eval and compare draw no random numbers, so importing the CLI
+    # should not load numpy.random; gen loads it when it first draws.
+    probe = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+             "import socialrec.cli; print(before, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(socialrec.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    if result.stdout.split()[0] == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert result.stdout.split() == ["False", "False"]

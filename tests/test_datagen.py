@@ -387,6 +387,27 @@ class TestFillAgainstReference:
         assert meta["cells_propagated"] > 0 and meta["cells_random"] > 0
 
 
+def assert_int_trace(filled, events):
+    # FillEvent(value=3.0) == FillEvent(value=3), so event equality with the
+    # reference cannot tell a float value from an int.
+    assert filled.dense().dtype == np.int8
+    assert all(type(e.value) is int for e in events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fill_cases())
+def test_trace_values_are_ints(case):
+    assert_int_trace(*friend_weighted_fill_trace(*case))
+
+
+def test_trace_values_are_ints_at_catalog_shape():
+    cfg = GenConfig(n_users=80, n_items=80, n_categories=4, edge_density=0.05)
+    filled, events = friend_weighted_fill_trace(generate_relationships(cfg),
+                                                seed_ratings(cfg), cfg)
+    assert {e.source for e in events} == {"propagated", "random"}
+    assert_int_trace(filled, events)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 133, 5000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1])
 def test_batched_draw_equals_scalar_draws(seed, n):

@@ -29,7 +29,7 @@ from socialrec import (
 )
 from socialrec import storage
 from socialrec.datagen import generate_relationships
-from socialrec.model import TableTooLargeError
+from socialrec.model import RATING_MAX, RATING_MIN, TableTooLargeError, _round_ratings
 from conftest import build_dataset
 from test_datagen import reference_edges
 
@@ -106,6 +106,38 @@ class TestRoundRating:
     @given(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
     def test_within_half_on_scale(self, x):
         assert abs(round_rating(x) - x) <= 0.5
+
+
+def two_branch_rounding(x: float) -> int:
+    """The rounding with a separate branch below 0: half away from zero,
+    then clamped to the rating scale."""
+    rounded = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    return min(RATING_MAX, max(RATING_MIN, rounded))
+
+
+HALVES = [0.5, -0.5, 2.5, -2.5]
+TWO_BRANCH_EDGES = (HALVES + [math.nextafter(h, d) for h in HALVES for d in (-math.inf, math.inf)]
+                    + [1e308, -1e308, -0.0, 0.0, -5e-324, -math.ulp(0.5)])
+
+
+class TestRoundingAgainstTwoBranches:
+    """round_rating and _round_ratings round half up and clamp; below 0 that
+    gives what the two-branch formula gives."""
+
+    @pytest.mark.parametrize("x", TWO_BRANCH_EDGES)
+    def test_edges(self, x):
+        assert round_rating(x) == two_branch_rounding(x)
+        assert _round_ratings(np.array([x])).tolist() == [two_branch_rounding(x)]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_any_finite(self, values):
+        expected = [two_branch_rounding(x) for x in values]
+        assert [round_rating(x) for x in values] == expected
+        assert _round_ratings(np.array(values, dtype=np.float64)).tolist() == expected
+
+    @given(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_negatives(self, x):
+        assert round_rating(x) == two_branch_rounding(x) == 0
 
 
 class TestRelationshipGraph:
