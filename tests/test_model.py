@@ -135,10 +135,6 @@ class TestRoundingAgainstTwoBranches:
         assert [round_rating(x) for x in values] == expected
         assert _round_ratings(np.array(values, dtype=np.float64)).tolist() == expected
 
-    @given(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
-    def test_negatives(self, x):
-        assert round_rating(x) == two_branch_rounding(x) == 0
-
 
 class TestRelationshipGraph:
     def test_strength_lookup_both_orders(self):
