@@ -23,7 +23,6 @@ from .model import (
     Dataset,
     Prediction,
     RatingMatrix,
-    RelationshipGraph,
     SocialRecError,
     _check_graph_users,
     cell_array,
@@ -55,10 +54,10 @@ class CfConfig:
     neighbor_scope: str = SCOPE_ALL
 
     def __post_init__(self):
-        if self.neighbor_k < 1:
-            raise ValueError("neighbor_k must be >= 1")
-        if self.co_rate_min < 2:
-            raise ValueError("co_rate_min must be >= 2 (one shared item has no variance)")
+        if not isinstance(self.neighbor_k, int) or self.neighbor_k < 1:
+            raise ValueError("neighbor_k must be an int >= 1")
+        if not isinstance(self.co_rate_min, int) or self.co_rate_min < 2:
+            raise ValueError("co_rate_min must be an int >= 2 (one shared item has no variance)")
         if self.neighbor_scope not in (SCOPE_ALL, SCOPE_FRIENDS):
             raise ValueError(f"unknown neighbor_scope {self.neighbor_scope!r}")
 
@@ -104,13 +103,14 @@ class SimilarityCache:
     """Precomputed Pearson similarities of user pairs, one row per user.
 
     Built once from a rating matrix, with every user's row or only the rows
-    of some users (the others empty), and immutable afterwards.  The defined
-    similarities are one CSR table: user u's row is the int32 user indices
+    of some users (the others empty), each over every rated user or only the
+    user's friends, and immutable afterwards.  The defined similarities are
+    one CSR table: user u's row is the int32 user indices
     ``neighbors[indptr[u]:indptr[u + 1]]`` with the float64 ``similarities``
     alongside, in neighbour order: similarity descending, ties by ascending
-    user index.  A pair missing from a built row has an undefined similarity.
-    ``positive[u]`` counts the strictly positive similarities, which open
-    u's row.
+    user index.  A pair missing from a built row has an undefined similarity
+    or, in a friends-only row, is no friendship.  ``positive[u]`` counts the
+    strictly positive similarities, which open u's row.
     """
 
     def __init__(self, indptr, neighbors, similarities):
@@ -129,10 +129,12 @@ class SimilarityCache:
 
     @classmethod
     def build(cls, ratings: RatingMatrix, co_rate_min: int = 2,
-              rows=None) -> "SimilarityCache":
+              rows=None, friends=None) -> "SimilarityCache":
         """The rows of the user indices ``rows`` (every user's when None) as
         Gram products over the rated users, one block of rows at a time; the
-        other users' rows are empty.
+        other users' rows are empty.  Given ``friends``, a friendship CSR
+        ``(indptr, friends)`` over the matrix's users, each row keeps only
+        the user's friends, in the same order.
 
         With R the rated users' ``dense()`` rows (-1 read as 0), M their 0/1
         mask and n = M·Mᵀ the co-rated counts, Sx = R·Mᵀ, Sxx = (R∘R)·Mᵀ and
@@ -170,6 +172,14 @@ class SimilarityCache:
             defined = (n >= co_rate_min) & (spread != 0) & (spread_t != 0)
             own = np.arange(len(n))
             defined[own, block] = False
+            if friends is not None:
+                row_of = np.full(ratings.n_users, -1)
+                row_of[users[block]] = own
+                edge_row = np.repeat(row_of, np.diff(friends[0]))  # -1: not a block user's
+                edge = edge_row >= 0
+                allowed = np.zeros((len(block), ratings.n_users), dtype=bool)
+                allowed[edge_row[edge], friends[1][edge]] = True
+                defined &= allowed[:, users]
             sims = np.divide(uv, np.sqrt(uu * vv), out=np.zeros(uv.shape), where=defined)
             # a stable sort keeps equal similarities in ascending user order;
             # the undefined pairs sort last and are cut off
@@ -213,21 +223,8 @@ class SimilarityCache:
                 yield (u, n), row.get(n)
 
 
-def _friend_keys(cfg: CfConfig, graph: RelationshipGraph, n_users: int) -> np.ndarray | None:
-    """In friends-only scope, the ``user << 32 | friend`` keys of the
-    graph's index over strength >= 1, sorted as the index lists them, then
-    a sentinel above every key; None in all-users scope.  In friends-only
-    scope the graph must have the rating matrix's ``n_users`` users."""
-    if cfg.neighbor_scope != SCOPE_FRIENDS:
-        return None
-    _check_graph_users(graph, n_users)
-    indptr, friends, _ = graph._csr(1)
-    users = np.repeat(np.arange(graph.n_users), np.diff(indptr))
-    return np.append(users << 32 | friends, np.iinfo(np.int64).max)
-
-
-def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: CfConfig,
-            friends: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache,
+            cfg: CfConfig) -> tuple[np.ndarray, np.ndarray]:
     """The mean-centred weighted average of each (user, item) row of ``at``:
     the user's mean plus numerator / denominator, or the mean alone without
     neighbours (NaN for a user without ratings).  Also a cells x k block of
@@ -235,8 +232,8 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
     -1 past a cell's last neighbour.
 
     A cell's candidates are the positive-similarity prefix of its user's
-    row.  An entry is usable when its neighbour rated the item and, given
-    ``friends``, is the user's friend, and the first neighbor_k usable
+    row, which in friends-only scope holds only friends.  An entry is usable
+    when its neighbour rated the item, and the first neighbor_k usable
     entries are kept.  Cells are scored a chunk at a time, each chunk in
     windows of the prefixes padded into a cells x width block that holds
     about _CHUNK_ENTRIES entries; a cell leaves once it has its neighbours
@@ -266,13 +263,9 @@ def _select(at: np.ndarray, ratings: RatingMatrix, cache: SimilarityCache, cfg: 
             last = end[active, None] - 1
             usable = entry <= last
             np.minimum(entry, last, out=entry)
-            neighbor = cache.neighbors[entry]
-            at_item = neighbor * n_items
+            at_item = cache.neighbors[entry] * n_items
             at_item += item[active, None]
             usable &= flat[at_item] >= 0
-            if friends is not None:
-                pair = user[active, None] << 32 | neighbor
-                usable &= friends[np.searchsorted(friends, pair)] == pair
             rank = np.cumsum(usable, axis=1)
             rank += found[active, None]
             hit = np.flatnonzero(usable & (rank <= k))
@@ -303,12 +296,16 @@ class CfPredictor:
     def __init__(self, dataset: Dataset, cfg: CfConfig = CfConfig()):
         self.cfg = cfg
         self._ratings = dataset.ratings
-        self._friends = _friend_keys(cfg, dataset.graph, dataset.ratings.n_users)
+        self._friends = None
+        if cfg.neighbor_scope == SCOPE_FRIENDS:
+            _check_graph_users(dataset.graph, dataset.ratings.n_users)
+            self._friends = dataset.graph._csr(1)[:2]
         self._global_mean = dataset.ratings.global_mean()
 
     @functools.cached_property
     def cache(self) -> SimilarityCache:
-        """Every user's similarity row, built on first read."""
+        """Every user's row of every defined pair, in either scope, built on
+        first read."""
         return SimilarityCache.build(self._ratings, self.cfg.co_rate_min)
 
     def predict(self, u: int, i: int) -> float:
@@ -333,8 +330,9 @@ class CfPredictor:
         if self._global_mean is None and len(at):
             raise ColdStartError(f"cold start: {user_label(int(at[0, 0]))} has no ratings "
                                  f"and the dataset has no other ratings to average")
-        cache = SimilarityCache.build(self._ratings, self.cfg.co_rate_min, at[:, 0])
-        values, block = _select(at, self._ratings, cache, self.cfg, self._friends)
+        cache = SimilarityCache.build(self._ratings, self.cfg.co_rate_min, at[:, 0],
+                                      self._friends)
+        values, block = _select(at, self._ratings, cache, self.cfg)
         unrated = np.isnan(values)
         fallbacks = np.where(block[:, 0] >= 0, None,
                              np.where(unrated, "global-mean", "user-mean")).tolist()

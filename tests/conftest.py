@@ -24,10 +24,10 @@ def build_dataset(n_users, n_items, n_categories, edges=None, cells=None, member
     )
 
 
-def cf_predictor(ratings, cache, cfg=CfConfig(), graph=None):
-    """A CfPredictor over ``ratings`` and ``graph`` (no edges by default)
-    that scores with ``cache`` in place of the similarities it would build."""
-    dataset = Dataset(graph=graph or RelationshipGraph(ratings.n_users, {}), ratings=ratings,
+def cf_predictor(ratings, cache, cfg=CfConfig()):
+    """A CfPredictor over ``ratings`` and a graph without edges that scores
+    with ``cache`` in place of the similarities it would build."""
+    dataset = Dataset(graph=RelationshipGraph(ratings.n_users, {}), ratings=ratings,
                       categories=ItemCategoryMatrix(ratings.n_items, 0))
     predictor = CfPredictor(dataset, cfg)
     score = predictor._score

@@ -289,24 +289,45 @@ def random_ratings(seed, n_users=40, n_items=7):
     return RatingMatrix(n_users, n_items, grid)
 
 
+def random_graph(seed, ratings):
+    """A random friendship graph over the users of ``ratings`` that has a
+    self-edge, strength-0 edges, a user without friends and a friend
+    without ratings."""
+    rng = random.Random(seed)
+    n_users = ratings.n_users
+    rated = np.flatnonzero((ratings.dense() >= 0).any(axis=1)).tolist()
+    unrated = sorted(set(range(n_users)) - set(rated))
+    pairs = {tuple(sorted(rng.sample(range(n_users), 2))) for _ in range(2 * n_users)}
+    edges = {pair: rng.randint(0, 5) for pair in sorted(pairs) if rated[1] not in pair}
+    edges.update({(rated[0], rated[0]): 3, (rated[0], rated[2]): 0,
+                  tuple(sorted((rated[0], unrated[0]))): 4})
+    return RelationshipGraph(n_users, edges)
+
+
 class TestNarrowedBuild:
     """A build of some users' rows holds each of them bit for bit as the
-    full build does, and nothing for any other user."""
+    full build does, and nothing for any other user; a friends-only build
+    holds the full row without the user's non-friends."""
 
     @staticmethod
-    def assert_rows_of_full_build(ratings, rows, co_rate_min=2):
+    def assert_rows_of_full_build(ratings, rows, co_rate_min=2, graph=None):
         full = SimilarityCache.build(ratings, co_rate_min)
-        narrow = SimilarityCache.build(ratings, co_rate_min, rows)
+        friends = None if graph is None else graph._csr(1)[:2]
+        narrow = SimilarityCache.build(ratings, co_rate_min, rows, friends)
         assert narrow.n_users == full.n_users
         wanted = set(rows)
         for u in range(full.n_users):
             span = slice(narrow.indptr[u], narrow.indptr[u + 1])
             if u in wanted:
                 full_span = slice(full.indptr[u], full.indptr[u + 1])
-                assert narrow.neighbors[span].tobytes() == full.neighbors[full_span].tobytes()
-                assert (narrow.similarities[span].tobytes()
-                        == full.similarities[full_span].tobytes())
-                assert narrow.positive[u] == full.positive[u]
+                neighbors = full.neighbors[full_span]
+                similarities = full.similarities[full_span]
+                if graph is not None:
+                    friend = [(graph.strength(u, n) or 0) >= 1 for n in neighbors.tolist()]
+                    neighbors, similarities = neighbors[friend], similarities[friend]
+                assert narrow.neighbors[span].tobytes() == neighbors.tobytes()
+                assert narrow.similarities[span].tobytes() == similarities.tobytes()
+                assert narrow.positive[u] == (similarities > 0).sum()
             else:
                 assert span.start == span.stop and narrow.positive[u] == 0
 
@@ -319,27 +340,31 @@ class TestNarrowedBuild:
         m = random_ratings(seed)
         rated = sorted(set(range(m.n_users)) - set(self.unrated(m)))
         rng = random.Random(seed)
-        for rows in ([], [rated[0]], [rated[-1]], self.unrated(m),
-                     self.unrated(m)[:2] + rated[:2],              # unrated and rated
-                     [rated[3], rated[3], rated[1], rated[3]],    # duplicates
-                     rated[::3][::-1],                             # not contiguous
-                     rng.sample(range(m.n_users), 15)):
-            self.assert_rows_of_full_build(m, rows, co_rate_min=2 + seed % 2)
+        for rows, graph in itertools.product(
+                ([], [rated[0]], [rated[-1]], self.unrated(m),
+                 self.unrated(m)[:2] + rated[:2],              # unrated and rated
+                 [rated[3], rated[3], rated[1], rated[3]],    # duplicates
+                 rated[::3][::-1],                             # not contiguous
+                 rng.sample(range(m.n_users), 15)),
+                (None, random_graph(seed, m))):
+            self.assert_rows_of_full_build(m, rows, 2 + seed % 2, graph)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_across_several_blocks(self, seed, monkeypatch):
         m = random_ratings(seed, n_users=60)
         rng = random.Random(seed)
         monkeypatch.setattr(socialrec.cf, "_BUILD_BLOCK", 4)
-        for rows in (rng.sample(range(60), 23), list(range(1, 60, 2)), list(range(60))):
-            self.assert_rows_of_full_build(m, rows)
+        for rows, graph in itertools.product(
+                (rng.sample(range(60), 23), list(range(1, 60, 2)), list(range(60))),
+                (None, random_graph(seed, m))):
+            self.assert_rows_of_full_build(m, rows, graph=graph)
 
     def test_scoring_builds_only_the_batch_users_rows(self, default_dataset, monkeypatch):
         built = []
         build = SimilarityCache.build
 
-        def recording(ratings, co_rate_min, rows=None):
-            built.append(build(ratings, co_rate_min, rows))
+        def recording(ratings, co_rate_min, rows=None, friends=None):
+            built.append(build(ratings, co_rate_min, rows, friends))
             return built[-1]
 
         monkeypatch.setattr(SimilarityCache, "build", recording)
@@ -386,10 +411,10 @@ def hand_cache(entries):
                            [n for n, _ in ranked], [s for _, s in ranked])
 
 
-def used_neighbors(u, i, ratings, cache, cfg, graph=None):
+def used_neighbors(u, i, ratings, cache, cfg):
     """The (user, similarity) neighbours CfPredictor uses for (u, i), with
     ``cache`` in place of the similarities it would build."""
-    return list(cf_predictor(ratings, cache, cfg, graph).predict_detailed(u, i).neighbors)
+    return list(cf_predictor(ratings, cache, cfg).predict_detailed(u, i).neighbors)
 
 
 def cf_value(u, i, ratings, cache, cfg):
@@ -430,11 +455,17 @@ class TestSelectNeighbors:
         assert got == [(1, 0.9), (2, 0.8)]
 
     def test_friends_only_scope(self):
-        m = RatingMatrix(4, 1, {(1, 0): 3, (2, 0): 2, (3, 0): 4})
-        cache = hand_cache({(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7})
-        graph = RelationshipGraph(4, {(0, 2): 3, (0, 3): 0})
-        cfg = CfConfig(neighbor_scope="friends-only")
-        assert used_neighbors(0, 0, m, cache, cfg, graph) == [(2, 0.8)]
+        # user 0's row ranks 1, 3, 4, 2; 4 and 2 are friends, 3 one at strength 0
+        rows = {0: [None, 1, 3, 5], 1: [3, 1, 3, 5], 2: [3, 2, 1, 3], 3: [3, 1, 3, 4],
+                4: [3, 1, 4, 3]}
+        cells = {(u, i): r for u, row in rows.items() for i, r in enumerate(row) if r is not None}
+        d = build_dataset(5, 4, 1, edges={(0, 2): 3, (0, 3): 0, (0, 4): 1}, cells=cells)
+        similarities = CfPredictor(d).cache.row(0)
+        assert list(similarities) == [1, 3, 4, 2]
+        for k, want in ((20, [4, 2]), (1, [4])):
+            cfg = CfConfig(neighbor_k=k, neighbor_scope="friends-only")
+            assert CfPredictor(d, cfg).predict_detailed(0, 0).neighbors == tuple(
+                (n, similarities[n]) for n in want)
 
     @pytest.mark.parametrize("cell", [(0, -1), (0, 2), (-1, 0), (4, 0)])
     def test_cell_outside_matrix_rejected(self, cell):
@@ -504,7 +535,9 @@ class TestPredictCf:
 class TestCfConfig:
     @pytest.mark.parametrize("kwargs", [
         {"neighbor_k": 0},
+        {"neighbor_k": 2.5},
         {"co_rate_min": 1},
+        {"co_rate_min": 2.5},
         {"neighbor_scope": "strangers"},
     ])
     def test_rejects(self, kwargs):
