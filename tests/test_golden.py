@@ -7,6 +7,7 @@ must update the hashes in the same commit and say why.
 """
 
 import hashlib
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -335,6 +336,20 @@ def test_snrs_rescale_batch_bits():
         digest.update(hex_rows(rows))
     digest.update(hex_rows([[p.value for p in predictor.predict_many(RESCALE_BATCH_CELLS)]]))
     assert digest.hexdigest() == SNRS_RESCALE_BATCH_DIGEST
+
+
+def test_snrs_factor_bits_one_long_batch():
+    """One ``_factors`` call over every cell of the seed-0 DENSE_SHAPE
+    dataset (1920 cells, eight parts of 256) in a shuffled order that
+    mixes users gives each cell the rows that its own ``components`` call
+    gives, which test_snrs_factor_bits pins."""
+    dataset = generate_dataset(GenConfig(rng_seed=0, **DENSE_SHAPE))
+    predictor = SnrsPredictor(dataset)
+    cells = [(u, i) for u in range(dataset.n_users) for i in range(dataset.n_items)]
+    cells = random.Random(0).sample(cells, len(cells))
+    per_cell = [predictor.components(u, i) for u, i in cells]
+    for factor, rows in enumerate(predictor._factors(cells)):
+        assert hex_rows(rows) == hex_rows(dists[factor] for dists in per_cell)
 
 
 def cf_predict_digest(dataset, cfg) -> str:
