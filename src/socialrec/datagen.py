@@ -10,6 +10,7 @@ Every step draws from its own seeded stream, so each table is a pure
 function of the config and the whole dataset is reproducible bit for bit.
 """
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +50,12 @@ class GenConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_users", "n_items", "n_categories", "fill_passes", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("edge_density", "seed_rating_fraction"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n_users < 1 or self.n_items < 1 or self.n_categories < 1:
             raise ValueError("n_users, n_items and n_categories must be >= 1")
         if not 0.0 < self.edge_density <= 1.0:

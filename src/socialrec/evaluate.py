@@ -9,6 +9,7 @@ as a secondary diagnostic) and accuracy counts exact integer matches.
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,6 +53,10 @@ class SplitSpec:
     def __post_init__(self):
         object.__setattr__(self, "test_users", tuple(self.test_users))
         object.__setattr__(self, "test_items", tuple(self.test_items))
+        for what in ("test_users", "test_items"):
+            for index in getattr(self, what):
+                if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+                    raise ValueError(f"{what} index {index!r} is not an integer")
         if len(set(self.test_users)) != len(self.test_users):
             raise ValueError("test_users contains duplicates")
         if len(set(self.test_items)) != len(self.test_items):

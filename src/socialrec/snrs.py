@@ -34,6 +34,7 @@ the same bits whatever batch it is in.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ _RESCALE_BELOW = 2.0 ** -500
 _ROUNDING_MARGIN = 1 - 2.0 ** -40
 # Entries of one block of the friend co-rating count: slots x (items + 36).
 _BLOCK_CELLS = 2 ** 16
-# Cells predicted together: the arrays of a batch grow with its cells times
-# the users' friend counts, so a long batch runs in parts of this size.
+# Cells whose factor rows are built together: the step arrays grow with the
+# cells times the users' friend counts, so a long batch runs in parts.
 _BATCH_CELLS = 256
 
 
@@ -69,6 +70,7 @@ class EmptyTrainingSetError(SocialRecError, ValueError):
     """The training ratings are empty, so no factor model can be learned."""
 
 
+@dataclass(frozen=True)
 class RatingDistribution:
     """Probability vector over the six rating levels 0..5.
 
@@ -76,10 +78,10 @@ class RatingDistribution:
     at construction.  Instances are immutable.
     """
 
-    __slots__ = ("probs",)
+    probs: tuple[float, ...]
 
-    def __init__(self, probs):
-        probs = tuple(float(p) for p in probs)
+    def __post_init__(self):
+        probs = tuple(float(p) for p in self.probs)
         if len(probs) != N_LEVELS:
             raise ValueError(f"need {N_LEVELS} probabilities, got {len(probs)}")
         if not all(math.isfinite(p) for p in probs):
@@ -90,22 +92,11 @@ class RatingDistribution:
             raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatingDistribution is immutable")
-
     def __getitem__(self, level: int) -> float:
         return self.probs[level]
 
     def __iter__(self):
         return iter(self.probs)
-
-    def __eq__(self, other):
-        if not isinstance(other, RatingDistribution):
-            return NotImplemented
-        return self.probs == other.probs
-
-    def __hash__(self):
-        return hash(self.probs)
 
     def __repr__(self):
         inside = ", ".join(f"{p:.4f}" for p in self.probs)
@@ -171,11 +162,16 @@ class SnrsConfig:
     prediction_levels: tuple[int, ...] = RATING_LEVELS
 
     def __post_init__(self):
+        if not isinstance(self.laplace_alpha, numbers.Real):
+            raise ValueError(f"laplace_alpha must be a real number, got {self.laplace_alpha!r}")
         if not (self.laplace_alpha > 0 and math.isfinite(N_LEVELS * self.laplace_alpha)):
             raise ValueError(f"laplace_alpha must be > 0 and {N_LEVELS} * laplace_alpha "
                              f"finite, got {self.laplace_alpha!r}")
         # a float, so that count + alpha cannot wrap in a count's unsigned type
         object.__setattr__(self, "laplace_alpha", float(self.laplace_alpha))
+        if not isinstance(self.friend_min_strength, numbers.Integral):
+            raise ValueError(f"friend_min_strength must be an integer, "
+                             f"got {self.friend_min_strength!r}")
         if self.friend_min_strength < 0:
             raise ValueError("friend_min_strength must be >= 0")
         levels = tuple(self.prediction_levels)
@@ -334,15 +330,16 @@ class SnrsPredictor:
       whose strength reaches cfg.friend_min_strength.
 
     Priors, per-category bit counts and item acceptance counts are integer
-    sums over each level's users x items mask of the ratings.  A predictor
-    is read-only once learned: each scoring call first counts the friend
-    table slots of its distinct users into a new array over every slot of
-    the table (36 bytes per slot below 256 items, 72 from 256), so
-    ``predict`` costs O(the user's friend pairs x items) there.  Raises
-    EmptyTrainingSetError when the training set has no ratings at all,
-    ValueError when the graph does not have the rating matrix's users, and
-    TableTooLargeError when numpy cannot allocate the models or a call's
-    friend pair counts.
+    sums over each level's users x items mask of the ratings.  Batch
+    scoring, ``components`` and ``rating_distribution`` build their factor
+    rows through one path.  A predictor is read-only once learned: each
+    scoring call first counts the friend table slots of its distinct users
+    into a new array over every slot of the table (36 bytes per slot below
+    256 items, 72 from 256), so ``predict`` costs O(the user's friend pairs
+    x items) there.  Raises EmptyTrainingSetError when the training set has
+    no ratings at all, ValueError when the graph does not have the rating
+    matrix's users, and TableTooLargeError when numpy cannot allocate the
+    models or a call's friend pair counts.
     """
 
     def __init__(self, dataset: Dataset, cfg: SnrsConfig = SnrsConfig()):
@@ -391,47 +388,37 @@ class SnrsPredictor:
         index[_ranks(cells, per_cell), cells] = np.arange(len(cells))
         return columns[index]
 
-    def _cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
-        """The (user, item) cells as an n x 2 index array, and the friend
-        table counts of their users' slots."""
+    def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Preference, acceptance and friend-inference rows for each
+        (user, item) cell: u's prior times item i's bit likelihood per
+        category in index order, i's acceptance, and the table columns of
+        the friends who rated i (uniform when none did).  The friend table
+        slots of the cells' distinct users are counted once, and the rows
+        are built in parts of _BATCH_CELLS cells."""
         at = cell_array(cells, self._ratings.shape)
         # a mask, not np.unique, whose first call alone raises peak RSS ~1.5 MB
         wanted = np.zeros(len(self._ratings), dtype=bool)
         wanted[at[:, 0]] = True
         users = np.flatnonzero(wanted)
-        tables = self.friend_tables
+        tables, likelihoods = self.friend_tables, self.likelihoods
         with _too_large(self._models_name):
-            return at, tables._count(users, *tables._slots(users))
-
-    def _factors(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Preference, acceptance and friend-inference rows for each
-        (user, item) cell, as ``_factor_rows``."""
-        return self._factor_rows(*self._cells(cells))
-
-    def _factor_rows(self, at: np.ndarray, counts: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Preference, acceptance and friend-inference rows for each cell
-        of an array and counts from ``_cells``: u's prior times item i's bit
-        likelihood per category in index order, i's acceptance, and the
-        table columns of the friends who rated i (uniform when none did)."""
-        users, items = at.T
-        bits, likelihoods = self._bits[items], self.likelihoods
-        pu = _evidence(self.priors[users],
-                       (likelihoods[users, c, bits[:, c]] for c in range(bits.shape[1])))
-        pff = _evidence(np.ones((len(users), N_LEVELS)),
-                        self._friend_steps(users, items, counts), self._friend_floor)
-        return pu, self.acceptance[items], pff
+            counts = tables._count(users, *tables._slots(users))
+        pu, pff = np.empty((2, len(at), N_LEVELS))
+        for start in range(0, len(at), _BATCH_CELLS):
+            part = slice(start, start + _BATCH_CELLS)
+            users, items = at[part].T
+            bits = self._bits[items]
+            pu[part] = _evidence(self.priors[users], (likelihoods[users, c, bits[:, c]]
+                                                      for c in range(bits.shape[1])))
+            pff[part] = _evidence(np.ones((len(users), N_LEVELS)),
+                                  self._friend_steps(users, items, counts), self._friend_floor)
+        return pu, self.acceptance[at[:, 1]], pff
 
     def _score(self, cells) -> tuple[np.ndarray, list[None]]:
         """The values and fallbacks of a batch of (user, item) cells: each
         value is the expected rating level under the combined distribution,
         taken over cfg.prediction_levels, and no cell falls back."""
-        at, counts = self._cells(cells)
-        values = np.concatenate([np.zeros(0), *(
-            _expected_levels(_combine(*self._factor_rows(at[start:start + _BATCH_CELLS],
-                                                         counts)),
-                             self.cfg.prediction_levels)
-            for start in range(0, len(at), _BATCH_CELLS))])
+        values = _expected_levels(_combine(*self._factors(cells)), self.cfg.prediction_levels)
         return values, [None] * len(values)
 
     def predict_many(self, cells) -> list[Prediction]:

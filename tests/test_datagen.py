@@ -35,10 +35,22 @@ class TestGenConfig:
         {"seed_rating_fraction": -0.1},
         {"fill_passes": 0},
         {"rng_seed": -1},
+        {"n_users": 20.5},                           # each would fail inside numpy
+        {"n_items": 5.5},
+        {"n_categories": 2.5},
+        {"fill_passes": 2.5},
+        {"rng_seed": 1.5},
+        {"edge_density": "0.5"},                     # each would raise a bare TypeError
+        {"seed_rating_fraction": "0.5"},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = GenConfig(n_users=np.int64(12), n_items=np.int32(4), rng_seed=np.int64(3))
+        assert generate_dataset(cfg) == generate_dataset(GenConfig(n_users=12, n_items=4,
+                                                                   rng_seed=3))
 
 
 class TestGenerateRelationships:

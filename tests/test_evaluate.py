@@ -49,6 +49,19 @@ class TestSplitSpec:
         with pytest.raises(ValueError):
             SplitSpec(test_items=(0, 0))
 
+    @pytest.mark.parametrize("index", [2.5, "3", True])
+    def test_non_integer_index_rejected(self, index):
+        # split would cast 2.5 to 2 and fail on "3" with a bare TypeError
+        with pytest.raises(ValueError, match=f"test_users index {index!r} is not an integer"):
+            SplitSpec(test_users=(index,))
+        with pytest.raises(ValueError, match=f"test_items index {index!r} is not an integer"):
+            SplitSpec(test_items=(index,))
+
+    def test_numpy_indices_accepted(self, default_dataset):
+        spec = SplitSpec(test_users=np.arange(50, 100), test_items=(np.int32(0), 1))
+        assert split(default_dataset, spec) == split(default_dataset, SplitSpec(
+            test_users=tuple(range(50, 100)), test_items=(0, 1)))
+
 
 class TestSplit:
     def test_empty_items_is_identity(self, default_dataset):

@@ -105,6 +105,9 @@ class TestSnrsConfig:
         {"laplace_alpha": math.inf},
         {"laplace_alpha": 1e308},                    # 6 * alpha overflows
         {"friend_min_strength": -1},
+        {"friend_min_strength": 1.5},                # would act as 2
+        {"friend_min_strength": "1"},                # would raise a bare TypeError
+        {"laplace_alpha": "1"},
         {"prediction_levels": ()},
         {"prediction_levels": (4, 7)},
         {"prediction_levels": (1, 1, 2)},
@@ -112,6 +115,12 @@ class TestSnrsConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SnrsConfig(**kwargs)
+
+    def test_numpy_integer_strength_accepted(self, default_dataset):
+        cfg = SnrsConfig(friend_min_strength=np.int64(2))
+        assert SnrsPredictor(default_dataset, cfg).predict_many([(0, 0), (5, 3)]) == \
+            SnrsPredictor(default_dataset, SnrsConfig(friend_min_strength=2)).predict_many(
+                [(0, 0), (5, 3)])
 
     def test_levels_normalized_to_tuple(self):
         assert SnrsConfig(prediction_levels=[1, 2, 3]).prediction_levels == (1, 2, 3)
