@@ -25,6 +25,8 @@ from .model import (
     RatingMatrix,
     SocialRecError,
     _check_graph_users,
+    _check_integer,
+    _check_user,
     cell_array,
     round_rating,
     user_label,
@@ -54,10 +56,8 @@ class CfConfig:
     neighbor_scope: str = SCOPE_ALL
 
     def __post_init__(self):
-        if not isinstance(self.neighbor_k, int) or self.neighbor_k < 1:
-            raise ValueError("neighbor_k must be an int >= 1")
-        if not isinstance(self.co_rate_min, int) or self.co_rate_min < 2:
-            raise ValueError("co_rate_min must be an int >= 2 (one shared item has no variance)")
+        _check_integer("neighbor_k", self.neighbor_k, 1)
+        _check_integer("co_rate_min", self.co_rate_min, 2)  # one shared item has no variance
         if self.neighbor_scope not in (SCOPE_ALL, SCOPE_FRIENDS):
             raise ValueError(f"unknown neighbor_scope {self.neighbor_scope!r}")
 
@@ -192,22 +192,18 @@ class SimilarityCache:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return cls(indptr, np.concatenate(neighbors), np.concatenate(similarities))
 
-    def _check_user(self, u: int) -> None:
-        if not 0 <= u < self.n_users:
-            raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
-
     def row(self, u: int) -> dict[int, float]:
         """u's defined similarities in neighbour order, as a new dict.
         Raises IndexError for a user outside 0..n_users-1."""
-        self._check_user(u)
+        _check_user("u", u, self.n_users)
         span = slice(self.indptr[u], self.indptr[u + 1])
         return dict(zip(self.neighbors[span].tolist(), self.similarities[span].tolist()))
 
     def similarity(self, u: int, n: int) -> float | None:
         """The similarity of users u and n, None where undefined.  Raises
         IndexError for a user outside 0..n_users-1."""
-        self._check_user(u)
-        self._check_user(n)
+        _check_user("u", u, self.n_users)
+        _check_user("n", n, self.n_users)
         if u == n:
             raise ValueError("similarity of a user with themselves is undefined")
         start = self.indptr[u]

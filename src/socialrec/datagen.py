@@ -10,7 +10,6 @@ Every step draws from its own seeded stream, so each table is a pure
 function of the config and the whole dataset is reproducible bit for bit.
 """
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ from .model import (
     RelationshipGraph,
     RATING_MAX,
     _check_graph_users,
+    _check_integer,
+    _is_real,
     _too_large,
 )
 
@@ -34,12 +35,12 @@ _FILL_STREAM = 4
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for the synthetic dataset generator.
+    """Knobs for the synthetic dataset generator: four integers >= 1, an
+    rng_seed >= 0 and two reals in (0, 1]; any other value raises ValueError.
 
     edge_density is the fraction of unordered user pairs that receive a
     relationship edge; seed_rating_fraction is the fraction of rating cells
-    assigned uniformly at random before friend propagation runs.
-    """
+    assigned uniformly at random before friend propagation runs."""
 
     n_users: int = 100
     n_items: int = 10
@@ -51,21 +52,11 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("n_users", "n_items", "n_categories", "fill_passes", "rng_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _check_integer(name, getattr(self, name), 0 if name == "rng_seed" else 1)
         for name in ("edge_density", "seed_rating_fraction"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if self.n_users < 1 or self.n_items < 1 or self.n_categories < 1:
-            raise ValueError("n_users, n_items and n_categories must be >= 1")
-        if not 0.0 < self.edge_density <= 1.0:
-            raise ValueError("edge_density must be in (0, 1]")
-        if not 0.0 < self.seed_rating_fraction <= 1.0:
-            raise ValueError("seed_rating_fraction must be in (0, 1]")
-        if self.fill_passes < 1:
-            raise ValueError("fill_passes must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+            value = getattr(self, name)
+            if not (_is_real(type(value)) and 0.0 < value <= 1.0):
+                raise ValueError(f"{name} must be a real number in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ as a secondary diagnostic) and accuracy counts exact integer matches.
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,6 +20,7 @@ from .model import (
     Dataset,
     RatingMatrix,
     SocialRecError,
+    _is_integer,
     _round_ratings,
     item_label,
     user_label,
@@ -41,11 +41,11 @@ class MissingCellError(SocialRecError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Which (user, item) cells form the held-out test rectangle.
+    """Which (user, item) cells form the held-out test rectangle; an index
+    that is not an integer, a bool say, raises ValueError naming it.
 
     Defaults hold out the second half of a 100-user population on the first
-    five items: 50 users x 5 items = 250 observations.
-    """
+    five items: 50 users x 5 items = 250 observations."""
 
     test_users: tuple[int, ...] = tuple(range(50, 100))
     test_items: tuple[int, ...] = tuple(range(5))
@@ -55,7 +55,7 @@ class SplitSpec:
         object.__setattr__(self, "test_items", tuple(self.test_items))
         for what in ("test_users", "test_items"):
             for index in getattr(self, what):
-                if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+                if not _is_integer(type(index)):
                     raise ValueError(f"{what} index {index!r} is not an integer")
         if len(set(self.test_users)) != len(self.test_users):
             raise ValueError("test_users contains duplicates")

@@ -5,6 +5,7 @@ All three structures use dense 0-based integer indices internally and
 Ratings and relationship strengths share the same 0..5 integer scale.
 """
 
+import itertools
 import math
 import numbers
 from contextlib import contextmanager
@@ -49,6 +50,28 @@ def _label(index, label) -> str:
 def _is_index(index, n: int) -> bool:
     """True for a plain int in 0..n-1 (a bool is not an index)."""
     return type(index) is int and 0 <= index < n
+
+
+def _is_integer(kind: type) -> bool:
+    """The type rule for a caller's count, level or index: Integral, numpy ints too, not bool."""
+    return issubclass(kind, numbers.Integral) and kind is not bool
+
+
+def _is_real(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``, if given."""
+    if not (_is_integer(type(value)) and (minimum is None or value >= minimum)):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+
+
+def _check_user(name: str, user, n_users: int) -> None:
+    _check_integer(name, user)
+    if not 0 <= user < n_users:
+        raise IndexError(f"user index {user} outside 0..{n_users - 1}")
 
 
 def is_number(token: str) -> bool:
@@ -112,15 +135,16 @@ def _column(values: list) -> np.ndarray:
 
 def cell_array(cells, shape: tuple[int, int]) -> np.ndarray:
     """The (user, item) ``cells`` as an n x 2 index array.  A cell with an
-    index that is not an integer raises ValueError naming the cell, and a
-    cell outside the users x items ``shape``, negative indices included,
-    ValueError naming the first such cell and the shape."""
+    index that is not an integer, a bool say, raises ValueError naming the
+    cell, and a cell outside the users x items ``shape``, negative indices
+    included, ValueError naming the first such cell and the shape."""
+    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"):
+        # one scan of the indices' types, not a check of each index
+        if not all(map(_is_integer, set(map(type, itertools.chain.from_iterable(cells))))):
+            cell = next(cell for cell in cells if not all(map(_is_integer, map(type, cell))))
+            raise ValueError(f"cell {tuple(cell)!r} has an index that is not an integer")
     at = np.asarray(cells)
-    if at.size and at.dtype.kind not in "iu":
-        # floats, strings, or ints beyond int64: each index is checked as given
-        for cell in cells:
-            if not all(isinstance(index, numbers.Integral) for index in cell):
-                raise ValueError(f"cell {tuple(cell)!r} has an index that is not an integer")
+    if at.dtype.kind not in "iu":  # ints beyond int64, or no cells
         at = np.array(cells, dtype=object)
     at = at.reshape(-1, 2)
     outside = (at < 0) | (at >= shape)
@@ -179,8 +203,7 @@ class RelationshipGraph:
 
     def _hold(self, n_users: int, low: np.ndarray, high: np.ndarray,
               strengths: np.ndarray) -> None:
-        if n_users < 0:
-            raise ValueError("n_users must be >= 0")
+        _check_integer("n_users", n_users, 0)
         self.n_users = n_users
         for array in (low, high, strengths):
             array.flags.writeable = False
@@ -245,8 +268,7 @@ class RelationshipGraph:
         return np.concatenate([[0], np.cumsum(keep)])[indptr], neighbours[keep], strengths[keep]
 
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= u < self.n_users:
-            raise IndexError(f"user index {u} outside 0..{self.n_users - 1}")
+        _check_user("u", u, self.n_users)
         indptr, neighbours, strengths = self._csr()
         span = slice(indptr[u], indptr[u + 1])
         return neighbours[span], strengths[span]
@@ -261,6 +283,8 @@ class RelationshipGraph:
     def strength(self, x: int, y: int) -> int | None:
         """Strength of the bond between x and y, or None if they are strangers
         or x is outside 0..n_users-1."""
+        _check_integer("x", x)
+        _check_integer("y", y)
         if not 0 <= x < self.n_users:
             return None
         neighbours, strengths = self._row(x)
@@ -376,6 +400,8 @@ class RatingMatrix(_Table):
 
     def get(self, user: int, item: int) -> int | None:
         """The rating of (user, item), or None if unrated or outside the matrix."""
+        _check_integer("user", user)
+        _check_integer("item", item)
         if not (0 <= user < self.n_users and 0 <= item < self.n_items):
             return None
         rating = int(self.dense()[user, item])
@@ -403,8 +429,7 @@ class RatingMatrix(_Table):
     def user_mean(self, user: int) -> float | None:
         """Mean of the user's full rating row, or None if the row is empty.
         Raises IndexError for a user outside 0..n_users-1."""
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user index {user} outside 0..{self.n_users - 1}")
+        _check_user("user", user, self.n_users)
         mean = float(self.means()[user])
         return None if math.isnan(mean) else mean
 

@@ -34,7 +34,6 @@ the same bits whatever batch it is in.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,9 @@ from .model import (
     N_LEVELS,
     RATING_LEVELS,
     _check_graph_users,
+    _check_integer,
+    _is_integer,
+    _is_real,
     _too_large,
     cell_array,
 )
@@ -162,20 +164,15 @@ class SnrsConfig:
     prediction_levels: tuple[int, ...] = RATING_LEVELS
 
     def __post_init__(self):
-        if not isinstance(self.laplace_alpha, numbers.Real):
-            raise ValueError(f"laplace_alpha must be a real number, got {self.laplace_alpha!r}")
-        if not (self.laplace_alpha > 0 and math.isfinite(N_LEVELS * self.laplace_alpha)):
-            raise ValueError(f"laplace_alpha must be > 0 and {N_LEVELS} * laplace_alpha "
-                             f"finite, got {self.laplace_alpha!r}")
+        alpha = self.laplace_alpha
+        if not (_is_real(type(alpha)) and alpha > 0 and math.isfinite(N_LEVELS * alpha)):
+            raise ValueError(f"laplace_alpha must be a real number > 0 with {N_LEVELS} * "
+                             f"laplace_alpha finite, got {alpha!r}")
         # a float, so that count + alpha cannot wrap in a count's unsigned type
-        object.__setattr__(self, "laplace_alpha", float(self.laplace_alpha))
-        if not isinstance(self.friend_min_strength, numbers.Integral):
-            raise ValueError(f"friend_min_strength must be an integer, "
-                             f"got {self.friend_min_strength!r}")
-        if self.friend_min_strength < 0:
-            raise ValueError("friend_min_strength must be >= 0")
+        object.__setattr__(self, "laplace_alpha", float(alpha))
+        _check_integer("friend_min_strength", self.friend_min_strength, 0)
         levels = tuple(self.prediction_levels)
-        if not levels or any(k not in RATING_LEVELS for k in levels):
+        if not levels or not all(_is_integer(type(k)) and k in RATING_LEVELS for k in levels):
             raise ValueError(f"prediction_levels must be a non-empty subset of "
                              f"{RATING_LEVELS}")
         if len(set(levels)) != len(levels):
@@ -215,10 +212,6 @@ class FriendConditionalTable:
     def n_pairs(self) -> int:
         return len(self.friends)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        users = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-        return list(zip(users.tolist(), self.friends.tolist()))
-
     def _slots(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every slot of each of ``users`` in turn, and the position in
         ``users`` of each slot's user."""
@@ -254,9 +247,9 @@ class FriendConditionalTable:
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
         """P(user u rates k | friend v rated j) for k = 0..5.  Raises
-        ValueError for a level j outside 0..5."""
-        if not 0 <= j < N_LEVELS:
-            raise ValueError(f"friend level {j} outside 0..{N_LEVELS - 1}")
+        ValueError for a level j that is not an integer in 0..5."""
+        if not (_is_integer(type(j)) and 0 <= j < N_LEVELS):
+            raise ValueError(f"friend level {j!r} outside 0..{N_LEVELS - 1}")
         slot = self._slot(u, v)
         if slot is None:
             raise KeyError((u, v))
