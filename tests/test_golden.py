@@ -142,6 +142,16 @@ CATALOG_SHAPE_DIGESTS = {
     9: "35e639553847421996fd0daa656692876d244f02bea47625a5f95f20aabb347f",
 }
 
+# Saved datasets at SPARSE_SHAPE, by seed.  Its graph of about ten friends
+# per user leaves long runs of consecutive users no two of whom are friends,
+# and every cell is propagated.
+SPARSE_SHAPE = dict(n_users=1000, n_items=20, edge_density=0.01)
+SPARSE_SHAPE_DIGESTS = {
+    0: "708d347bc05afe7482b5a02a339adb3e1ea5f7a325fdd5a15e40056cbc144bdd",
+    1: "7f2a3fcc238137f7e409b36f0b8b9883addd4a345dae5c9b84c148accedab575",
+    2: "34da6b792f72d376d53d921666b364b0e37e1c86f7294d5d008eedf55562a47e",
+}
+
 # gen --out at the generator's extreme fill paths, default shape:
 # (gen flags, {seed: (dataset digest, ratings line of stdout)}).  "sparse-seed"
 # seeds 5% of the cells on a sparse graph and sweeps once, so most cells come
@@ -222,6 +232,12 @@ def test_dense_shape_dataset_bytes(seed, tmp_path):
 def test_catalog_shape_dataset_bytes(seed, tmp_path):
     save_dataset(generate_dataset(GenConfig(rng_seed=seed, **CATALOG_SHAPE)), tmp_path)
     assert dataset_digest(tmp_path) == CATALOG_SHAPE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_shape_dataset_bytes(seed, tmp_path):
+    save_dataset(generate_dataset(GenConfig(rng_seed=seed, **SPARSE_SHAPE)), tmp_path)
+    assert dataset_digest(tmp_path) == SPARSE_SHAPE_DIGESTS[seed]
 
 
 def test_compare_reports_seed_42(tmp_path):
