@@ -37,6 +37,7 @@ _FILL_STREAM = 4
 class GenConfig:
     """Knobs for the synthetic dataset generator: four integers >= 1, an
     rng_seed >= 0 and two reals in (0, 1]; any other value raises ValueError.
+    The integers are held as Python ints, so no count can wrap.
 
     edge_density is the fraction of unordered user pairs that receive a
     relationship edge; seed_rating_fraction is the fraction of rating cells
@@ -53,6 +54,7 @@ class GenConfig:
     def __post_init__(self):
         for name in ("n_users", "n_items", "n_categories", "fill_passes", "rng_seed"):
             _check_integer(name, getattr(self, name), 0 if name == "rng_seed" else 1)
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("edge_density", "seed_rating_fraction"):
             value = getattr(self, name)
             if not (_is_real(type(value)) and 0.0 < value <= 1.0):
@@ -120,6 +122,22 @@ def seed_ratings(cfg: GenConfig) -> RatingMatrix:
     return RatingMatrix(cfg.n_users, cfg.n_items, grid.reshape(cfg.n_users, cfg.n_items))
 
 
+def _runs(indptr: np.ndarray, friends: np.ndarray, owners: np.ndarray) -> list[tuple[int, int]]:
+    """The users as runs ``range(a, b)`` of consecutive users, no two of
+    them friends: a run ends before the first user whose latest earlier
+    friend lies in it.  ``friends[k]`` is a friend of user ``owners[k]``,
+    each user's in ascending order at ``indptr[u]:indptr[u + 1]``."""
+    n_users = len(indptr) - 1
+    n_earlier = np.diff(np.concatenate([[0], np.cumsum(friends < owners)])[indptr])
+    # a user without an earlier friend reads the -1 appended to friends
+    latest = np.append(friends, -1)[np.where(n_earlier > 0, indptr[:-1] + n_earlier - 1, -1)]
+    starts = [0]
+    for u, v in enumerate(latest.tolist()):
+        if v >= starts[-1]:
+            starts.append(u)
+    return list(zip(starts, starts[1:] + [n_users]))
+
+
 def _friend_weighted_fill(
     graph: RelationshipGraph, seeded: RatingMatrix, cfg: GenConfig,
     events: list[FillEvent] | None = None,
@@ -128,48 +146,65 @@ def _friend_weighted_fill(
     matrix and its propagated and random cell counts, and appends one
     FillEvent per filled cell to ``events`` when given.
 
-    A cell reads only its own item's column, so one numpy step fills all of
-    a user's empty items at once with the values of a cell-by-cell sweep: the
-    sums over friends are exact integers, and their quotients are rounded
-    together as round_rating would round each.  Events come in that sweep's
-    order, and only they are built as Python lists.
+    A user reads only its friends' rows, so a run of consecutive users, no
+    two of them friends, is one numpy step from the grid as it stands at
+    the run's first user, with the values of a cell-by-cell sweep: each
+    friend of a run member lies outside the run, and was already updated
+    in this sweep if it comes before the run, and not yet if after.  The
+    run's friend slots are one slice of the CSR index; its members' sums
+    over them are exact integers, and their quotients are rounded together
+    as round_rating would round each.  Events come in that sweep's order,
+    and only they are built as Python lists.
     """
     _check_graph_users(graph, seeded.n_users)
     grid = seeded.dense().copy()  # -1 where unrated
     # User u's friends of strength >= 1 and their strengths, in friends_of
-    # order, are friend_ids[starts[u]:starts[u + 1]] and friend_strengths.
+    # order, are friend_ids[bounds[u]:bounds[u + 1]] and friend_strengths.
     indptr, friend_ids, friend_strengths = graph._csr(1)
-    starts = indptr.tolist()
-    friends = [(u, friend_ids[lo:hi, None], friend_strengths[lo:hi])
-               for u, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo < hi]
+    owners = np.repeat(np.arange(seeded.n_users), np.diff(indptr))
+    runs = _runs(indptr, friend_ids, owners)
+    bounds = indptr.tolist()
+    # float64 holds every sum exactly: each is at most 25 per friend
+    weights = friend_strengths.astype(np.float64)
+    strength_sums = np.diff(np.concatenate([[0], np.cumsum(weights)])[indptr])[:, None]
     n_open = (grid < 0).sum(axis=1).tolist()
 
     for sweep in range(1, cfg.fill_passes + 1):
         n_filled = 0
-        for u, vs, ss in friends:
-            if not n_open[u]:
+        for a, b in runs:
+            if not any(n_open[a:b]):
                 continue
-            empty = (grid[u] < 0).nonzero()[0]
-            rated = grid[vs, empty]  # friends x empty items
-            total = ss @ (rated >= 0)
-            weighted = ss @ np.maximum(rated, 0)
-            hit = total.nonzero()[0]
-            if not hit.size:
+            while not n_open[a]:
+                a += 1
+            while not n_open[b - 1]:
+                b -= 1
+            lo, hi = bounds[a], bounds[b]
+            if lo == hi:
                 continue
-            items = empty[hit]
-            # total >= 1 and 0 <= weighted <= 5 * total are exact int64 sums
-            # below 2**53, so each quotient is the double Python's w / t gives,
-            # and floor(q + 0.5) is round_rating(q) on 0..5, where it clamps nothing.
-            grid[u, items] = np.floor(weighted[hit] / total[hit] + 0.5)
-            n_open[u] -= hit.size
-            n_filled += hit.size
+            rows = grid[friend_ids[lo:hi]]  # the run's friend slots x items
+            spread = np.zeros((b - a, hi - lo))  # each member's strengths on its own slots
+            spread[owners[lo:hi] - a, np.arange(hi - lo)] = weights[lo:hi]
+            total = spread @ (rows >= 0).astype(np.float64)
+            # rows reads -1 for an unrated friend, whose strength is added back
+            weighted = spread @ rows.astype(np.float64) + (strength_sums[a:b] - total)
+            block = grid[a:b]
+            reach = (block < 0) & (total > 0)
+            # total >= 1 and 0 <= weighted <= 5 * total are exact sums below
+            # 2**53, so each quotient is the double Python's w / t gives, and
+            # floor(q + 0.5) is round_rating(q) on 0..5, where it clamps nothing.
+            block[reach] = np.floor(weighted[reach] / total[reach] + 0.5)
+            filled = reach.sum(axis=1).tolist()
+            n_open[a:b] = [n - f for n, f in zip(n_open[a:b], filled)]
+            n_filled += sum(filled)
             if events is not None:
-                pairs = list(zip(vs[:, 0].tolist(), ss.tolist()))
-                for i, value, column in zip(items.tolist(), grid[u, items].tolist(),
-                                            rated[:, hit].T.tolist()):
-                    contributors = tuple((v, s, r) for (v, s), r in zip(pairs, column)
-                                         if r >= 0)
-                    events.append(FillEvent(u, i, sweep, contributors, value, "propagated"))
+                slots = list(zip(friend_ids[lo:hi].tolist(), friend_strengths[lo:hi].tolist(),
+                                 rows.tolist()))
+                for k, i, value in zip(*map(np.ndarray.tolist, reach.nonzero()),
+                                       block[reach].tolist()):
+                    contributors = tuple((v, s, row[i]) for v, s, row
+                                         in slots[bounds[a + k] - lo:bounds[a + k + 1] - lo]
+                                         if row[i] >= 0)
+                    events.append(FillEvent(a + k, i, sweep, contributors, value, "propagated"))
         if not n_filled:
             break  # a later pass would read this same grid and fill nothing
 

@@ -204,7 +204,7 @@ class RelationshipGraph:
     def _hold(self, n_users: int, low: np.ndarray, high: np.ndarray,
               strengths: np.ndarray) -> None:
         _check_integer("n_users", n_users, 0)
-        self.n_users = n_users
+        self.n_users = int(n_users)
         for array in (low, high, strengths):
             array.flags.writeable = False
         self.low, self.high, self.strengths = low, high, strengths
@@ -330,13 +330,17 @@ class _Table:
     _array: np.ndarray
     invalid: tuple
 
-    def _hold(self, shape: tuple[int, int], fill: int, high: int, given) -> list:
-        """Hold ``given``, an integer array of ``shape`` with values fill..high
+    def _hold(self, dims: dict[str, int], fill: int, high: int, given) -> list:
+        """Set the two ``dims``, {name: integer >= 0} in row, column order,
+        as int attributes (ValueError naming one that is not), and hold
+        ``given``, an integer array of their shape with values fill..high
         or a list of ((row, column), level) entries, ``fill`` elsewhere.
         Returns the entries outside the shape or without a level, in
         coordinate order."""
-        if shape[0] < 0 or shape[1] < 0:
-            raise ValueError("matrix dimensions must be >= 0")
+        for name, n in dims.items():
+            _check_integer(name, n, 0)
+            setattr(self, name, int(n))
+        shape = tuple(map(int, dims.values()))
         if isinstance(given, np.ndarray):
             if (given.shape != shape or given.dtype.kind not in "iu"
                     or not ((fill <= given) & (given <= high)).all()):
@@ -379,10 +383,8 @@ class RatingMatrix(_Table):
 
     def __init__(self, n_users: int, n_items: int,
                  cells: Mapping[tuple[int, int], int] | np.ndarray | None = None):
-        self.n_users = n_users
-        self.n_items = n_items
         given = cells if isinstance(cells, np.ndarray) else list((cells or {}).items())
-        bad = self._hold((n_users, n_items), -1, RATING_MAX, given)
+        bad = self._hold({"n_users": n_users, "n_items": n_items}, -1, RATING_MAX, given)
         self.invalid = tuple((u, i, r) for (u, i), r in bad)
         self._means: np.ndarray | None = None
 
@@ -462,11 +464,9 @@ class ItemCategoryMatrix(_Table):
 
     def __init__(self, n_items: int, n_categories: int,
                  members: Iterable[tuple[int, int]] | np.ndarray = ()):
-        self.n_items = n_items
-        self.n_categories = n_categories
         given = members if isinstance(members, np.ndarray) else [
             (pair, 1) for pair in dict.fromkeys(members)]
-        bad = self._hold((n_items, n_categories), 0, 1, given)
+        bad = self._hold({"n_items": n_items, "n_categories": n_categories}, 0, 1, given)
         self.invalid = tuple(pair for pair, _ in bad)
 
     def _problems(self) -> list[str]:

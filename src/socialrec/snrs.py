@@ -199,7 +199,7 @@ class FriendConditionalTable:
         self.indptr, self.friends, _ = graph._csr(min_strength)
 
     def _slot(self, u: int, v: int) -> int | None:
-        if not 0 <= u < len(self.indptr) - 1:
+        if not (_is_integer(type(u)) and _is_integer(type(v)) and 0 <= u < len(self.indptr) - 1):
             return None
         low, high = self.indptr[u], self.indptr[u + 1]
         slot = low + int(np.searchsorted(self.friends[low:high], v))
@@ -247,7 +247,10 @@ class FriendConditionalTable:
 
     def column(self, u: int, v: int, j: int) -> tuple[float, ...]:
         """P(user u rates k | friend v rated j) for k = 0..5.  Raises
-        ValueError for a level j that is not an integer in 0..5."""
+        ValueError for a u or v that is not an integer or a level j that is
+        not an integer in 0..5, and KeyError for a pair without a table."""
+        _check_integer("u", u)
+        _check_integer("v", v)
         if not (_is_integer(type(j)) and 0 <= j < N_LEVELS):
             raise ValueError(f"friend level {j!r} outside 0..{N_LEVELS - 1}")
         slot = self._slot(u, v)

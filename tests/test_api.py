@@ -18,6 +18,8 @@ from socialrec import (
     CfConfig,
     CfPredictor,
     GenConfig,
+    ItemCategoryMatrix,
+    RatingMatrix,
     RelationshipGraph,
     SimilarityCache,
     SnrsConfig,
@@ -131,6 +133,14 @@ INTEGER_ENTRIES = [
     ("SimilarityCache.similarity.n", "n", 3, lambda w, k: w.cache.similarity(w.n, k)),
     ("FriendConditionalTable.column", "friend level", 2,
      lambda w, k: w.tables.column(3, w.v, k)),
+    ("FriendConditionalTable.column.u", "u", 3, lambda w, k: w.tables.column(k, w.v, 2)),
+    ("FriendConditionalTable.column.v", "v", 3, lambda w, k: w.tables.column(w.v, k, 2)),
+    ("RatingMatrix.n_users", "n_users", 3, lambda w, k: RatingMatrix(k, 2, {(2, 1): 4})),
+    ("RatingMatrix.n_items", "n_items", 2, lambda w, k: RatingMatrix(3, k, {(2, 1): 4})),
+    ("ItemCategoryMatrix.n_items", "n_items", 2,
+     lambda w, k: ItemCategoryMatrix(k, 3, {(1, 2)})),
+    ("ItemCategoryMatrix.n_categories", "n_categories", 3,
+     lambda w, k: ItemCategoryMatrix(2, k, {(1, 2)})),
     ("CfPredictor.predict_many.user", "cell", 3, lambda w, k: _bits(w.cf.predict_many([(k, 2)]))),
     ("CfPredictor.predict_many.item", "cell", 2, lambda w, k: _bits(w.cf.predict_many([(3, k)]))),
     ("SnrsPredictor.predict_many.user", "cell", 3,

@@ -17,6 +17,7 @@ from socialrec import (
 from socialrec import datagen
 from socialrec.datagen import FillEvent, generate_categories, generate_relationships, seed_ratings
 from socialrec.model import round_rating
+from test_golden import dataset_digest
 
 
 class TestGenConfig:
@@ -51,6 +52,17 @@ class TestGenConfig:
         cfg = GenConfig(n_users=np.int64(12), n_items=np.int32(4), rng_seed=np.int64(3))
         assert generate_dataset(cfg) == generate_dataset(GenConfig(n_users=12, n_items=4,
                                                                    rng_seed=3))
+
+    def test_numpy_counts_are_held_as_ints(self, tmp_path):
+        # an int16 300 once wrapped in n * (n - 1) // 2 and drew 1214 edges for 4491
+        cfg = GenConfig(n_users=np.int16(300), n_items=np.int16(2), n_categories=np.int8(2),
+                        fill_passes=np.uint8(3), rng_seed=np.int16(0))
+        assert {type(getattr(cfg, name)) for name in
+                ("n_users", "n_items", "n_categories", "fill_passes", "rng_seed")} == {int}
+        save_dataset(generate_dataset(cfg), tmp_path / "numpy")
+        save_dataset(generate_dataset(GenConfig(n_users=300, n_items=2, n_categories=2)),
+                     tmp_path / "int")
+        assert dataset_digest(tmp_path / "numpy") == dataset_digest(tmp_path / "int")
 
 
 class TestGenerateRelationships:
@@ -172,6 +184,31 @@ class TestFriendWeightedFill:
         assert by_cell[(1, 0)].sweep == 1
         assert by_cell[(0, 0)].sweep == 2
         assert by_cell[(0, 0)].contributors == ((1, 4, 4),)
+
+    def test_friendless_user_inside_a_run(self):
+        # u0 -- u2 and a friendless u1: one run {u0, u1}, then {u2}
+        graph = RelationshipGraph(3, {(0, 2): 3})
+        seeded = RatingMatrix(3, 2, {(2, 0): 4, (0, 1): 2})
+        cfg = self.fill_cfg(n_users=3, n_items=2)
+        assert runs_of(graph) == [(0, 2), (2, 3)]
+        filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
+        assert (filled, events) == reference_fill(graph, seeded, cfg)
+        by_cell = {(e.user, e.item): e for e in events}
+        assert (by_cell[(0, 0)].sweep, by_cell[(0, 0)].contributors) == (1, ((2, 3, 4),))
+        assert (by_cell[(2, 1)].sweep, by_cell[(2, 1)].contributors) == (1, ((0, 3, 2),))
+        assert {by_cell[(1, i)].source for i in range(2)} == {"random"}
+
+    def test_friend_after_the_run_is_read_before_its_update(self):
+        # runs {u0, u1} and {u2}: u0's friend u2 comes after u0's run, so in
+        # sweep 1 u0 reads u2's row before u2 fills it from u1
+        graph = RelationshipGraph(3, {(0, 2): 3, (1, 2): 5})
+        seeded = RatingMatrix(3, 1, {(1, 0): 4})
+        cfg = self.fill_cfg(n_users=3)
+        assert runs_of(graph) == [(0, 2), (2, 3)]
+        filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
+        assert (filled, events) == reference_fill(graph, seeded, cfg)
+        assert [(e.user, e.sweep, e.contributors) for e in events] == [
+            (2, 1, ((1, 5, 4),)), (0, 2, ((2, 3, 4),))]
 
     def test_single_pass_leaves_chain_tail_random(self):
         graph = RelationshipGraph(3, {(0, 1): 4, (1, 2): 2})
@@ -338,6 +375,28 @@ def fill_cases(draw):
 
 
 @st.composite
+def sparse_fill_cases(draw):
+    """fill_cases over 8-40 users with at most two edges per user, so that
+    runs of several users without a friendship among them are common."""
+    n_users = draw(st.integers(8, 40))
+    n_items = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_users - 1))
+    edges = draw(st.dictionaries(pairs.map(sorted).map(tuple), st.integers(0, 5),
+                                 max_size=2 * n_users))
+    cells = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
+    seeded = draw(st.dictionaries(cells, st.integers(0, 5), max_size=n_users * n_items))
+    cfg = GenConfig(n_users=n_users, n_items=n_items, fill_passes=draw(st.integers(1, 4)),
+                    rng_seed=draw(st.integers(0, 2**32)))
+    return RelationshipGraph(n_users, edges), RatingMatrix(n_users, n_items, seeded), cfg
+
+
+def runs_of(graph):
+    """datagen._runs over the graph's strength >= 1 friendships."""
+    indptr, friends, _ = graph._csr(1)
+    return datagen._runs(indptr, friends, np.repeat(np.arange(graph.n_users), np.diff(indptr)))
+
+
+@st.composite
 def gen_configs(draw):
     n_users = draw(st.integers(1, 12))
     n_items = draw(st.integers(1, 6))
@@ -358,6 +417,29 @@ class TestFillAgainstReference:
         reference, reference_events = reference_fill(graph, seeded, cfg)
         assert filled == reference
         assert events == reference_events
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_fill_cases())
+    def test_sparse_fill_matches_reference(self, case):
+        graph, seeded, cfg = case
+        filled, events = friend_weighted_fill_trace(graph, seeded, cfg)
+        reference, reference_events = reference_fill(graph, seeded, cfg)
+        assert filled == reference
+        assert events == reference_events
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_fill_cases())
+    def test_runs_are_greedy_and_friendless(self, case):
+        # the runs cover the users in order, no run holds two friends, and
+        # each run but the first starts at a friend of a member of the run before
+        graph = case[0]
+        friends = {u: {v for v, _ in graph.friends_of(u)} for u in range(graph.n_users)}
+        runs = runs_of(graph)
+        assert [u for a, b in runs for u in range(a, b)] == list(range(graph.n_users))
+        for (a, b), following in zip(runs, runs[1:] + [None]):
+            members = set(range(a, b))
+            assert all(not (friends[u] & members) - {u} for u in members)
+            assert following is None or friends[b] & members
 
     @settings(max_examples=100, deadline=None)
     @given(gen_configs())

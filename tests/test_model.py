@@ -313,6 +313,10 @@ def assert_reads_edges(g, n_users, items):
             assert g.friends_of(u, min_strength) == expected
 
 
+TABLE_DIMS = [(RatingMatrix, ("n_users", "n_items")),
+              (ItemCategoryMatrix, ("n_items", "n_categories"))]
+
+
 class TestRatingMatrix:
     def test_get(self):
         m = RatingMatrix(2, 3, {(1, 2): 4})
@@ -407,6 +411,24 @@ class TestRatingMatrix:
         d = Dataset(graph=RelationshipGraph(3), ratings=m, categories=ItemCategoryMatrix(2, 1))
         assert validate_dataset(d)[0] == message
         assert len(validate_dataset(d)) == len(invalid)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", -1, None], ids=repr)
+    @pytest.mark.parametrize("table, dims", TABLE_DIMS, ids=["ratings", "categories"])
+    def test_dimension_that_is_not_a_count(self, table, dims, bad):
+        # 2.5 and "3" once failed with a bare TypeError, and True built a
+        # table of one row
+        for at, name in enumerate(dims):
+            given = [3, 3]
+            given[at] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+                table(*given)
+
+    @pytest.mark.parametrize("table, dims", TABLE_DIMS, ids=["ratings", "categories"])
+    def test_numpy_dimensions_are_held_as_ints(self, table, dims):
+        # an int16 300 would wrap in n_users * n_items
+        m = table(np.int16(300), np.int16(300))
+        assert [type(getattr(m, name)) for name in dims] == [int, int]
+        assert m == table(300, 300)
 
     @pytest.mark.parametrize("array", [np.full((2, 3), 6), np.full((2, 3), -2),
                                        np.full((3, 2), 1), np.full((2, 3), 1.0)])
