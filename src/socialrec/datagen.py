@@ -128,7 +128,7 @@ def _runs(indptr: np.ndarray, friends: np.ndarray, owners: np.ndarray) -> list[t
     friend lies in it.  ``friends[k]`` is a friend of user ``owners[k]``,
     each user's in ascending order at ``indptr[u]:indptr[u + 1]``."""
     n_users = len(indptr) - 1
-    n_earlier = np.diff(np.concatenate([[0], np.cumsum(friends < owners)])[indptr])
+    n_earlier = np.bincount(owners[friends < owners], minlength=n_users)
     # a user without an earlier friend reads the -1 appended to friends
     latest = np.append(friends, -1)[np.where(n_earlier > 0, indptr[:-1] + n_earlier - 1, -1)]
     starts = [0]
@@ -166,7 +166,7 @@ def _friend_weighted_fill(
     bounds = indptr.tolist()
     # float64 holds every sum exactly: each is at most 25 per friend
     weights = friend_strengths.astype(np.float64)
-    strength_sums = np.diff(np.concatenate([[0], np.cumsum(weights)])[indptr])[:, None]
+    strength_sums = np.bincount(owners, weights, minlength=seeded.n_users)[:, None]
     n_open = (grid < 0).sum(axis=1).tolist()
 
     for sweep in range(1, cfg.fill_passes + 1):
