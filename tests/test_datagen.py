@@ -376,7 +376,7 @@ def fill_cases(draw):
 
 @st.composite
 def sparse_fill_cases(draw):
-    """fill_cases over 8-40 users with at most two edges per user, so that
+    """fill_cases over 8-40 users with at most 2 * n_users edges, so that
     runs of several users without a friendship among them are common."""
     n_users = draw(st.integers(8, 40))
     n_items = draw(st.integers(1, 5))
